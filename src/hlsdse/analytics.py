@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -57,10 +58,11 @@ def dominates(a: DesignPoint, b: DesignPoint) -> bool:
 
 
 def pareto_front(points: Sequence[DesignPoint]) -> list[DesignPoint]:
-    """Non-dominated subset, ascending by the first objective.
+    """Non-dominated subset, in ascending lexicographic order of the vectors.
 
     Duplicate objective vectors keep the point with the lowest
-    configuration id.
+    configuration id. Costs O(n log n) for two objectives and O(n * |front|)
+    for three or more.
     """
     _check_dims(points)
     # dedupe vectors, keeping lowest configuration id
@@ -80,8 +82,13 @@ def pareto_front(points: Sequence[DesignPoint]) -> list[DesignPoint]:
                 front.append(p)
                 best_y = p.values[1]
     else:
+        # a dominator precedes what it dominates in lexicographic order, and a
+        # dominated point is dominated by some non-dominated one, so each point
+        # needs testing only against the front kept so far; the vectors are
+        # distinct, so q <= p componentwise means q dominates p
         for p in unique:
-            if not any(dominates(q, p) for q in unique if q is not p):
+            v = p.values
+            if not any(all(x <= y for x, y in zip(q.values, v)) for q in front):
                 front.append(p)
     return front
 
@@ -172,16 +179,17 @@ class SpaceOracle:
     configuration_ids: list[int]
     _lookup: dict[int, DesignPoint]
     trace: DSETrace
+    _queried: set[int] = field(default_factory=set, init=False)
 
     def query(self, configuration_id: int) -> DesignPoint:
         if configuration_id not in self._lookup:
             raise AnalyticsError(f"unknown configuration id {configuration_id}")
-        for cid, _ in self.trace.queries:
-            if cid == configuration_id:
-                raise AnalyticsError(f"configuration {configuration_id} already queried")
+        if configuration_id in self._queried:
+            raise AnalyticsError(f"configuration {configuration_id} already queried")
         if len(self.trace.queries) >= self.trace.budget:
             raise BudgetExceeded()
         point = self._lookup[configuration_id]
+        self._queried.add(configuration_id)
         self.trace.queries.append((configuration_id, point))
         return point
 
@@ -230,13 +238,18 @@ def greedy_neighbor_strategy(seed: int) -> Strategy:
         ids = oracle.configuration_ids
         pos = {cid: i for i, cid in enumerate(ids)}
         seen: set[int] = set()
+        # positions of the ids not yet seen, kept ascending: a restart's
+        # rng.choice must see them in configuration order for a seed's draws
+        # to stay the same
+        unseen = list(range(len(ids)))
 
         def q(cid):
             seen.add(cid)
+            del unseen[bisect_left(unseen, pos[cid])]
             return oracle.query(cid)
 
-        while len(seen) < len(ids):
-            start = rng.choice([c for c in ids if c not in seen])
+        while unseen:
+            start = ids[rng.choice(unseen)]
             current = q(start)
             cid = start
             improved = True

@@ -257,6 +257,10 @@ def _run_external(
     config_dir.mkdir(parents=True, exist_ok=True)
     script_path = config_dir / "directives.tcl"
     script_path.write_text(generate_directive_script(config, csd))
+    # the sandbox is reused across runs: a report left by an earlier run must
+    # not be scored as this run's
+    report_path = config_dir / backend.report_pattern
+    report_path.unlink(missing_ok=True)
     cmd = backend.command.format(
         config_dir=str(config_dir),
         design_src=campaign.design_src,
@@ -275,7 +279,6 @@ def _run_external(
             status="timeout", duration_s=time.monotonic() - start
         )
     duration = time.monotonic() - start
-    report_path = config_dir / backend.report_pattern
     if proc.returncode != 0 or not report_path.exists():
         return ImplementationResult(
             status="synth_error",
@@ -331,7 +334,6 @@ def run_campaign(store: Store, campaign: Campaign) -> CampaignReport:
     freed slot, so an interrupted campaign can resume from the store alone.
     """
     backend = campaign.backend
-    space = store.get_space(campaign.space_id)
     csd = store.space_csd(campaign.space_id)
     index = build_index(csd)
     pending = store.pending_configurations(
@@ -340,20 +342,7 @@ def run_campaign(store: Store, campaign: Campaign) -> CampaignReport:
     if campaign.limit is not None:
         pending = pending[: campaign.limit]
 
-    clock_period = 0.0
-    for knob in csd.knobs:
-        if knob.is_clock:
-            from .dsl import expand_value_set
-
-            clock_period = float(expand_value_set(knob.value_sets[0])[0].raw)
-
-    info = SynthesisInfo(
-        contributor=campaign.contributor,
-        tool_name=backend.tool_name,
-        tool_version=backend.tool_version,
-        fpga_part=backend.fpga_part,
-        clock_period_ns=clock_period,
-    )
+    clock_knob = next(i for i, knob in enumerate(csd.knobs) if knob.is_clock)
 
     report = CampaignReport()
     log = _EventLog(campaign.log_path)
@@ -368,7 +357,7 @@ def run_campaign(store: Store, campaign: Campaign) -> CampaignReport:
         config = index.decode(record.idx)
         log.emit("start", record)
         fut = executor.submit(_synthesize_one, backend, config, csd, campaign)
-        in_flight[fut] = record
+        in_flight[fut] = (record, float(config.assignments[clock_knob][0].raw))
         report.max_in_flight = max(report.max_in_flight, len(in_flight))
         return True
 
@@ -380,13 +369,20 @@ def run_campaign(store: Store, campaign: Campaign) -> CampaignReport:
             while in_flight:
                 done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
                 for fut in done:
-                    record = in_flight.pop(fut)
+                    record, clock_period = in_flight.pop(fut)
                     try:
                         result = fut.result()
                     except Exception as e:  # backend invocation failure
                         result = ImplementationResult(
                             status="synth_error", diagnostic=str(e)
                         )
+                    info = SynthesisInfo(
+                        contributor=campaign.contributor,
+                        tool_name=backend.tool_name,
+                        tool_version=backend.tool_version,
+                        fpga_part=backend.fpga_part,
+                        clock_period_ns=clock_period,
+                    )
                     store.record_result(record.id, result, info)
                     report.attempted += 1
                     if result.status == "ok":

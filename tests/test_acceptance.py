@@ -102,12 +102,20 @@ def test_criterion_2_enumeration_soundness():
 
 
 def _brute_force_front_np(arr: np.ndarray) -> set:
+    # every row against all rows, a block of rows at a time; comparing one
+    # objective column at a time keeps the temporaries two-dimensional
+    block = 256
     nondominated = []
-    for i in range(arr.shape[0]):
-        le = (arr <= arr[i]).all(axis=1)
-        lt = (arr < arr[i]).any(axis=1)
-        if not (le & lt).any():
-            nondominated.append(tuple(arr[i]))
+    for start in range(0, arr.shape[0], block):
+        rows = arr[start:start + block]
+        le = np.ones((rows.shape[0], arr.shape[0]), dtype=bool)
+        lt = np.zeros_like(le)
+        for col in range(arr.shape[1]):
+            mine, theirs = rows[:, col, None], arr[:, col]
+            le &= theirs <= mine
+            lt |= theirs < mine
+        keep = ~(le & lt).any(axis=1)
+        nondominated.extend(tuple(r) for r in rows[keep])
     return set(nondominated)
 
 

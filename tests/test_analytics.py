@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlsdse.analytics import (
+    BUILTIN_STRATEGIES,
     AnalyticsError,
     DesignPoint,
     adrs,
@@ -35,6 +37,22 @@ def brute_force_front(points):
 
 def pts(*vectors):
     return [DesignPoint(tuple(float(x) for x in v), i) for i, v in enumerate(vectors)]
+
+
+def brute_force_front_lowest_id(points):
+    """brute_force_front with each duplicated vector kept once, at its
+    lowest configuration id."""
+    lowest = {}
+    for p in brute_force_front(points):
+        if p.values not in lowest or p.configuration_id < lowest[p.values]:
+            lowest[p.values] = p.configuration_id
+    return [(v, lowest[v]) for v in sorted(lowest)]
+
+
+def many_objective_vectors(dim, max_size):
+    return st.lists(
+        st.tuples(*[st.integers(0, 4)] * dim), min_size=1, max_size=max_size
+    )
 
 
 class TestDominates:
@@ -134,6 +152,33 @@ class TestParetoFront:
         points = pts((1, 1, 3), (1, 2, 1), (2, 2, 2), (3, 3, 3))
         front = {p.values for p in pareto_front(points)}
         assert front == {(1, 1, 3), (1, 2, 1)}
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(many_objective_vectors(3, 80), many_objective_vectors(4, 80))
+    )
+    def test_many_objectives_match_brute_force_property(self, vectors):
+        # ids descend, so the lowest id of a duplicated vector is its last copy
+        points = [
+            DesignPoint(tuple(float(x) for x in v), len(vectors) - i)
+            for i, v in enumerate(vectors)
+        ]
+        fast = [(p.values, p.configuration_id) for p in pareto_front(points)]
+        assert fast == brute_force_front_lowest_id(points)
+
+    @pytest.mark.parametrize("dim,n,seed", [(3, 200, 0), (3, 400, 1), (4, 400, 2)])
+    def test_many_objectives_match_brute_force_random(self, dim, n, seed):
+        # near a simplex, so that fronts are large and hold duplicated vectors
+        rng = random.Random(seed)
+        points = []
+        for cid in rng.sample(range(10 * n), n):
+            head = [rng.randint(0, 6) for _ in range(dim - 1)]
+            last = 6 * (dim - 1) - sum(head) + rng.randint(0, 2)
+            points.append(DesignPoint(tuple(float(x) for x in head + [last]), cid))
+        fast = [(p.values, p.configuration_id) for p in pareto_front(points)]
+        front_vectors = {v for v, _ in fast}
+        assert sum(p.values in front_vectors for p in points) > len(fast)
+        assert fast == brute_force_front_lowest_id(points)
 
 
 class TestAdrs:
@@ -299,3 +344,88 @@ class TestRegression:
         assert result.queries_used == 71
         assert result.adrs_value == pytest.approx(0.09834214245617126, rel=1e-12)
         st.close()
+
+
+@pytest.fixture(scope="module")
+def local_scan_campaign(local_scan_text):
+    st = Store(":memory:")
+    st.init_schema()
+    did = st.ensure_design("b", "a", "d")
+    rec = st.register_space(did, parse_csd(local_scan_text), "t")
+    run_campaign(
+        st, Campaign(space_id=rec.id, backend=BackendSpec(kind="mock"),
+                     jobs=4, seed=1)
+    )
+    yield st, rec
+    st.close()
+
+
+# Frozen query-id sequences at budget 40 and the ADRS they score on
+# (latency, lut) and (latency, lut, ff). The sequence does not depend on the
+# objectives: both strategies read only the first objective, latency.
+PINNED_TRACES = {
+    ("random", 0): (
+        [131, 182, 137, 211, 338, 439, 613, 400, 35, 259, 541, 375, 597, 18,
+         501, 514, 272, 87, 424, 317, 212, 31, 183, 93, 386, 414, 284, 389,
+         315, 116, 165, 507, 629, 36, 233, 236, 108, 55, 663, 273],
+        0.11687638427425484,
+        0.12321428943630112,
+    ),
+    ("random", 7): (
+        [131, 697, 434, 154, 319, 346, 168, 234, 184, 369, 170, 685, 510, 91,
+         456, 146, 329, 31, 143, 198, 583, 315, 233, 654, 653, 81, 615, 90,
+         152, 666, 102, 249, 16, 669, 474, 428, 25, 7, 296, 151],
+        0.12916146943153323,
+        0.13803937002076444,
+    ),
+    ("greedy", 0): (
+        [395, 394, 396, 397, 435, 434, 436, 437, 438, 439, 440, 441, 42, 41,
+         43, 44, 45, 271, 270, 272, 273, 274, 275, 276, 548, 547, 549, 550,
+         551, 522, 521, 523, 524, 525, 526, 527, 528, 529, 431, 430],
+        0.10013557017154176,
+        0.10900087572338592,
+    ),
+    ("greedy", 7): (
+        [332, 331, 333, 334, 335, 336, 337, 338, 339, 340, 341, 342, 155, 154,
+         153, 420, 419, 421, 422, 423, 424, 425, 426, 427, 428, 429, 430, 694,
+         693, 692, 50, 49, 51, 52, 53, 54, 55, 56, 83, 82],
+        0.7930588133066381,
+        0.8703577254537307,
+    ),
+}
+
+# sha256 of the comma-joined query ids of a full-budget greedy run, which
+# restarts until every configuration is queried
+PINNED_GREEDY_FULL = {
+    0: "75b0c5cc127db674eaca90d5b93f2af5a157cbe6c7bd755bb13ab1d1ef3cdedd",
+    7: "2b3a5fb7a1efe8c5c7921e03e8f8fd670e9b85901a5d88110bf5922eb6cb3db7",
+}
+
+
+class TestPinnedTraces:
+    @pytest.mark.parametrize("name,seed", sorted(PINNED_TRACES))
+    def test_trace_and_adrs(self, local_scan_campaign, name, seed):
+        st, rec = local_scan_campaign
+        ids, adrs_2d, adrs_3d = PINNED_TRACES[name, seed]
+        for objectives, expected in (
+            (("latency", "lut"), adrs_2d),
+            (("latency", "lut", "ff"), adrs_3d),
+        ):
+            result = evaluate_strategy(
+                st, rec.id, BUILTIN_STRATEGIES[name](seed), budget=40,
+                objectives=objectives,
+            )
+            assert [c for c, _ in result.trace.queries] == ids
+            assert result.trace.truncated
+            assert result.adrs_value == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_GREEDY_FULL))
+    def test_greedy_full_budget(self, local_scan_campaign, seed):
+        st, rec = local_scan_campaign
+        result = evaluate_strategy(
+            st, rec.id, greedy_neighbor_strategy(seed), budget=rec.cardinality
+        )
+        ids = ",".join(str(c) for c, _ in result.trace.queries)
+        assert result.queries_used == rec.cardinality
+        assert not result.trace.truncated
+        assert hashlib.sha256(ids.encode()).hexdigest() == PINNED_GREEDY_FULL[seed]

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,7 @@ from hlsdse.space import build_index, enumerate_space
 from hlsdse.store import Store
 
 MOCK = BackendSpec(kind="mock")
+SAMPLE_REPORT = Path(__file__).parent / "data" / "sample_report.xml"
 
 
 @pytest.fixture
@@ -206,6 +209,29 @@ class TestRunCampaign:
         )
         assert report.max_in_flight <= 3
 
+    def test_clock_period_per_configuration(self, local_scan_text):
+        text = local_scan_text.replace("clock;{10}", "clock;{5,10}")
+        csd = parse_csd(text)
+        st = Store(":memory:")
+        st.init_schema()
+        did = st.ensure_design("radix_sort", "scan", "local_scan")
+        rec = st.register_space(did, csd, "test")
+        run_campaign(st, Campaign(space_id=rec.id, backend=MOCK, jobs=4))
+        rows = st.conn.execute(
+            "SELECT c.idx, s.clock_period_ns FROM synthesis_info s"
+            " JOIN implementation i ON i.id = s.implementation_id"
+            " JOIN configuration c ON c.id = i.configuration_id"
+            " WHERE c.space_id=?",
+            (rec.id,),
+        ).fetchall()
+        st.close()
+        index = build_index(csd)
+        clock = next(i for i, k in enumerate(csd.knobs) if k.is_clock)
+        assert len(rows) == 1408
+        assert {period for _, period in rows} == {5.0, 10.0}
+        for idx, period in rows:
+            assert period == float(index.decode(idx).assignments[clock][0].raw)
+
 
 class TestBackendSpec:
     def test_external_requires_placeholders(self):
@@ -280,3 +306,26 @@ class TestExternalBackend:
         assert (sandboxes[0] / "directives.tcl").read_text().startswith(
             "set_directive_unroll"
         )
+
+    def test_stale_report_not_reused(self, tmp_path):
+        from hlsdse.orchestrator import _run_external
+
+        csd = parse_csd("unroll;f;l1;{1,2}\nclock;{10}")
+        cfg = build_index(csd).decode(0)
+
+        def run(command):
+            backend = BackendSpec(kind="external_tool", command=command, timeout_s=30)
+            campaign = Campaign(
+                space_id=1, backend=backend, design_src="design.c",
+                work_dir=str(tmp_path),
+            )
+            return _run_external(backend, cfg, csd, campaign)
+
+        first = run(
+            f"sh -c 'cp \"$0\" \"$1/report.xml\"' {shlex.quote(str(SAMPLE_REPORT))}"
+            " {config_dir} {design_src} {script}"
+        )
+        assert first.status == "ok"
+        # same sandbox, but this tool exits 0 without writing a report
+        second = run("true {config_dir} {design_src} {script}")
+        assert second.status == "synth_error"
