@@ -90,7 +90,7 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
-def _open_store(args, init: bool = False) -> Store:
+def _open_store(args) -> Store:
     st = Store(args.db)
     try:
         st.init_schema()

@@ -12,6 +12,7 @@ Blank lines and lines starting with ``#`` are ignored.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -125,8 +126,11 @@ def expand_value_set(vs: ValueSet) -> list[Value]:
                 out.append(Value(v))
             v *= 2
         return out
-    # divisors of hi within [lo, hi], ascending
-    return [Value(d) for d in range(vs.lo, vs.hi + 1) if vs.hi % d == 0]
+    # divisors of hi within [lo, hi], ascending: each d <= sqrt(hi) pairs
+    # with hi // d, so the scan is O(sqrt(hi)) rather than O(hi)
+    small = [d for d in range(1, math.isqrt(vs.hi) + 1) if vs.hi % d == 0]
+    large = [vs.hi // d for d in reversed(small) if d * d != vs.hi]
+    return [Value(d) for d in small + large if d >= vs.lo]
 
 
 @dataclass(frozen=True)

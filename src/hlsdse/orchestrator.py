@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shlex
+import signal
 import subprocess
 import time
 import xml.etree.ElementTree as ET
@@ -267,17 +269,23 @@ def _run_external(
         script=str(script_path),
     )
     start = time.monotonic()
-    try:
-        proc = subprocess.run(
-            shlex.split(cmd),
-            cwd=config_dir,
-            capture_output=True,
-            timeout=backend.timeout_s,
-        )
-    except subprocess.TimeoutExpired:
-        return ImplementationResult(
-            status="timeout", duration_s=time.monotonic() - start
-        )
+    # the tool leads its own process group, so a timeout ends every process
+    # it started, not only the one it was launched as
+    with subprocess.Popen(
+        shlex.split(cmd),
+        cwd=config_dir,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+    ) as proc:
+        try:
+            proc.communicate(timeout=backend.timeout_s)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            return ImplementationResult(
+                status="timeout", duration_s=time.monotonic() - start
+            )
     duration = time.monotonic() - start
     if proc.returncode != 0 or not report_path.exists():
         return ImplementationResult(
@@ -327,6 +335,10 @@ class _EventLog:
             self._fh.close()
 
 
+# configuration rows written per transaction ahead of their attempts
+_ROW_CHUNK = 256
+
+
 def run_campaign(store: Store, campaign: Campaign) -> CampaignReport:
     """Attempt every pending configuration of the space, at most K at a time.
 
@@ -342,19 +354,26 @@ def run_campaign(store: Store, campaign: Campaign) -> CampaignReport:
     if campaign.limit is not None:
         pending = pending[: campaign.limit]
 
+    def attempts():
+        """(row, configuration) per pending point; the rows of each chunk
+        are written in one transaction just before its first attempt."""
+        for lo in range(0, len(pending), _ROW_CHUNK):
+            chunk = [(i, index.decode(i)) for i in pending[lo : lo + _ROW_CHUNK]]
+            records = store.add_configurations(campaign.space_id, chunk)
+            yield from zip(records, (config for _, config in chunk))
+
     clock_knob = next(i for i, knob in enumerate(csd.knobs) if knob.is_clock)
 
     report = CampaignReport()
     log = _EventLog(campaign.log_path)
     start = time.monotonic()
-    queue = iter(pending)
+    queue = attempts()
     in_flight: dict = {}
 
     def submit(executor):
-        record = next(queue, None)
+        record, config = next(queue, (None, None))
         if record is None:
             return False
-        config = index.decode(record.idx)
         log.emit("start", record)
         fut = executor.submit(_synthesize_one, backend, config, csd, campaign)
         in_flight[fut] = (record, float(config.assignments[clock_knob][0].raw))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
@@ -145,9 +146,19 @@ def build_index(csd: CSD) -> SpaceIndex:
     groups = csd.bind_groups()
     first_member = {tag: members[0] for tag, members in groups.items()}
     axes: list[Axis] = []
+    total = 1
+
+    def grow(radix: int) -> None:
+        # checked before the axis's values are materialized
+        nonlocal total
+        total *= radix
+        if total > MAX_CARDINALITY:
+            raise CardinalityOverflowError(f"space size exceeds {MAX_CARDINALITY}")
+
     for i, knob in enumerate(csd.knobs):
         if knob.bind_tag and first_member[knob.bind_tag] == i:
             vs = expand_value_set(knob.value_sets[-1])
+            grow(len(vs))
             axes.append(
                 SharedAxis(knob.bind_tag, tuple(vs), tuple(groups[knob.bind_tag]))
             )
@@ -156,18 +167,11 @@ def build_index(csd: CSD) -> SpaceIndex:
             p for p in range(n_sets) if not (knob.bind_tag and p == n_sets - 1)
         )
         expanded = [expand_value_set(knob.value_sets[p]) for p in positions]
+        grow(math.prod(len(e) for e in expanded))
         combos = tuple(itertools.product(*expanded)) if expanded else ((),)
         axes.append(KnobAxis(i, positions, combos))
 
-    radices = tuple(len(a.values) for a in axes)
-    total = 1
-    for r in radices:
-        total *= r
-        if total > MAX_CARDINALITY:
-            raise CardinalityOverflowError(
-                f"space size exceeds {MAX_CARDINALITY}"
-            )
-    return SpaceIndex(csd, tuple(axes), radices, total)
+    return SpaceIndex(csd, tuple(axes), tuple(len(a.values) for a in axes), total)
 
 
 def cardinality(csd: CSD) -> int:

@@ -2,24 +2,35 @@
 
 Schema (nine tables): benchmark -> algorithm -> design form the design
 taxonomy; configuration_space rows hold the canonical descriptor text and
-its cardinality; configuration rows are materialized eagerly, one per space
-point; each synthesis attempt is an implementation row with its
-synthesis_info provenance and, for successful runs, resource_usage and
-performance rows. The DDL is shipped verbatim in SCHEMA_DDL.
+its cardinality; a configuration row is written only when the point is
+about to be attempted, since its key, key text and directive values are a
+pure function of the descriptor text and the point's index; each synthesis
+attempt is an implementation row with its synthesis_info provenance and, for
+successful runs, resource_usage and performance rows. The DDL is shipped
+verbatim in SCHEMA_DDL.
+
+Schema version 2 differs from version 1 only in that meaning: a version-1
+store holds a row for every point, and those rows stay valid, because the
+pending points of a space are derived from its cardinality and the
+attempted rows, never from which rows exist. Opening a version-1 store
+bumps its version; imports accept exports of either version.
 """
 
 from __future__ import annotations
 
 import json
 import sqlite3
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .dsl import CSD, parse_csd, serialize_csd
-from .space import build_index, enumerate_space
+from .space import Configuration, build_index
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+# export versions import_jsonl reads: their table layouts are identical
+IMPORT_VERSIONS = (1, 2)
 
 SCHEMA_DDL = """
 CREATE TABLE IF NOT EXISTS benchmark (
@@ -190,7 +201,8 @@ class Store:
 
     def init_schema(self):
         """Create all tables; idempotent. Rejects stores written by a newer
-        schema version."""
+        schema version; an older store is upgraded by the version bump alone
+        (see the module docstring)."""
         (version,) = self.conn.execute("PRAGMA user_version").fetchone()
         if version > SCHEMA_VERSION:
             raise VersionMismatchError(
@@ -248,48 +260,28 @@ class Store:
     # -- spaces and configurations ---------------------------------------
 
     def register_space(self, design_id: int, csd: CSD, contributor: str) -> SpaceRecord:
-        """Insert the space row plus all of its configuration rows atomically."""
-        row = self.conn.execute(
-            "SELECT id FROM design WHERE id=?", (design_id,)
-        ).fetchone()
-        if row is None:
-            raise StoreError(f"unknown design id {design_id}")
+        """Insert the space row; its configuration rows are written as they
+        are attempted (see add_configurations)."""
         canonical = serialize_csd(csd)
-        existing = self.conn.execute(
-            "SELECT id FROM configuration_space WHERE design_id=? AND csd_text=?",
-            (design_id, canonical),
-        ).fetchone()
-        if existing:
-            raise DuplicateSpaceError(
-                f"space already registered for design {design_id} (id {existing[0]})"
-            )
-        index = build_index(csd)
+        total = build_index(csd).total
         created = _now()
-        with self.conn:
-            cur = self.conn.execute(
-                "INSERT INTO configuration_space"
-                " (design_id, csd_text, cardinality, contributor, created_at)"
-                " VALUES (?,?,?,?,?)",
-                (design_id, canonical, index.total, contributor, created),
-            )
-            space_id = cur.lastrowid
-            rows = (
-                (
-                    space_id,
-                    i,
-                    cfg.config_key,
-                    cfg.key_text,
-                    json.dumps([[v.raw for v in vals] for vals in cfg.assignments]),
+        try:
+            with self.conn:
+                cur = self.conn.execute(
+                    "INSERT INTO configuration_space"
+                    " (design_id, csd_text, cardinality, contributor, created_at)"
+                    " VALUES (?,?,?,?,?)",
+                    (design_id, canonical, total, contributor, created),
                 )
-                for i, cfg in enumerate(enumerate_space(csd))
-            )
-            self.conn.executemany(
-                "INSERT INTO configuration"
-                " (space_id, idx, config_key, key_text, directive_values)"
-                " VALUES (?,?,?,?,?)",
-                rows,
-            )
-        return SpaceRecord(space_id, design_id, canonical, index.total, contributor, created)
+        except sqlite3.IntegrityError as e:
+            existing = self.find_space(design_id, csd)
+            if existing:
+                raise DuplicateSpaceError(
+                    f"space already registered for design {design_id}"
+                    f" (id {existing.id})"
+                ) from None
+            raise StoreError(f"unknown design id {design_id}") from e
+        return SpaceRecord(cur.lastrowid, design_id, canonical, total, contributor, created)
 
     def get_space(self, space_id: int) -> SpaceRecord:
         row = self.conn.execute(
@@ -312,6 +304,7 @@ class Store:
         return parse_csd(self.get_space(space_id).csd_text)
 
     def configurations(self, space_id: int) -> list[ConfigRecord]:
+        """The configuration rows written so far, in index order."""
         self.get_space(space_id)
         rows = self.conn.execute(
             "SELECT id, space_id, idx, config_key, key_text FROM configuration"
@@ -320,15 +313,38 @@ class Store:
         ).fetchall()
         return [ConfigRecord(*r) for r in rows]
 
-    def configuration_by_idx(self, space_id: int, idx: int) -> ConfigRecord:
-        row = self.conn.execute(
-            "SELECT id, space_id, idx, config_key, key_text FROM configuration"
-            " WHERE space_id=? AND idx=?",
-            (space_id, idx),
-        ).fetchone()
-        if row is None:
-            raise StoreError(f"no configuration {idx} in space {space_id}")
-        return ConfigRecord(*row)
+    def add_configurations(
+        self, space_id: int, configs: Sequence[tuple[int, Configuration]]
+    ) -> list[ConfigRecord]:
+        """Get-or-create the rows of ``configs``, (idx, decoded configuration)
+        pairs in ascending idx order, in one transaction; returns their
+        records in that order. Rows are created in the order given, so ids
+        follow idx order whenever configurations are attempted in it."""
+        if not configs:
+            return []
+        with self.conn:
+            self.conn.executemany(
+                "INSERT INTO configuration"
+                " (space_id, idx, config_key, key_text, directive_values)"
+                " VALUES (?,?,?,?,?) ON CONFLICT (space_id, idx) DO NOTHING",
+                (
+                    (
+                        space_id,
+                        idx,
+                        cfg.config_key,
+                        cfg.key_text,
+                        json.dumps([[v.raw for v in vals] for vals in cfg.assignments]),
+                    )
+                    for idx, cfg in configs
+                ),
+            )
+            rows = self.conn.execute(
+                "SELECT id, space_id, idx, config_key, key_text FROM configuration"
+                " WHERE space_id=? AND idx BETWEEN ? AND ? ORDER BY idx",
+                (space_id, configs[0][0], configs[-1][0]),
+            ).fetchall()
+        wanted = {idx for idx, _ in configs}
+        return [ConfigRecord(*r) for r in rows if r[2] in wanted]
 
     # -- results ----------------------------------------------------------
 
@@ -339,11 +355,6 @@ class Store:
 
         ``result`` is an orchestrator.ImplementationResult.
         """
-        row = self.conn.execute(
-            "SELECT id FROM configuration WHERE id=?", (configuration_id,)
-        ).fetchone()
-        if row is None:
-            raise StoreError(f"unknown configuration id {configuration_id}")
         if result.status == "ok":
             dup = self.conn.execute(
                 "SELECT i.id FROM implementation i"
@@ -358,33 +369,41 @@ class Store:
                     f" implementation for {info.tool_name} {info.tool_version}"
                     f" on {info.fpga_part}"
                 )
-        with self.conn:
-            cur = self.conn.execute(
-                "INSERT INTO implementation (configuration_id, status) VALUES (?,?)",
-                (configuration_id, result.status),
-            )
-            impl_id = cur.lastrowid
-            self.conn.execute(
-                "INSERT INTO synthesis_info VALUES (?,?,?,?,?,?,?)",
-                (
-                    impl_id,
-                    info.timestamp or _now(),
-                    info.contributor,
-                    info.tool_name,
-                    info.tool_version,
-                    info.fpga_part,
-                    info.clock_period_ns,
-                ),
-            )
-            if result.status == "ok":
-                self.conn.execute(
-                    "INSERT INTO resource_usage VALUES (?,?,?,?,?)",
-                    (impl_id, result.ff, result.lut, result.bram, result.dsp),
+        try:
+            with self.conn:
+                cur = self.conn.execute(
+                    "INSERT INTO implementation (configuration_id, status)"
+                    " VALUES (?,?)",
+                    (configuration_id, result.status),
                 )
+                impl_id = cur.lastrowid
                 self.conn.execute(
-                    "INSERT INTO performance VALUES (?,?,?)",
-                    (impl_id, result.latency_cycles, result.achieved_period_ns),
+                    "INSERT INTO synthesis_info VALUES (?,?,?,?,?,?,?)",
+                    (
+                        impl_id,
+                        info.timestamp or _now(),
+                        info.contributor,
+                        info.tool_name,
+                        info.tool_version,
+                        info.fpga_part,
+                        info.clock_period_ns,
+                    ),
                 )
+                if result.status == "ok":
+                    self.conn.execute(
+                        "INSERT INTO resource_usage VALUES (?,?,?,?,?)",
+                        (impl_id, result.ff, result.lut, result.bram, result.dsp),
+                    )
+                    self.conn.execute(
+                        "INSERT INTO performance VALUES (?,?,?)",
+                        (impl_id, result.latency_cycles, result.achieved_period_ns),
+                    )
+        except sqlite3.IntegrityError as e:
+            # an unknown configuration id fails the foreign key, a negative
+            # resource count its CHECK
+            raise StoreError(
+                f"cannot record configuration id {configuration_id}: {e}"
+            ) from None
         return impl_id
 
     def pending_configurations(
@@ -393,10 +412,11 @@ class Store:
         tool_name: Optional[str] = None,
         tool_version: Optional[str] = None,
         fpga_part: Optional[str] = None,
-    ) -> list[ConfigRecord]:
-        """Configurations with no recorded attempt under the given tool/part
-        filter, in index order."""
-        self.get_space(space_id)
+    ) -> list[int]:
+        """Indices of the points with no recorded attempt under the given
+        tool/part filter, ascending. Derived from the space's cardinality
+        and its attempted rows, so it does not depend on which rows exist."""
+        cardinality = self.get_space(space_id).cardinality
         clauses, params = [], []
         for col, val in (
             ("tool_name", tool_name),
@@ -404,19 +424,19 @@ class Store:
             ("fpga_part", fpga_part),
         ):
             if val is not None:
-                clauses.append(f"s.{col}=?")
+                clauses.append(f" AND s.{col}=?")
                 params.append(val)
-        filt = (" AND " + " AND ".join(clauses)) if clauses else ""
-        rows = self.conn.execute(
-            "SELECT c.id, c.space_id, c.idx, c.config_key, c.key_text"
-            " FROM configuration c WHERE c.space_id=? AND NOT EXISTS ("
-            "   SELECT 1 FROM implementation i"
-            "   JOIN synthesis_info s ON s.implementation_id = i.id"
-            f"   WHERE i.configuration_id = c.id{filt}"
-            ") ORDER BY c.idx",
-            [space_id] + params,
-        ).fetchall()
-        return [ConfigRecord(*r) for r in rows]
+        attempted = {
+            idx
+            for (idx,) in self.conn.execute(
+                "SELECT c.idx FROM configuration c"
+                " JOIN implementation i ON i.configuration_id = c.id"
+                " JOIN synthesis_info s ON s.implementation_id = i.id"
+                " WHERE c.space_id=?" + "".join(clauses),
+                [space_id] + params,
+            )
+        }
+        return [i for i in range(cardinality) if i not in attempted]
 
     def count_implementations(self, space_id: int, status: Optional[str] = None) -> int:
         q = (
@@ -610,7 +630,7 @@ class Store:
                         raise ImportError_(f"malformed record: {e}", last_good)
                     table = obj.pop("table", None)
                     if table == "_meta":
-                        if obj.get("schema_version") != SCHEMA_VERSION:
+                        if obj.get("schema_version") not in IMPORT_VERSIONS:
                             raise ImportError_(
                                 f"schema version mismatch: {obj.get('schema_version')}",
                                 last_good,
@@ -663,22 +683,7 @@ class Store:
 
     def check_integrity(self) -> list[str]:
         """Full-scan referential check; returns human-readable violations."""
-        problems = []
-        checks = [
-            ("algorithm", "benchmark_id", "benchmark"),
-            ("design", "algorithm_id", "algorithm"),
-            ("configuration_space", "design_id", "design"),
-            ("configuration", "space_id", "configuration_space"),
-            ("implementation", "configuration_id", "configuration"),
-            ("synthesis_info", "implementation_id", "implementation"),
-            ("resource_usage", "implementation_id", "implementation"),
-            ("performance", "implementation_id", "implementation"),
-        ]
-        for table, fk, parent in checks:
-            (n,) = self.conn.execute(
-                f"SELECT COUNT(*) FROM {table} t WHERE NOT EXISTS"
-                f" (SELECT 1 FROM {parent} p WHERE p.id = t.{fk})"
-            ).fetchone()
-            if n:
-                problems.append(f"{n} orphan {table} row(s)")
-        return problems
+        orphans = Counter(
+            table for table, *_ in self.conn.execute("PRAGMA foreign_key_check")
+        )
+        return [f"{orphans[t]} orphan {t} row(s)" for t in TABLES if orphans[t]]

@@ -1,5 +1,8 @@
+import time
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlsdse.dsl import (
     CsdSyntaxError,
@@ -41,6 +44,26 @@ class TestExpansion:
     def test_div_matches_trial_division(self, hi):
         vs = GeneratedRange(1, hi, GeneratorKind.DIV)
         assert [v.raw for v in expand_value_set(vs)] == divisors(hi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 10**4).flatmap(
+            lambda hi: st.tuples(st.integers(1, hi), st.just(hi))
+        )
+    )
+    def test_div_matches_definition_property(self, bounds):
+        lo, hi = bounds
+        vs = GeneratedRange(lo, hi, GeneratorKind.DIV)
+        assert [v.raw for v in expand_value_set(vs)] == [
+            d for d in range(lo, hi + 1) if hi % d == 0
+        ]
+
+    def test_div_of_large_power_of_two(self):
+        start = time.perf_counter()
+        (knob, _) = parse_csd(f"unroll;f;l;{{1->{2**40},div}}\nclock;{{10}}").knobs
+        values = [v.raw for v in expand_value_set(knob.value_sets[0])]
+        assert time.perf_counter() - start < 0.1
+        assert values == [2**k for k in range(41)]
 
     def test_div_1_to_12(self):
         vs = GeneratedRange(1, 12, GeneratorKind.DIV)

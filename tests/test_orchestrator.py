@@ -1,5 +1,7 @@
 import json
+import os
 import shlex
+import signal
 from pathlib import Path
 
 import pytest
@@ -144,6 +146,30 @@ class TestRunCampaign:
         assert report.pending_after == 0
         assert report.max_in_flight <= 8
         assert st.count_implementations(rec.id, "ok") == 704
+
+    def test_rows_written_on_attempt(self, populated_store, local_scan_text):
+        st, rec = populated_store
+        index = build_index(parse_csd(local_scan_text))
+
+        def check_rows(n):
+            rows = st.conn.execute(
+                "SELECT id, idx, config_key, key_text, directive_values"
+                " FROM configuration WHERE space_id=? ORDER BY id",
+                (rec.id,),
+            ).fetchall()
+            # ids follow idx order, and a row exists only once attempted
+            assert [r[1] for r in rows] == list(range(n))
+            assert [r[0] for r in rows] == list(range(1, n + 1))
+            for _, idx, key, key_text, values in rows:
+                cfg = index.decode(idx)
+                assert (key, key_text) == (cfg.config_key, cfg.key_text)
+                assert json.loads(values) == [[v.raw for v in a] for a in cfg.assignments]
+
+        assert st.configurations(rec.id) == []
+        run_campaign(st, Campaign(space_id=rec.id, backend=MOCK, jobs=4, limit=300))
+        check_rows(300)
+        run_campaign(st, Campaign(space_id=rec.id, backend=MOCK, jobs=4))
+        check_rows(704)
 
     def test_jobs_independent_results(self, local_scan_text):
         results = []
@@ -329,3 +355,43 @@ class TestExternalBackend:
         # same sandbox, but this tool exits 0 without writing a report
         second = run("true {config_dir} {design_src} {script}")
         assert second.status == "synth_error"
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    def test_timeout_ends_process_group(self, tmp_path):
+        from hlsdse.orchestrator import _run_external
+
+        def live(pid=None, pgid=None):
+            """Processes, not zombies, with this pid or in this group."""
+            found = []
+            for stat in Path("/proc").glob("[0-9]*/stat"):
+                try:
+                    text = stat.read_text()
+                except OSError:
+                    continue
+                state, _, pgrp = text[text.rindex(")") + 2 :].split()[:3]
+                p = int(stat.parent.name)
+                if state not in "ZX" and (p == pid or int(pgrp) == pgid):
+                    found.append(p)
+            return found
+
+        csd = parse_csd("unroll;f;l1;{1,2}\nclock;{10}")
+        cfg = build_index(csd).decode(0)
+        # a tool that leaves a background child behind, then outlives its timeout
+        command = (
+            "sh -c 'sleep 30 & echo $$ $! > \"$0/pids\"; sleep 30'"
+            " {config_dir} {design_src} {script}"
+        )
+        backend = BackendSpec(kind="external_tool", command=command, timeout_s=0.5)
+        campaign = Campaign(
+            space_id=1, backend=backend, design_src="design.c", work_dir=str(tmp_path)
+        )
+        result = _run_external(backend, cfg, csd, campaign)
+        (pids,) = (tmp_path / "sandboxes").glob("*/pids")
+        leader, child = (int(p) for p in pids.read_text().split())
+        try:
+            assert result.status == "timeout"
+            assert live(pid=child) == []
+            assert live(pgid=leader) == []
+        finally:
+            for p in live(pid=child):
+                os.kill(p, signal.SIGKILL)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from hlsdse.dsl import expand_value_set, parse_csd
 from hlsdse.space import (
+    CardinalityOverflowError,
     SharedAxis,
     SpaceError,
     build_index,
@@ -57,6 +58,25 @@ class TestCardinality:
         csd = parse_csd("unroll;f;l;{1,2}", validate=False)
         with pytest.raises(SpaceError):
             cardinality(csd)
+
+    def test_overflow_found_before_materializing(self, monkeypatch):
+        # ten 63-value knobs stay under the bound; the next knob's 126
+        # (type, factor) pairs cross it and must not be built
+        pow2 = "{1->4611686018427387904,pow_2}"
+        lines = ["clock;{10}"] + [f"unroll;f;l{i};{pow2}" for i in range(10)]
+        lines.append(f"array_partition;f;a;1;{{cyclic,block}};{pow2}")
+        csd = parse_csd("\n".join(lines))
+        built = []
+        product = itertools.product
+
+        def recording_product(*sets):
+            built.append(math.prod(len(s) for s in sets))
+            return product(*sets)
+
+        monkeypatch.setattr(itertools, "product", recording_product)
+        with pytest.raises(CardinalityOverflowError):
+            build_index(csd)
+        assert built == [1] + [63] * 10
 
 
 class TestIndex:

@@ -1,12 +1,15 @@
+import json
 import random
+import sqlite3
 
 import pytest
 from hypothesis import given, settings
 
-from hlsdse.dsl import parse_csd
-from hlsdse.orchestrator import ImplementationResult
-from hlsdse.space import cardinality
+from hlsdse.dsl import parse_csd, serialize_csd
+from hlsdse.orchestrator import BackendSpec, Campaign, ImplementationResult, run_campaign
+from hlsdse.space import build_index, cardinality, enumerate_space
 from hlsdse.store import (
+    SCHEMA_DDL,
     TABLES,
     DuplicateImplementationError,
     DuplicateSpaceError,
@@ -38,6 +41,14 @@ def store():
     with Store(":memory:") as st:
         st.init_schema()
         yield st
+
+
+def write_rows(store, rec, csd):
+    """Write every configuration row of a space, as a full campaign does."""
+    index = build_index(csd)
+    return store.add_configurations(
+        rec.id, [(i, index.decode(i)) for i in range(index.total)]
+    )
 
 
 @pytest.fixture
@@ -73,7 +84,36 @@ class TestRegisterSpace:
         did = store.ensure_design("radix_sort", "scan", "last_step_scan")
         rec = store.register_space(did, csd, "test")
         assert rec.cardinality == 1600
-        assert len(store.configurations(rec.id)) == 1600
+        assert store.pending_configurations(rec.id) == list(range(1600))
+        assert store.configurations(rec.id) == []
+
+    def test_constant_statements_whatever_the_size(self, store, last_step_scan_text):
+        def statements(design, text):
+            did = store.ensure_design("b", "a", design)
+            seen = []
+            store.conn.set_trace_callback(seen.append)
+            try:
+                store.register_space(did, parse_csd(text), "t")
+            finally:
+                store.conn.set_trace_callback(None)
+            return len(seen)
+
+        small = statements("small", "unroll;f;l1;{1,2}\nclock;{10}")
+        assert statements("large", last_step_scan_text) == small
+
+    def test_add_configurations_get_or_create(self, store, toy_space):
+        rec, csd = toy_space
+        index = build_index(csd)
+        (middle,) = store.add_configurations(rec.id, [(2, index.decode(2))])
+        first = store.add_configurations(rec.id, [(i, index.decode(i)) for i in (1, 4)])
+        assert [c.idx for c in first] == [1, 4]
+        again = store.add_configurations(
+            rec.id, [(i, index.decode(i)) for i in range(index.total)]
+        )
+        assert [c.idx for c in again] == list(range(index.total))
+        assert [again[1], again[2], again[4]] == [first[0], middle, first[1]]
+        assert store.configurations(rec.id) == again
+        assert store.add_configurations(rec.id, []) == []
 
     def test_duplicate_space_rejected(self, store, toy_space):
         (rec, csd) = toy_space
@@ -91,13 +131,14 @@ class TestRegisterSpace:
             st.init_schema()
             did = st.ensure_design("b", "a", "d")
             rec = st.register_space(did, csd, "t")
-            assert len(st.configurations(rec.id)) == cardinality(csd) == rec.cardinality
+            assert len(st.pending_configurations(rec.id)) == cardinality(csd) == rec.cardinality
+            assert st.configurations(rec.id) == []
 
 
 class TestRecordResult:
     def test_ok_round_trip(self, store, toy_space):
-        rec, _ = toy_space
-        cfg = store.configurations(rec.id)[0]
+        rec, csd = toy_space
+        cfg = write_rows(store, rec, csd)[0]
         store.record_result(cfg.id, OK, INFO)
         points = store.fetch_points(rec.id, ["latency", "ff", "lut", "bram", "dsp"])
         assert len(points) == 1
@@ -105,8 +146,8 @@ class TestRecordResult:
         assert points[0].configuration_id == cfg.id
 
     def test_synth_error_has_no_metric_rows(self, store, toy_space):
-        rec, _ = toy_space
-        cfg = store.configurations(rec.id)[0]
+        rec, csd = toy_space
+        cfg = write_rows(store, rec, csd)[0]
         store.record_result(
             cfg.id, ImplementationResult(status="synth_error"), INFO
         )
@@ -116,15 +157,15 @@ class TestRecordResult:
         assert n == 0
 
     def test_duplicate_ok_rejected(self, store, toy_space):
-        rec, _ = toy_space
-        cfg = store.configurations(rec.id)[0]
+        rec, csd = toy_space
+        cfg = write_rows(store, rec, csd)[0]
         store.record_result(cfg.id, OK, INFO)
         with pytest.raises(DuplicateImplementationError):
             store.record_result(cfg.id, OK, INFO)
 
     def test_other_tool_allowed(self, store, toy_space):
-        rec, _ = toy_space
-        cfg = store.configurations(rec.id)[0]
+        rec, csd = toy_space
+        cfg = write_rows(store, rec, csd)[0]
         store.record_result(cfg.id, OK, INFO)
         other = SynthesisInfo("t", "other-tool", "2.0", "mockpart", 10.0)
         store.record_result(cfg.id, OK, other)
@@ -141,8 +182,8 @@ class TestPending:
         assert len(store.pending_configurations(rec.id)) == 1600
 
     def test_complement_of_recorded_subset(self, store, toy_space):
-        rec, _ = toy_space
-        configs = store.configurations(rec.id)
+        rec, csd = toy_space
+        configs = write_rows(store, rec, csd)
         rng = random.Random(3)
         done = rng.sample(configs, 3)
         for cfg in done:
@@ -150,23 +191,33 @@ class TestPending:
         pending = store.pending_configurations(
             rec.id, INFO.tool_name, INFO.tool_version, INFO.fpga_part
         )
-        assert {c.id for c in pending} == {c.id for c in configs} - {c.id for c in done}
-        assert [c.idx for c in pending] == sorted(c.idx for c in pending)
+        assert set(pending) == {c.idx for c in configs} - {c.idx for c in done}
+        assert pending == sorted(pending)
+
+    def test_other_tool_leaves_all_pending(self, store, toy_space):
+        rec, csd = toy_space
+        for cfg in write_rows(store, rec, csd):
+            store.record_result(cfg.id, OK, INFO)
+        other = SynthesisInfo("t", "other-tool", "2.0", "otherpart", 10.0)
+        assert store.pending_configurations(
+            rec.id, other.tool_name, other.tool_version, other.fpga_part
+        ) == list(range(rec.cardinality))
+        assert store.pending_configurations(rec.id, fpga_part=INFO.fpga_part) == []
 
     def test_all_recorded_leaves_none(self, store, toy_space):
-        rec, _ = toy_space
-        for cfg in store.configurations(rec.id):
+        rec, csd = toy_space
+        for cfg in write_rows(store, rec, csd):
             store.record_result(cfg.id, OK, INFO)
         assert store.pending_configurations(rec.id) == []
 
     def test_partition_is_exact(self, store, toy_space):
-        rec, _ = toy_space
-        configs = store.configurations(rec.id)
+        rec, csd = toy_space
+        configs = write_rows(store, rec, csd)
         for cfg in configs[:2]:
             store.record_result(cfg.id, OK, INFO)
-        pending = {c.id for c in store.pending_configurations(rec.id)}
-        done = {c.id for c in configs} - pending
-        assert pending | done == {c.id for c in configs}
+        pending = set(store.pending_configurations(rec.id))
+        done = {c.idx for c in configs} - pending
+        assert pending | done == {c.idx for c in configs}
         assert pending & done == set()
 
     def test_unknown_space(self, store):
@@ -176,15 +227,15 @@ class TestPending:
 
 class TestFetchPoints:
     def test_weighted_area(self, store, toy_space):
-        rec, _ = toy_space
-        cfg = store.configurations(rec.id)[0]
+        rec, csd = toy_space
+        cfg = write_rows(store, rec, csd)[0]
         store.record_result(cfg.id, OK, INFO)
         points = store.fetch_points(rec.id, ["latency", "area"], (1, 1, 1, 1))
         assert points[0].values == (100.0, 10 + 20 + 1 + 0)
 
     def test_latency_ns(self, store, toy_space):
-        rec, _ = toy_space
-        cfg = store.configurations(rec.id)[0]
+        rec, csd = toy_space
+        cfg = write_rows(store, rec, csd)[0]
         store.record_result(cfg.id, OK, INFO)
         (p,) = store.fetch_points(rec.id, ["latency_ns"])
         assert p.values == (100 * 9.5,)
@@ -203,9 +254,10 @@ class TestFetchPoints:
 class TestExportImport:
     def _populated(self, store, text):
         did = store.ensure_design("b", "a", "d", function_name="f")
-        rec = store.register_space(did, parse_csd(text), "t")
+        csd = parse_csd(text)
+        rec = store.register_space(did, csd, "t")
         rng = random.Random(1)
-        for cfg in store.configurations(rec.id):
+        for cfg in write_rows(store, rec, csd):
             res = ImplementationResult(
                 status="ok",
                 ff=rng.randint(0, 500),
@@ -268,6 +320,109 @@ class TestExportImport:
     def test_integrity_check_clean(self, store):
         rec = self._populated(store, "unroll;f;l1;{1,2}\nclock;{10}")
         assert store.check_integrity() == []
+
+    def test_integrity_check_counts_orphans(self, store):
+        self._populated(store, "unroll;f;l1;{1,2}\nclock;{10}")
+        store.conn.execute("PRAGMA foreign_keys = OFF")
+        with store.conn:
+            store.conn.execute("DELETE FROM implementation")
+            store.conn.execute("DELETE FROM configuration_space")
+        assert store.check_integrity() == [
+            "2 orphan configuration row(s)",
+            "2 orphan synthesis_info row(s)",
+            "2 orphan resource_usage row(s)",
+            "2 orphan performance row(s)",
+        ]
+
+
+def build_v1_store(path, csd):
+    """A store as schema version 1 left it: every configuration row written
+    at registration, and user_version 1."""
+    conn = sqlite3.connect(path)
+    conn.executescript(SCHEMA_DDL)
+    conn.execute("INSERT INTO benchmark (name) VALUES ('b')")
+    conn.execute("INSERT INTO algorithm (benchmark_id, name) VALUES (1, 'a')")
+    conn.execute("INSERT INTO design (algorithm_id, name) VALUES (1, 'd')")
+    conn.execute(
+        "INSERT INTO configuration_space"
+        " (design_id, csd_text, cardinality, contributor, created_at)"
+        " VALUES (1, ?, ?, 'v1', '2021-01-01T00:00:00+00:00')",
+        (serialize_csd(csd), cardinality(csd)),
+    )
+    conn.executemany(
+        "INSERT INTO configuration"
+        " (space_id, idx, config_key, key_text, directive_values)"
+        " VALUES (1, ?, ?, ?, ?)",
+        (
+            (i, c.config_key, c.key_text,
+             json.dumps([[v.raw for v in vals] for vals in c.assignments]))
+            for i, c in enumerate(enumerate_space(csd))
+        ),
+    )
+    conn.execute("PRAGMA user_version = 1")
+    conn.commit()
+    conn.close()
+
+
+class TestSchemaV1:
+    MOCK = BackendSpec(kind="mock")
+
+    @pytest.fixture
+    def v1_store(self, tmp_path, local_scan_text):
+        """A version-1 store whose campaign stopped after 100 results."""
+        path = str(tmp_path / "v1.sqlite")
+        build_v1_store(path, parse_csd(local_scan_text))
+        with Store(path) as st:
+            run_campaign(st, Campaign(space_id=1, backend=self.MOCK, jobs=4, limit=100))
+            (version,) = st.conn.execute("PRAGMA user_version").fetchone()
+            assert version == 1
+        return path
+
+    def test_migrates_and_resumes(self, v1_store, tmp_path):
+        with Store(v1_store) as st:
+            st.init_schema()
+            (version,) = st.conn.execute("PRAGMA user_version").fetchone()
+            assert version == 2
+            before = st.configurations(1)
+            assert len(before) == 704
+            assert st.pending_configurations(1) == list(range(100, 704))
+            log = tmp_path / "resume.jsonl"
+            report = run_campaign(
+                st, Campaign(space_id=1, backend=self.MOCK, jobs=4, log_path=str(log))
+            )
+            assert report.attempted == 604
+            assert st.pending_configurations(1) == []
+            assert st.configurations(1) == before
+            started = [
+                json.loads(line)["idx"] for line in log.read_text().splitlines()
+                if json.loads(line)["event"] == "start"
+            ]
+            assert sorted(started) == list(range(100, 704))
+            (n, distinct) = st.conn.execute(
+                "SELECT COUNT(*), COUNT(DISTINCT configuration_id) FROM implementation"
+            ).fetchone()
+            assert n == distinct == 704
+
+    def test_v1_payload_imports(self, v1_store):
+        with Store(v1_store) as st:
+            payload = st.export_jsonl(1)
+            points = sorted(p.values for p in st.fetch_points(1, ["latency", "lut"]))
+        header, body = payload.split(b"\n", 1)
+        assert json.loads(header) == {"table": "_meta", "schema_version": 2}
+        v1_payload = json.dumps({"table": "_meta", "schema_version": 1}).encode()
+        with Store(":memory:") as other:
+            other.init_schema()
+            counts = other.import_jsonl(v1_payload + b"\n" + body)
+            assert counts["configuration"] == 704
+            assert counts["implementation"] == 100
+            (space_id,) = other.conn.execute(
+                "SELECT id FROM configuration_space"
+            ).fetchone()
+            assert other.pending_configurations(space_id) == list(range(100, 704))
+            assert sorted(
+                p.values for p in other.fetch_points(space_id, ["latency", "lut"])
+            ) == points
+            assert other.check_integrity() == []
 
 
 def test_shipped_ddl_matches_embedded():
