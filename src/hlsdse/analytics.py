@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .store import Store
+if TYPE_CHECKING:
+    from .store import Store
 
 
 class AnalyticsError(Exception):
@@ -34,8 +35,12 @@ class DesignPoint:
     configuration_id: int = -1
 
     def __post_init__(self):
-        if any(not math.isfinite(v) or v < 0 for v in self.values):
-            raise AnalyticsError(f"objective vector must be finite and >= 0: {self.values}")
+        for v in self.values:
+            # None is SQL's NULL, which SQLite gives where IEEE gives NaN
+            if v is None or not 0 <= v < math.inf:
+                raise AnalyticsError(
+                    f"objective vector must be finite and >= 0: {self.values}"
+                )
 
 
 def _check_dims(points: Sequence[DesignPoint]):
@@ -61,8 +66,8 @@ def pareto_front(points: Sequence[DesignPoint]) -> list[DesignPoint]:
     """Non-dominated subset, in ascending lexicographic order of the vectors.
 
     Duplicate objective vectors keep the point with the lowest
-    configuration id. Costs O(n log n) for two objectives and O(n * |front|)
-    for three or more.
+    configuration id. Costs O(n log n) for two and three objectives (plus
+    list splices in three) and O(n * |front|) for four or more.
     """
     _check_dims(points)
     # dedupe vectors, keeping lowest configuration id
@@ -81,6 +86,25 @@ def pareto_front(points: Sequence[DesignPoint]) -> list[DesignPoint]:
             if p.values[1] < best_y:
                 front.append(p)
                 best_y = p.values[1]
+    elif dim == 3:
+        # sorted by (x, y, z), so every point that can dominate p precedes it.
+        # The staircase holds the (y, z) of the front so far, y ascending and
+        # z strictly descending: the last entry with y' <= y has the least z'
+        # among them, and p is dominated iff that z' <= z.
+        ys: list[float] = []
+        zs: list[float] = []
+        for p in unique:
+            _, y, z = p.values
+            i = bisect_right(ys, y)
+            if i and zs[i - 1] <= z:
+                continue
+            front.append(p)
+            # p covers the entries with y' >= y and z' >= z, a run from j on
+            j = k = bisect_left(ys, y, 0, i)
+            while k < len(zs) and zs[k] >= z:
+                k += 1
+            ys[j:k] = [y]
+            zs[j:k] = [z]
     else:
         # a dominator precedes what it dominates in lexicographic order, and a
         # dominated point is dominated by some non-dominated one, so each point
@@ -111,13 +135,16 @@ def adrs(reference: Sequence[DesignPoint], approx: Sequence[DesignPoint]) -> flo
             )
     total = 0.0
     for g in reference:
-        total += min(
-            max(
-                max(0.0, (w - gv) / gv)
-                for gv, w in zip(g.values, o.values)
-            )
-            for o in approx
-        )
+        best = math.inf
+        for o in approx:
+            worst = 0.0
+            for gv, w in zip(g.values, o.values):
+                d = (w - gv) / gv
+                if d > worst:
+                    worst = d
+            if worst < best:
+                best = worst
+        total += best
     return total / len(reference)
 
 
@@ -287,10 +314,9 @@ def evaluate_strategy(
     The reference front is the exact Pareto front of all stored ok points.
     A strategy exceeding its budget has its trace truncated and flagged.
     """
-    stored = store.fetch_points(space_id, objectives, area_weights)
-    if not stored:
+    all_points = store.fetch_points(space_id, objectives, area_weights)
+    if not all_points:
         raise AnalyticsError(f"space {space_id} has no ok implementations")
-    all_points = [DesignPoint(p.values, p.configuration_id) for p in stored]
     lookup = {p.configuration_id: p for p in all_points}
     trace = DSETrace(budget=budget)
     oracle = SpaceOracle(

@@ -191,12 +191,11 @@ def cmd_analyze(args) -> int:
     weights = tuple(args.weights)
     objectives = args.objectives.split(",")
     try:
-        stored = st.fetch_points(args.space, objectives, weights)
-        if not stored:
+        points = st.fetch_points(args.space, objectives, weights)
+        if not points:
             print("error: space has no ok implementations", file=sys.stderr)
             st.close()
             return EXIT_DOMAIN
-        points = [analytics.DesignPoint(p.values, p.configuration_id) for p in stored]
         front = analytics.pareto_front(points)
         front_ids = {p.configuration_id for p in front}
         summary = {"n_points": len(points), "front_size": len(front)}

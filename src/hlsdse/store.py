@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Iterator, Optional, Sequence
 
+from .analytics import DesignPoint
 from .dsl import CSD, parse_csd, serialize_csd
 from .space import Configuration, build_index
 
@@ -168,14 +169,6 @@ class SynthesisInfo:
     timestamp: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class StoredPoint:
-    """Objective vector plus the configuration id it came from."""
-
-    values: tuple[float, ...]
-    configuration_id: int
-
-
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -294,11 +287,15 @@ class Store:
         return SpaceRecord(*row)
 
     def find_space(self, design_id: int, csd: CSD) -> Optional[SpaceRecord]:
+        space_id = self._space_id(design_id, serialize_csd(csd))
+        return self.get_space(space_id) if space_id else None
+
+    def _space_id(self, design_id: int, csd_text: str) -> Optional[int]:
         row = self.conn.execute(
             "SELECT id FROM configuration_space WHERE design_id=? AND csd_text=?",
-            (design_id, serialize_csd(csd)),
+            (design_id, csd_text),
         ).fetchone()
-        return self.get_space(row[0]) if row else None
+        return row[0] if row else None
 
     def space_csd(self, space_id: int) -> CSD:
         return parse_csd(self.get_space(space_id).csd_text)
@@ -451,19 +448,34 @@ class Store:
         (n,) = self.conn.execute(q, params).fetchone()
         return n
 
-    OBJECTIVES = ("latency", "latency_ns", "ff", "lut", "bram", "dsp", "area")
+    # objective name -> SQL expression over one ok implementation's
+    # performance (p) and resource_usage (r) rows; "area" binds the four
+    # weights. SQLite evaluates these with the same IEEE operations, in the
+    # same order, as float(latency) * period and w0*ff + w1*lut + w2*bram +
+    # w3*dsp in Python, and keeps integer weights integer.
+    OBJECTIVES = {
+        "latency": "CAST(p.latency_cycles AS REAL)",
+        "latency_ns": "p.latency_cycles * p.achieved_period_ns",
+        "ff": "CAST(r.ff AS REAL)",
+        "lut": "CAST(r.lut AS REAL)",
+        "bram": "CAST(r.bram AS REAL)",
+        "dsp": "CAST(r.dsp AS REAL)",
+        "area": "? * r.ff + ? * r.lut + ? * r.bram + ? * r.dsp",
+    }
 
     def fetch_points(
         self,
         space_id: int,
         objectives: Iterable[str],
         area_weights: tuple[float, float, float, float] = (0.0, 1.0, 0.0, 0.0),
-    ) -> list[StoredPoint]:
-        """One objective vector per ok implementation of the space.
+    ) -> list[DesignPoint]:
+        """One validated objective vector per ok implementation of the
+        space, in configuration id order.
 
         Objective names: latency (cycles), latency_ns (cycles x achieved
         period), ff/lut/bram/dsp, and area (weighted resource sum using
-        ``area_weights`` in ff/lut/bram/dsp order).
+        ``area_weights`` in ff/lut/bram/dsp order). A stored value that
+        yields a negative or non-finite objective raises AnalyticsError.
         """
         objectives = list(objectives)
         if not objectives:
@@ -471,37 +483,25 @@ class Store:
         for name in objectives:
             if name not in self.OBJECTIVES:
                 raise StoreError(f"unknown objective {name!r}")
-        if "area" in objectives and all(w == 0 for w in area_weights):
-            raise StoreError("area weights must not be all zero")
+        params: list = []
+        if "area" in objectives:
+            if len(area_weights) != 4:
+                raise StoreError("area weights must be four values")
+            if all(w == 0 for w in area_weights):
+                raise StoreError("area weights must not be all zero")
+            params = list(area_weights) * objectives.count("area")
         self.get_space(space_id)
         rows = self.conn.execute(
-            "SELECT i.configuration_id, p.latency_cycles, p.achieved_period_ns,"
-            "       r.ff, r.lut, r.bram, r.dsp"
+            "SELECT " + ", ".join(self.OBJECTIVES[o] for o in objectives)
+            + ", i.configuration_id"
             " FROM implementation i"
             " JOIN configuration c ON c.id = i.configuration_id"
             " JOIN resource_usage r ON r.implementation_id = i.id"
             " JOIN performance p ON p.implementation_id = i.id"
             " WHERE c.space_id=? AND i.status='ok' ORDER BY i.configuration_id",
-            (space_id,),
-        ).fetchall()
-        points = []
-        for cid, lat, period, ff, lut, bram, dsp in rows:
-            col = {
-                "latency": float(lat),
-                "latency_ns": float(lat) * period,
-                "ff": float(ff),
-                "lut": float(lut),
-                "bram": float(bram),
-                "dsp": float(dsp),
-                "area": (
-                    area_weights[0] * ff
-                    + area_weights[1] * lut
-                    + area_weights[2] * bram
-                    + area_weights[3] * dsp
-                ),
-            }
-            points.append(StoredPoint(tuple(col[o] for o in objectives), cid))
-        return points
+            params + [space_id],
+        )
+        return [DesignPoint(row[:-1], row[-1]) for row in rows]
 
     # -- export / import --------------------------------------------------
 
@@ -618,6 +618,13 @@ class Store:
             "resource_usage": ("implementation_id", "implementation"),
             "performance": ("implementation_id", "implementation"),
         }
+        # taxonomy rows are got-or-created by these keys, as ensure_design
+        # does, so that spaces of one design share them
+        taxonomy_key = {
+            "benchmark": ("name",),
+            "algorithm": ("benchmark_id", "name"),
+            "design": ("algorithm_id", "name"),
+        }
         last_good = -1
         try:
             with self.conn:
@@ -654,16 +661,37 @@ class Store:
                                 last_good,
                             ) from None
                     old_id = obj.pop("id", None)
-                    if table == "benchmark":
-                        new_id = self._import_benchmark(obj)
-                    else:
-                        insert_cols = [c for c in cols if c != "id"]
-                        cur = self.conn.execute(
-                            f"INSERT INTO {table} ({','.join(insert_cols)})"
-                            f" VALUES ({','.join('?' * len(insert_cols))})",
-                            [obj[c] for c in insert_cols],
+                    insert_cols = [c for c in cols if c != "id"]
+                    insert = (
+                        f"INSERT INTO {table} ({','.join(insert_cols)})"
+                        f" VALUES ({','.join('?' * len(insert_cols))})"
+                    )
+                    values = [obj[c] for c in insert_cols]
+                    if table in taxonomy_key:
+                        keys = taxonomy_key[table]
+                        self.conn.execute(
+                            f"{insert} ON CONFLICT ({','.join(keys)}) DO NOTHING",
+                            values,
                         )
-                        new_id = cur.lastrowid
+                        (new_id,) = self.conn.execute(
+                            f"SELECT id FROM {table} WHERE "
+                            + " AND ".join(f"{k}=?" for k in keys),
+                            [obj[k] for k in keys],
+                        ).fetchone()
+                    else:
+                        try:
+                            new_id = self.conn.execute(insert, values).lastrowid
+                        except sqlite3.IntegrityError:
+                            dup = table == "configuration_space" and self._space_id(
+                                obj["design_id"], obj["csd_text"]
+                            )
+                            if dup:
+                                raise ImportError_(
+                                    f"space already registered for design"
+                                    f" {obj['design_id']} (id {dup})",
+                                    last_good,
+                                ) from None
+                            raise
                     if old_id is not None:
                         id_maps[table][old_id] = new_id
                     counts[table] = counts.get(table, 0) + 1
@@ -671,15 +699,6 @@ class Store:
         except sqlite3.IntegrityError as e:
             raise ImportError_(f"referential violation: {e}", last_good) from None
         return counts
-
-    def _import_benchmark(self, obj: dict) -> int:
-        self.conn.execute(
-            "INSERT OR IGNORE INTO benchmark (name) VALUES (?)", (obj["name"],)
-        )
-        (bid,) = self.conn.execute(
-            "SELECT id FROM benchmark WHERE name=?", (obj["name"],)
-        ).fetchone()
-        return bid
 
     def check_integrity(self) -> list[str]:
         """Full-scan referential check; returns human-readable violations."""

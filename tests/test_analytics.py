@@ -2,7 +2,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hlsdse.analytics import (
@@ -157,6 +157,15 @@ class TestParetoFront:
     @given(
         st.one_of(many_objective_vectors(3, 80), many_objective_vectors(4, 80))
     )
+    # 3-D staircase boundaries: ties on the second and on the third objective
+    @example([(1, 5, 5), (2, 5, 6), (2, 5, 4)])
+    @example([(1, 1, 5), (2, 3, 5), (0, 4, 5)])
+    # the same (y, z) at different x
+    @example([(3, 2, 3), (1, 2, 3), (2, 2, 3), (0, 3, 2)])
+    # duplicated vectors, each copy with a lower id than the one before
+    @example([(1, 2, 3), (1, 2, 3), (0, 4, 4), (2, 1, 1), (0, 4, 4), (2, 1, 1)])
+    # a later front point covers an earlier staircase entry
+    @example([(0, 5, 5), (1, 2, 2), (2, 6, 3), (3, 5, 2)])
     def test_many_objectives_match_brute_force_property(self, vectors):
         # ids descend, so the lowest id of a duplicated vector is its last copy
         points = [

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from hlsdse.cli import main
+from hlsdse.cli import EXIT_DOMAIN, main
 
 DATA = Path(__file__).parent / "data"
 REF = str(DATA / "last_step_scan.csd")
@@ -211,6 +211,28 @@ class TestAnalyze:
             st.register_space(did, parse_csd(TOY), "t")
         code, _, err = run(capsys, "--db", db, "analyze", "1")
         assert code == 1
+
+
+    def test_invalid_objective_is_one_domain_error(self, capsys, db):
+        from hlsdse.dsl import parse_csd
+        from hlsdse.orchestrator import ImplementationResult
+        from hlsdse.space import build_index
+        from hlsdse.store import Store, SynthesisInfo
+
+        csd = parse_csd(TOY)
+        with Store(db) as st:
+            st.init_schema()
+            rec = st.register_space(st.ensure_design("b", "a", "d"), csd, "t")
+            (cfg,) = st.add_configurations(rec.id, [(0, build_index(csd).decode(0))])
+            st.record_result(
+                cfg.id,
+                ImplementationResult(status="ok", latency_cycles=100, achieved_period_ns=-1.0),
+                SynthesisInfo("t", "mock-hls", "1.0", "mockpart", 10.0),
+            )
+        code, out, err = run(capsys, "--db", db, "analyze", "1", "--objectives", "latency_ns")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestExportImport:

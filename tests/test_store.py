@@ -1,10 +1,13 @@
+import dataclasses
 import json
+import math
 import random
 import sqlite3
 
 import pytest
 from hypothesis import given, settings
 
+from hlsdse.analytics import AnalyticsError, DesignPoint
 from hlsdse.dsl import parse_csd, serialize_csd
 from hlsdse.orchestrator import BackendSpec, Campaign, ImplementationResult, run_campaign
 from hlsdse.space import build_index, cardinality, enumerate_space
@@ -240,6 +243,62 @@ class TestFetchPoints:
         (p,) = store.fetch_points(rec.id, ["latency_ns"])
         assert p.values == (100 * 9.5,)
 
+    @pytest.mark.parametrize("weights", [(1, 1, 1, 1), (0.25, 1.5, 3.1, 7.7)])
+    def test_values_and_order_match_per_row_formula(self, store, weights):
+        did = store.ensure_design("b", "a", "d")
+        csd = parse_csd("unroll;f;l1;{1->32,pow_2}\nunroll;f;l2;{1,2,3,4}\nclock;{10}")
+        rec = store.register_space(did, csd, "t")
+        configs = write_rows(store, rec, csd)
+        rng = random.Random(5)
+        # recorded out of configuration order, so implementation ids are not
+        rng.shuffle(configs)
+        results = {}
+        for cfg in configs:
+            results[cfg.id] = ImplementationResult(
+                status="ok",
+                ff=rng.randint(0, 5000),
+                lut=rng.randint(0, 9000),
+                bram=rng.randint(0, 64),
+                dsp=rng.randint(0, 32),
+                latency_cycles=rng.randint(1, 10**6),
+                achieved_period_ns=rng.uniform(5, 10),
+            )
+            store.record_result(cfg.id, results[cfg.id], INFO)
+        formula = {
+            "latency": lambda r: float(r.latency_cycles),
+            "latency_ns": lambda r: float(r.latency_cycles) * r.achieved_period_ns,
+            "ff": lambda r: float(r.ff),
+            "lut": lambda r: float(r.lut),
+            "bram": lambda r: float(r.bram),
+            "dsp": lambda r: float(r.dsp),
+            "area": lambda r: (
+                weights[0] * r.ff + weights[1] * r.lut
+                + weights[2] * r.bram + weights[3] * r.dsp
+            ),
+        }
+        names = list(formula)
+        for objectives in [[name] for name in names] + [names, names[::-1]]:
+            points = store.fetch_points(rec.id, objectives, weights)
+            assert all(type(p) is DesignPoint for p in points)
+            expected = [
+                (tuple(formula[o](results[cid]) for o in objectives), cid)
+                for cid in sorted(results)
+            ]
+            # repr tells 31 from 31.0 and prints every float exactly
+            assert repr([(p.values, p.configuration_id) for p in points]) == repr(
+                expected
+            )
+
+    @pytest.mark.parametrize("latency,period", [(100, -9.5), (0, math.inf)])
+    def test_invalid_objective_is_analytics_error(self, store, toy_space, latency, period):
+        rec, csd = toy_space
+        cfg = write_rows(store, rec, csd)[0]
+        bad = dataclasses.replace(OK, latency_cycles=latency, achieved_period_ns=period)
+        store.record_result(cfg.id, bad, INFO)
+        assert store.fetch_points(rec.id, ["latency"])[0].values == (float(latency),)
+        with pytest.raises(AnalyticsError):
+            store.fetch_points(rec.id, ["latency_ns"])
+
     def test_unknown_objective(self, store, toy_space):
         rec, _ = toy_space
         with pytest.raises(StoreError):
@@ -303,6 +362,44 @@ class TestExportImport:
             with pytest.raises(ImportError_) as exc:
                 other.import_jsonl(truncated)
             assert exc.value.last_good >= 0
+
+    def test_import_beside_other_space_of_same_design(self, store):
+        rec = self._populated(store, "unroll;f;l1;{1,2,4}\nclock;{10}")
+        payload = store.export_jsonl(rec.id)
+        with Store(":memory:") as other:
+            other.init_schema()
+            did = other.ensure_design("b", "a", "d", function_name="f")
+            other.register_space(did, parse_csd("unroll;f;l1;{1,2}\nclock;{10}"), "t")
+            counts = other.import_jsonl(payload)
+            assert counts["configuration_space"] == 1
+            for table, n in [
+                ("benchmark", 1), ("algorithm", 1), ("design", 1),
+                ("configuration_space", 2),
+            ]:
+                assert other.conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone() == (n,)
+            (space_id,) = other.conn.execute(
+                "SELECT id FROM configuration_space WHERE design_id=? AND id != 1", (did,)
+            ).fetchone()
+            assert [p.values for p in other.fetch_points(space_id, ["latency", "lut"])] == [
+                p.values for p in store.fetch_points(rec.id, ["latency", "lut"])
+            ]
+            assert other.check_integrity() == []
+
+    def test_reimport_is_duplicate_space(self, store):
+        rec = self._populated(store, "unroll;f;l1;{1,2}\nclock;{10}")
+        payload = store.export_jsonl(rec.id)
+
+        def rows():
+            return [
+                store.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() for t in TABLES
+            ]
+
+        before = rows()
+        with pytest.raises(
+            ImportError_, match=rf"space already registered for design 1 \(id {rec.id}\)"
+        ):
+            store.import_jsonl(payload)
+        assert rows() == before
 
     def test_version_mismatch_stream(self, store):
         bad = b'{"table": "_meta", "schema_version": 99}\n'
