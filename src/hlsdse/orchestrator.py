@@ -251,6 +251,41 @@ def mock_synthesize(config: Configuration, csd: CSD, seed: int) -> Implementatio
 # -- campaign execution ---------------------------------------------------
 
 
+# how long a killed tool's process group may take to die before its slot
+# is freed regardless
+_KILL_WAIT_S = 5.0
+
+
+def _group_alive(pgid: int) -> bool:
+    """Whether a process of group ``pgid`` is alive; zombies are dead. Where
+    there is no /proc, any process of the group, zombie or not, counts."""
+    proc = Path("/proc")
+    if not proc.is_dir():
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+    for stat in proc.glob("[0-9]*/stat"):
+        try:
+            text = stat.read_text()
+        except OSError:  # the process has gone
+            continue
+        state, _, pgrp = text[text.rindex(")") + 2 :].split()[:3]
+        if int(pgrp) == pgid and state not in "ZX":
+            return True
+    return False
+
+
+def _wait_group_dead(pgid: int) -> None:
+    """Wait, at most _KILL_WAIT_S, until no process of the killed group
+    ``pgid`` is alive. SIGKILL takes effect when each process next runs, so
+    an orphaned member can outlive the killpg and the reaped leader."""
+    deadline = time.monotonic() + _KILL_WAIT_S
+    while _group_alive(pgid) and time.monotonic() < deadline:
+        time.sleep(0.005)
+
+
 def _run_external(
     backend: BackendSpec, config: Configuration, csd: CSD, campaign: Campaign
 ) -> ImplementationResult:
@@ -283,6 +318,7 @@ def _run_external(
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
+            _wait_group_dead(proc.pid)
             return ImplementationResult(
                 status="timeout", duration_s=time.monotonic() - start
             )

@@ -18,6 +18,7 @@ bumps its version; imports accept exports of either version.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sqlite3
 from collections import Counter
@@ -116,6 +117,55 @@ TABLES = [
 ]
 
 
+def _table_columns() -> dict[str, tuple[str, ...]]:
+    """Each table's columns in DDL order, read from SCHEMA_DDL itself."""
+    with contextlib.closing(sqlite3.connect(":memory:")) as conn:
+        conn.executescript(SCHEMA_DDL)
+        return {
+            t: tuple(row[1] for row in conn.execute(f"PRAGMA table_info({t})"))
+            for t in TABLES
+        }
+
+
+# the columns export writes and import requires, per table
+_EXPORT_COLS = _table_columns()
+_COLUMN_SETS = {t: frozenset(cols) for t, cols in _EXPORT_COLS.items()}
+# every column is listed, so an imported row's id is either chosen by the
+# import or NULL, which lets SQLite pick it
+_INSERT = {
+    t: f"INSERT INTO {t} ({','.join(cols)}) VALUES ({','.join('?' * len(cols))})"
+    for t, cols in _EXPORT_COLS.items()
+}
+# table -> (foreign key column, parent table), for the ids import remaps
+_PARENT = {
+    "algorithm": ("benchmark_id", "benchmark"),
+    "design": ("algorithm_id", "algorithm"),
+    "configuration_space": ("design_id", "design"),
+    "configuration": ("space_id", "configuration_space"),
+    "implementation": ("configuration_id", "configuration"),
+    "synthesis_info": ("implementation_id", "implementation"),
+    "resource_usage": ("implementation_id", "implementation"),
+    "performance": ("implementation_id", "implementation"),
+}
+# taxonomy rows are got-or-created by their UNIQUE keys, as ensure_design
+# does, so that spaces of one design share them
+_TAXONOMY_KEY = {
+    "benchmark": ("name",),
+    "algorithm": ("benchmark_id", "name"),
+    "design": ("algorithm_id", "name"),
+}
+# the rows import sends in runs, one executemany per run of one table
+_BATCHED = frozenset(
+    ["configuration", "implementation", "synthesis_info", "resource_usage", "performance"]
+)
+# rows per executemany: long enough to amortize the call, short enough
+# that the parsed rows held in memory stay few
+_RUN_ROWS = 256
+# one coder for every line, rather than one built per json.dumps/loads call
+_ENCODER = json.JSONEncoder(sort_keys=True)
+_DECODER = json.JSONDecoder()
+
+
 class StoreError(Exception):
     pass
 
@@ -174,12 +224,24 @@ def _now() -> str:
 
 
 class Store:
-    """Single-writer SQLite-backed store; readers see only committed data."""
+    """Single-writer SQLite-backed store; readers see only committed data.
+
+    A file store runs in write-ahead-log mode with ``synchronous=NORMAL``:
+    a commit appends to ``<path>-wal`` without waiting for an fsync, so a
+    committed result survives a crash of the writing process, but on power
+    loss or an operating-system crash the commits since the last checkpoint
+    may roll back; the database stays consistent either way. While a store
+    is open it keeps ``<path>-wal`` and ``<path>-shm`` beside the file, so
+    copy a store only while it is closed. ``:memory:`` stores ignore both
+    settings.
+    """
 
     def __init__(self, path: str = ":memory:"):
         self.path = path
         self.conn = sqlite3.connect(path)
         self.conn.execute("PRAGMA foreign_keys = ON")
+        self.conn.execute("PRAGMA journal_mode = WAL")
+        self.conn.execute("PRAGMA synchronous = NORMAL")
 
     def close(self):
         self.conn.close()
@@ -505,25 +567,6 @@ class Store:
 
     # -- export / import --------------------------------------------------
 
-    _EXPORT_COLS = {
-        "benchmark": ("id", "name"),
-        "algorithm": ("id", "benchmark_id", "name"),
-        "design": ("id", "algorithm_id", "name", "source_ref", "function_name"),
-        "configuration_space": (
-            "id", "design_id", "csd_text", "cardinality", "contributor", "created_at",
-        ),
-        "configuration": (
-            "id", "space_id", "idx", "config_key", "key_text", "directive_values",
-        ),
-        "implementation": ("id", "configuration_id", "status"),
-        "synthesis_info": (
-            "implementation_id", "timestamp", "contributor",
-            "tool_name", "tool_version", "fpga_part", "clock_period_ns",
-        ),
-        "resource_usage": ("implementation_id", "ff", "lut", "bram", "dsp"),
-        "performance": ("implementation_id", "latency_cycles", "achieved_period_ns"),
-    }
-
     def _space_rows(self, space_id: int) -> Iterator[tuple[str, dict]]:
         space = self.get_space(space_id)
         did = space.design_id
@@ -571,7 +614,7 @@ class Store:
              " ON c.id=i.configuration_id WHERE c.space_id=?"
              " ORDER BY p.implementation_id"),
         ]:
-            cols = self._EXPORT_COLS[table]
+            cols = _EXPORT_COLS[table]
             for row in self.conn.execute(query, (space_id,)):
                 yield table, dict(zip(cols, row))
 
@@ -579,7 +622,7 @@ class Store:
         """JSON-lines dump of every row belonging to a space; each object
         carries a "table" discriminator."""
         lines = [
-            json.dumps({"table": table, **data}, sort_keys=True)
+            _ENCODER.encode({"table": table, **data})
             for table, data in self._space_rows(space_id)
         ]
         header = json.dumps({"table": "_meta", "schema_version": SCHEMA_VERSION})
@@ -604,73 +647,99 @@ class Store:
 
     def import_jsonl(self, payload: bytes) -> dict[str, int]:
         """Load a JSON-lines export into this store; returns per-table row
-        counts. Ids are remapped; nothing is committed on failure."""
-        lines = payload.decode().splitlines()
+        counts. Ids are remapped; nothing is committed on failure.
+
+        Taxonomy and space rows are written one at a time; each run of up
+        to _RUN_ROWS consecutive rows of one other table goes in one
+        executemany. Configuration and implementation rows carry the ids
+        SQLite would pick, one past the table's largest, so children can be
+        remapped before their parents are written."""
         id_maps: dict[str, dict[int, int]] = {t: {} for t in TABLES}
-        counts: dict[str, int] = {}
-        parent_key = {
-            "algorithm": ("benchmark_id", "benchmark"),
-            "design": ("algorithm_id", "algorithm"),
-            "configuration_space": ("design_id", "design"),
-            "configuration": ("space_id", "configuration_space"),
-            "implementation": ("configuration_id", "configuration"),
-            "synthesis_info": ("implementation_id", "implementation"),
-            "resource_usage": ("implementation_id", "implementation"),
-            "performance": ("implementation_id", "implementation"),
-        }
-        # taxonomy rows are got-or-created by these keys, as ensure_design
-        # does, so that spaces of one design share them
-        taxonomy_key = {
-            "benchmark": ("name",),
-            "algorithm": ("benchmark_id", "name"),
-            "design": ("algorithm_id", "name"),
-        }
+        next_id: dict[str, int] = {}
+        counts: Counter = Counter()
         last_good = -1
-        try:
-            with self.conn:
-                for n, line in enumerate(lines):
-                    if not line.strip():
-                        continue
-                    try:
-                        obj = json.loads(line)
-                    except json.JSONDecodeError as e:
-                        raise ImportError_(f"malformed record: {e}", last_good)
-                    table = obj.pop("table", None)
-                    if table == "_meta":
-                        if obj.get("schema_version") not in IMPORT_VERSIONS:
-                            raise ImportError_(
-                                f"schema version mismatch: {obj.get('schema_version')}",
-                                last_good,
-                            )
-                        last_good = n
-                        continue
-                    if table not in self._EXPORT_COLS:
-                        raise ImportError_(f"unknown table {table!r}", last_good)
-                    cols = self._EXPORT_COLS[table]
-                    if set(obj.keys()) != set(cols):
-                        raise ImportError_(
-                            f"bad columns for table {table}", last_good
+        run_table, run = None, []  # the pending run: (record index, values)
+
+        def flush():
+            nonlocal last_good, run
+            if not run:
+                return
+            before = self.conn.total_changes
+            try:
+                self.conn.executemany(_INSERT[run_table], (v for _, v in run))
+            except sqlite3.IntegrityError as e:
+                # each row inserted before the failing one counts one change
+                applied = self.conn.total_changes - before
+                if applied:
+                    last_good = run[applied - 1][0]
+                raise ImportError_(f"referential violation: {e}", last_good) from None
+            counts[run_table] += len(run)
+            last_good = run[-1][0]
+            run = []
+
+        def failure(message: str) -> ImportError_:
+            """The error for the current record, once the records before it
+            are applied, so that an earlier failure is the one raised."""
+            flush()
+            return ImportError_(message, last_good)
+
+        with self.conn:
+            for n, line in enumerate(payload.decode().splitlines()):
+                if not line.strip():
+                    continue
+                try:
+                    obj = _DECODER.decode(line)
+                except json.JSONDecodeError as e:
+                    raise failure(f"malformed record: {e}") from None
+                if not isinstance(obj, dict):
+                    raise failure("malformed record: not a JSON object")
+                table = obj.pop("table", None)
+                if table == "_meta":
+                    if obj.get("schema_version") not in IMPORT_VERSIONS:
+                        raise failure(
+                            f"schema version mismatch: {obj.get('schema_version')}"
                         )
-                    if table in parent_key:
-                        fk, parent = parent_key[table]
-                        try:
-                            obj[fk] = id_maps[parent][obj[fk]]
-                        except KeyError:
-                            raise ImportError_(
-                                f"{table} row references unknown {fk}={obj[fk]}",
-                                last_good,
-                            ) from None
-                    old_id = obj.pop("id", None)
-                    insert_cols = [c for c in cols if c != "id"]
-                    insert = (
-                        f"INSERT INTO {table} ({','.join(insert_cols)})"
-                        f" VALUES ({','.join('?' * len(insert_cols))})"
-                    )
-                    values = [obj[c] for c in insert_cols]
-                    if table in taxonomy_key:
-                        keys = taxonomy_key[table]
+                    flush()
+                    last_good = n
+                    continue
+                if table not in _COLUMN_SETS:
+                    raise failure(f"unknown table {table!r}")
+                if obj.keys() != _COLUMN_SETS[table]:
+                    raise failure(f"bad columns for table {table}")
+                if table in _PARENT:
+                    fk, parent = _PARENT[table]
+                    try:
+                        obj[fk] = id_maps[parent][obj[fk]]
+                    except KeyError:
+                        raise failure(
+                            f"{table} row references unknown {fk}={obj[fk]}"
+                        ) from None
+                if table in _BATCHED:
+                    if table != run_table:
+                        flush()
+                        run_table = table
+                    if "id" in obj:
+                        if table not in next_id:
+                            (top,) = self.conn.execute(
+                                f"SELECT MAX(id) FROM {table}"
+                            ).fetchone()
+                            next_id[table] = (top or 0) + 1
+                        old_id, obj["id"] = obj["id"], next_id[table]
+                        next_id[table] += 1
+                        if old_id is not None:
+                            id_maps[table][old_id] = obj["id"]
+                    run.append((n, [obj[c] for c in _EXPORT_COLS[table]]))
+                    if len(run) == _RUN_ROWS:
+                        flush()
+                    continue
+                flush()
+                old_id, obj["id"] = obj["id"], None
+                values = [obj[c] for c in _EXPORT_COLS[table]]
+                try:
+                    if table in _TAXONOMY_KEY:
+                        keys = _TAXONOMY_KEY[table]
                         self.conn.execute(
-                            f"{insert} ON CONFLICT ({','.join(keys)}) DO NOTHING",
+                            f"{_INSERT[table]} ON CONFLICT ({','.join(keys)}) DO NOTHING",
                             values,
                         )
                         (new_id,) = self.conn.execute(
@@ -679,26 +748,23 @@ class Store:
                             [obj[k] for k in keys],
                         ).fetchone()
                     else:
-                        try:
-                            new_id = self.conn.execute(insert, values).lastrowid
-                        except sqlite3.IntegrityError:
-                            dup = table == "configuration_space" and self._space_id(
-                                obj["design_id"], obj["csd_text"]
-                            )
-                            if dup:
-                                raise ImportError_(
-                                    f"space already registered for design"
-                                    f" {obj['design_id']} (id {dup})",
-                                    last_good,
-                                ) from None
-                            raise
-                    if old_id is not None:
-                        id_maps[table][old_id] = new_id
-                    counts[table] = counts.get(table, 0) + 1
-                    last_good = n
-        except sqlite3.IntegrityError as e:
-            raise ImportError_(f"referential violation: {e}", last_good) from None
-        return counts
+                        new_id = self.conn.execute(_INSERT[table], values).lastrowid
+                except sqlite3.IntegrityError as e:
+                    dup = table == "configuration_space" and self._space_id(
+                        obj["design_id"], obj["csd_text"]
+                    )
+                    if dup:
+                        raise failure(
+                            f"space already registered for design"
+                            f" {obj['design_id']} (id {dup})"
+                        ) from None
+                    raise failure(f"referential violation: {e}") from None
+                if old_id is not None:
+                    id_maps[table][old_id] = new_id
+                counts[table] += 1
+                last_good = n
+            flush()
+        return dict(counts)
 
     def check_integrity(self) -> list[str]:
         """Full-scan referential check; returns human-readable violations."""

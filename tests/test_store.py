@@ -1,12 +1,18 @@
 import dataclasses
 import json
 import math
+import os
 import random
 import sqlite3
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import hlsdse
 from hlsdse.analytics import AnalyticsError, DesignPoint
 from hlsdse.dsl import parse_csd, serialize_csd
 from hlsdse.orchestrator import BackendSpec, Campaign, ImplementationResult, run_campaign
@@ -79,6 +85,91 @@ class TestSchema:
         with Store(path) as st:
             with pytest.raises(VersionMismatchError):
                 st.init_schema()
+
+
+# A mock campaign on space 1 of the store named by argv[1], logging to
+# argv[2]; each synthesis is slowed so that the campaign can be killed midway.
+CRASH_CAMPAIGN = """
+import sys, time
+from hlsdse import orchestrator
+from hlsdse.store import Store
+
+synthesize = orchestrator.mock_synthesize
+
+def slow(*args):
+    time.sleep(0.005)
+    return synthesize(*args)
+
+orchestrator.mock_synthesize = slow
+with Store(sys.argv[1]) as st:
+    orchestrator.run_campaign(st, orchestrator.Campaign(
+        space_id=1, backend=orchestrator.BackendSpec(kind="mock"), jobs=2,
+        seed=1, log_path=sys.argv[2]))
+"""
+
+
+class TestWal:
+    def test_file_store_settings(self, tmp_path):
+        with Store(str(tmp_path / "db.sqlite")) as st:
+            assert st.conn.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+            assert st.conn.execute("PRAGMA synchronous").fetchone() == (1,)
+
+    def test_memory_store_ignores_them(self, store, toy_space):
+        assert store.conn.execute("PRAGMA journal_mode").fetchone() == ("memory",)
+        rec, csd = toy_space
+        (cfg,) = store.add_configurations(rec.id, [(0, build_index(csd).decode(0))])
+        store.record_result(cfg.id, OK, INFO)
+        assert store.count_implementations(rec.id, "ok") == 1
+
+    def test_process_crash_keeps_committed_results(self, tmp_path, local_scan_text):
+        """A campaign SIGKILLed after 100 logged results loses none of them,
+        and a resumed campaign ends with every point once."""
+        db, log = tmp_path / "db.sqlite", tmp_path / "events.jsonl"
+        with Store(str(db)) as st:
+            st.init_schema()
+            did = st.ensure_design("radix_sort", "scan", "local_scan")
+            rec = st.register_space(did, parse_csd(local_scan_text), "test")
+
+        def done_ids():
+            """config ids of the complete `done` lines of the log."""
+            text = log.read_text() if log.exists() else ""
+            events = [json.loads(line) for line in text.split("\n")[:-1]]
+            return [e["config_id"] for e in events if e["event"] == "done"]
+
+        env = {**os.environ, "PYTHONPATH": str(Path(hlsdse.__file__).parent.parent)}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", CRASH_CAMPAIGN, str(db), str(log)], env=env
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while len(done_ids()) < 100:
+                assert proc.poll() is None, "the campaign ended before the kill"
+                assert time.monotonic() < deadline, "no 100 results in 60 s"
+                time.sleep(0.005)
+            proc.kill()
+            proc.wait(timeout=10)
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+        # the killed writer left its uncheckpointed commits in the log file
+        assert Path(f"{db}-wal").exists()
+        done = done_ids()
+        with Store(str(db)) as st:
+            ok = {
+                cid for (cid,) in st.conn.execute(
+                    "SELECT configuration_id FROM implementation WHERE status='ok'"
+                )
+            }
+            assert set(done) <= ok
+            assert len(ok) < 704
+            run_campaign(st, Campaign(space_id=rec.id, backend=BackendSpec(kind="mock"),
+                                      jobs=2, seed=1))
+            (n, distinct) = st.conn.execute(
+                "SELECT COUNT(*), COUNT(DISTINCT configuration_id) FROM implementation"
+            ).fetchone()
+            assert n == distinct == 704
+            assert st.pending_configurations(rec.id) == []
+            assert [c.idx for c in st.configurations(rec.id)] == list(range(704))
 
 
 class TestRegisterSpace:
@@ -400,6 +491,64 @@ class TestExportImport:
         ):
             store.import_jsonl(payload)
         assert rows() == before
+
+    def test_import_offsets_ids_as_row_by_row_inserts_do(self, store):
+        """Imported rows take the ids SQLite picks for one insert at a time:
+        one past the largest id of each table."""
+        rec = self._populated(store, "unroll;f;l1;{1,2,4}\nclock;{10}")
+        first = store.configurations(rec.id)[0].id
+        store.record_result(first, ImplementationResult(status="synth_error"), INFO)
+        source = [json.loads(line) for line in store.export_jsonl(rec.id).splitlines()]
+        with Store(":memory:") as other:
+            other.init_schema()
+            held = self._populated(other, "unroll;f;l1;{1,2}\nclock;{10}")
+            other.record_result(
+                other.configurations(held.id)[0].id,
+                ImplementationResult(status="timeout"), INFO,
+            )
+            other.import_jsonl(store.export_jsonl(rec.id))
+            (space_id,) = other.conn.execute(
+                "SELECT MAX(id) FROM configuration_space"
+            ).fetchone()
+            imported = [
+                json.loads(line) for line in other.export_jsonl(space_id).splitlines()
+            ]
+        # the store held 2 configuration and 3 implementation rows
+        for obj in source:
+            if obj["table"] == "configuration_space":
+                obj["id"] = space_id
+            elif obj["table"] == "configuration":
+                obj["id"] += 2
+                obj["space_id"] = space_id
+            elif obj["table"] == "implementation":
+                obj["id"] += 3
+                obj["configuration_id"] += 2
+            elif "implementation_id" in obj:
+                obj["implementation_id"] += 3
+        assert imported == source
+
+    @pytest.mark.parametrize(
+        "table, corrupt",
+        [
+            ("resource_usage", lambda obj: json.dumps({**obj, "ff": -1})),
+            ("implementation", lambda obj: json.dumps({**obj, "configuration_id": 999})),
+            ("configuration", lambda obj: json.dumps({**obj, "extra": 1})),
+            ("synthesis_info", lambda obj: json.dumps(obj)[:-5]),
+        ],
+        ids=["check-violation", "unknown-foreign-key", "bad-columns", "malformed-json"],
+    )
+    def test_failure_mid_table_names_previous_record(self, store, table, corrupt):
+        rec = self._populated(store, "unroll;f;l1;{1,2,4,8,16}\nclock;{10}")
+        lines = store.export_jsonl(rec.id).decode().splitlines()
+        k = [n for n, line in enumerate(lines) if json.loads(line)["table"] == table][2]
+        lines[k] = corrupt(json.loads(lines[k]))
+        with Store(":memory:") as other:
+            other.init_schema()
+            with pytest.raises(ImportError_) as exc:
+                other.import_jsonl(("\n".join(lines) + "\n").encode())
+            assert exc.value.last_good == k - 1
+            for t in TABLES:
+                assert other.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
 
     def test_version_mismatch_stream(self, store):
         bad = b'{"table": "_meta", "schema_version": 99}\n'
