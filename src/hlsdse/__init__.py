@@ -45,7 +45,6 @@ from .analytics import (
     evaluate_strategy,
     hypervolume_2d,
     pareto_front,
-    scalarize_area,
 )
 
 __version__ = "0.1.0"

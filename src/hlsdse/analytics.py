@@ -2,9 +2,9 @@
 
 All objectives are minimized. The module provides dominance tests, Pareto
 front extraction, the average distance from reference set (ADRS) indicator,
-2-D hypervolume, a resource scalarization, and a budgeted harness that
-replays exploration strategies against a fully populated space, using the
-stored results as a synthesis oracle.
+2-D hypervolume, and a budgeted harness that replays exploration strategies
+against a fully populated space, using the stored results as a synthesis
+oracle.
 """
 
 from __future__ import annotations
@@ -172,17 +172,6 @@ def hypervolume_2d(points: Sequence[DesignPoint], ref_point: DesignPoint) -> flo
         next_x = front[i + 1].values[0] if i + 1 < len(front) else rx
         area += (next_x - x) * (ry - y)
     return area
-
-
-def scalarize_area(
-    ff: float, lut: float, bram: float, dsp: float, weights: Sequence[float]
-) -> float:
-    """Weighted sum of the four resource counts."""
-    if len(weights) != 4 or any(w < 0 for w in weights):
-        raise AnalyticsError("weights must be four non-negative values")
-    if all(w == 0 for w in weights):
-        raise AnalyticsError("weights must not be all zero")
-    return weights[0] * ff + weights[1] * lut + weights[2] * bram + weights[3] * dsp
 
 
 # -- strategy evaluation harness -----------------------------------------

@@ -4,21 +4,27 @@ Subcommands: validate | count | expand | init-db | run | query | analyze |
 export | import. Exit codes: 0 success, 1 domain error, 2 usage/IO error.
 Human output goes to stdout, diagnostics to stderr. ``HLSDSE_DB`` and
 ``HLSDSE_JOBS`` provide defaults for --db and --jobs.
+
+Commands raise; ``main`` alone turns an exception into ``error:`` lines on
+stderr and an exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import itertools
 import json
 import os
+import sqlite3
 import sys
 from pathlib import Path
 
 from . import analytics, orchestrator, space
-from .dsl import CsdSyntaxError, CsdValidationError, parse_csd, validate_csd
-from .space import configurations_json, enumerate_space
+from .dsl import CsdError, CsdValidationError, parse_csd
+from .space import SpaceError, configurations_json, enumerate_space
 from .store import Store, StoreError
 
 EXIT_OK = 0
@@ -26,106 +32,66 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-def _read_csd_file(path: str) -> str:
-    p = Path(path)
-    if not p.is_file():
-        print(f"error: no such file: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    return p.read_text()
+def _read_csd(args):
+    """Parse and validate the descriptor file named by ``args.csd``."""
+    return parse_csd(Path(args.csd).read_text(encoding="utf-8"))
 
 
-def _parse_or_exit(text: str):
-    try:
-        return parse_csd(text)
-    except CsdSyntaxError as e:
-        print(f"error: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_DOMAIN)
-    except CsdValidationError as e:
-        for d in e.diagnostics:
-            print(f"error: {d}", file=sys.stderr)
-        raise SystemExit(EXIT_DOMAIN)
-
-
-def cmd_validate(args) -> int:
-    text = _read_csd_file(args.csd)
-    try:
-        csd = parse_csd(text, validate=False)
-    except CsdSyntaxError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
-    diags = validate_csd(csd)
-    for d in diags:
-        print(str(d), file=sys.stderr)
-    if not diags:
-        if args.format == "json":
-            print(json.dumps({"valid": True, "knobs": len(csd.knobs)}))
-        else:
-            print(f"ok: {len(csd.knobs)} knobs")
-    return EXIT_OK if not diags else EXIT_DOMAIN
-
-
-def cmd_count(args) -> int:
-    csd = _parse_or_exit(_read_csd_file(args.csd))
-    n = space.cardinality(csd)
-    if args.format == "json":
-        print(json.dumps({"cardinality": n}))
-    else:
-        print(n)
-    return EXIT_OK
-
-
-def cmd_expand(args) -> int:
-    csd = _parse_or_exit(_read_csd_file(args.csd))
-    limit = args.limit
-    out = []
-    for i, cfg in enumerate(enumerate_space(csd)):
-        if limit is not None and i >= limit:
-            break
-        out.append(cfg)
-    if args.format == "json":
-        print(json.dumps([configurations_json(csd, c) for c in out]))
-    else:
-        for c in out:
-            print(c.key_text)
-    return EXIT_OK
-
-
-def _open_store(args) -> Store:
-    st = Store(args.db)
-    try:
+@contextlib.contextmanager
+def _open_store(args):
+    with Store(args.db) as st:
         st.init_schema()
-    except StoreError as e:
-        print(f"error: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_DOMAIN)
-    return st
+        yield st
 
 
-def cmd_init_db(args) -> int:
-    st = _open_store(args)
+def _emit(args, data, *lines) -> None:
+    """Print ``data`` as one JSON line under ``--format json``, else ``lines``."""
     if args.format == "json":
-        print(json.dumps({"db": args.db, "tables": st.table_names()}))
+        print(json.dumps(data))
     else:
-        print(f"initialized {args.db} ({len(st.table_names())} tables)")
-    st.close()
-    return EXIT_OK
+        for line in lines:
+            print(line)
 
 
-def cmd_run(args) -> int:
-    csd = _parse_or_exit(_read_csd_file(args.csd))
-    st = _open_store(args)
-    try:
+def cmd_validate(args) -> None:
+    n = len(_read_csd(args).knobs)
+    _emit(args, {"valid": True, "knobs": n}, f"ok: {n} knobs")
+
+
+def cmd_count(args) -> None:
+    n = space.cardinality(_read_csd(args))
+    _emit(args, {"cardinality": n}, n)
+
+
+def cmd_expand(args) -> None:
+    csd = _read_csd(args)
+    configs = list(itertools.islice(enumerate_space(csd), args.limit))
+    if args.format == "json":
+        print(json.dumps([configurations_json(csd, c) for c in configs]))
+    else:
+        for c in configs:
+            print(c.key_text)
+
+
+def cmd_init_db(args) -> None:
+    with _open_store(args) as st:
+        tables = st.table_names()
+    _emit(args, {"db": args.db, "tables": tables},
+          f"initialized {args.db} ({len(tables)} tables)")
+
+
+def cmd_run(args) -> None:
+    csd = _read_csd(args)
+    with _open_store(args) as st:
         design_id = st.ensure_design(
             args.benchmark, args.algorithm, args.design, function_name=args.function
         )
-        existing = st.find_space(design_id, csd)
-        if existing is None:
-            space_rec = st.register_space(design_id, csd, args.contributor)
-        else:
-            space_rec = existing
-        backend = orchestrator.BackendSpec(kind=args.backend)
+        space_rec = st.find_space(design_id, csd) or st.register_space(
+            design_id, csd, args.contributor
+        )
         campaign = orchestrator.Campaign(
             space_id=space_rec.id,
-            backend=backend,
+            backend=orchestrator.BackendSpec(kind=args.backend),
             jobs=args.jobs,
             seed=args.seed,
             contributor=args.contributor,
@@ -133,47 +99,25 @@ def cmd_run(args) -> int:
             limit=args.limit,
         )
         report = orchestrator.run_campaign(st, campaign)
-    except (StoreError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        st.close()
-        return EXIT_DOMAIN
-    summary = {"space_id": space_rec.id, **report.as_dict()}
-    if args.format == "json":
-        print(json.dumps(summary))
-    else:
-        print(
-            f"space {space_rec.id}: ok={report.ok} failed={report.failed}"
-            f" timeout={report.timeout} pending={report.pending_after}"
-        )
-    st.close()
-    return EXIT_OK
+    _emit(
+        args,
+        {"space_id": space_rec.id, **report.as_dict()},
+        f"space {space_rec.id}: ok={report.ok} failed={report.failed}"
+        f" timeout={report.timeout} pending={report.pending_after}",
+    )
 
 
-def cmd_query(args) -> int:
-    st = _open_store(args)
-    try:
+def cmd_query(args) -> None:
+    with _open_store(args) as st:
         space_rec = st.get_space(args.space)
-        pending = st.pending_configurations(args.space)
-        done = st.count_implementations(args.space)
-        ok = st.count_implementations(args.space, "ok")
-    except StoreError as e:
-        print(f"error: {e}", file=sys.stderr)
-        st.close()
-        return EXIT_DOMAIN
-    summary = {
-        "space_id": space_rec.id,
-        "cardinality": space_rec.cardinality,
-        "implementations": done,
-        "ok": ok,
-        "pending": len(pending),
-    }
-    if args.format == "json":
-        print(json.dumps(summary))
-    else:
-        for k, v in summary.items():
-            print(f"{k}: {v}")
-    st.close()
-    return EXIT_OK
+        summary = {
+            "space_id": space_rec.id,
+            "cardinality": space_rec.cardinality,
+            "implementations": st.count_implementations(args.space),
+            "ok": st.count_implementations(args.space, "ok"),
+            "pending": len(st.pending_configurations(args.space)),
+        }
+    _emit(args, summary, *(f"{k}: {v}" for k, v in summary.items()))
 
 
 def _points_csv(points, front_ids) -> str:
@@ -186,18 +130,14 @@ def _points_csv(points, front_ids) -> str:
     return buf.getvalue()
 
 
-def cmd_analyze(args) -> int:
-    st = _open_store(args)
+def cmd_analyze(args) -> None:
     weights = tuple(args.weights)
     objectives = args.objectives.split(",")
-    try:
+    with _open_store(args) as st:
         points = st.fetch_points(args.space, objectives, weights)
         if not points:
-            print("error: space has no ok implementations", file=sys.stderr)
-            st.close()
-            return EXIT_DOMAIN
+            raise analytics.AnalyticsError("space has no ok implementations")
         front = analytics.pareto_front(points)
-        front_ids = {p.configuration_id for p in front}
         summary = {"n_points": len(points), "front_size": len(front)}
         if args.mode == "adrs":
             summary["adrs"] = analytics.adrs(front, points)
@@ -208,14 +148,10 @@ def cmd_analyze(args) -> int:
             summary["hypervolume"] = analytics.hypervolume_2d(points, ref)
             summary["reference_point"] = list(ref.values)
         elif args.mode == "eval":
-            maker = analytics.BUILTIN_STRATEGIES.get(args.strategy)
-            if maker is None:
-                print(f"error: unknown strategy {args.strategy!r}", file=sys.stderr)
-                st.close()
-                return EXIT_DOMAIN
             budget = args.budget or len(points)
             result = analytics.evaluate_strategy(
-                st, args.space, maker(args.seed), budget, objectives, weights
+                st, args.space, analytics.BUILTIN_STRATEGIES[args.strategy](args.seed),
+                budget, objectives, weights,
             )
             summary.update(
                 {
@@ -227,11 +163,8 @@ def cmd_analyze(args) -> int:
                     "truncated": result.trace.truncated,
                 }
             )
-    except (analytics.AnalyticsError, StoreError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        st.close()
-        return EXIT_DOMAIN
     if args.points_csv:
+        front_ids = {p.configuration_id for p in front}
         Path(args.points_csv).write_text(_points_csv(points, front_ids))
     if args.plot_data:
         # gnuplot-friendly: blank-line-separated blocks (all points, front)
@@ -240,48 +173,25 @@ def cmd_analyze(args) -> int:
         lines.extend(" ".join(str(v) for v in p.values) for p in front)
         Path(args.plot_data).write_text("\n".join(lines) + "\n")
     print(json.dumps(summary))
-    st.close()
-    return EXIT_OK
 
 
-def cmd_export(args) -> int:
-    st = _open_store(args)
-    try:
+def cmd_export(args) -> None:
+    with _open_store(args) as st:
         if args.export_format == "jsonl":
             payload = st.export_jsonl(args.space)
         else:
             payload = st.export_sql(args.space)
-    except StoreError as e:
-        print(f"error: {e}", file=sys.stderr)
-        st.close()
-        return EXIT_DOMAIN
     if args.out:
         Path(args.out).write_bytes(payload)
     else:
         sys.stdout.buffer.write(payload)
-    st.close()
-    return EXIT_OK
 
 
-def cmd_import(args) -> int:
-    p = Path(args.infile)
-    if not p.is_file():
-        print(f"error: no such file: {args.infile}", file=sys.stderr)
-        return EXIT_USAGE
-    st = _open_store(args)
-    try:
-        counts = st.import_jsonl(p.read_bytes())
-    except StoreError as e:
-        print(f"error: {e}", file=sys.stderr)
-        st.close()
-        return EXIT_DOMAIN
-    if args.format == "json":
-        print(json.dumps(counts))
-    else:
-        for table, n in counts.items():
-            print(f"{table}: {n}")
-    st.close()
-    return EXIT_OK
+def cmd_import(args) -> None:
+    payload = Path(args.infile).read_bytes()
+    with _open_store(args) as st:
+        counts = st.import_jsonl(payload)
+    _emit(args, counts, *(f"{table}: {n}" for table, n in counts.items()))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,10 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", default="local")
     p.add_argument("--function", default=None)
     p.add_argument("--backend", choices=["mock"], default="mock")
+    # a string default is converted by type=int only when run is parsed, so a
+    # bad $HLSDSE_JOBS is a usage error of run alone
     p.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get("HLSDSE_JOBS", "1")),
+        default=os.environ.get("HLSDSE_JOBS", "1"),
         help="max concurrent backend instances (default: $HLSDSE_JOBS or 1)",
     )
     p.add_argument("--seed", type=int, default=0)
@@ -347,7 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--weights", type=float, nargs=4, default=[0.0, 1.0, 0.0, 0.0],
         metavar=("FF", "LUT", "BRAM", "DSP"),
     )
-    p.add_argument("--strategy", default="random")
+    p.add_argument(
+        "--strategy", choices=sorted(analytics.BUILTIN_STRATEGIES), default="random"
+    )
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--points-csv", default=None)
@@ -368,18 +282,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_USAGE if e.code not in (0, None) else 0
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse: --help exits 0, a usage error 2
+        return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else EXIT_USAGE
-    except OSError as e:
+        args.func(args)
+    except CsdValidationError as e:
+        for d in e.diagnostics:
+            print(f"error: {d}", file=sys.stderr)
+        return EXIT_DOMAIN
+    # ValueError includes a descriptor that is not UTF-8
+    except (CsdError, SpaceError, StoreError, analytics.AnalyticsError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except (OSError, sqlite3.Error) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -369,8 +369,3 @@ def parse_csd(
 def serialize_csd(csd: CSD) -> str:
     """Render a CSD in canonical form; reparsing yields an equal structure."""
     return "".join(k.render() + "\n" for k in csd.knobs)
-
-
-def csd_equal(a: CSD, b: CSD) -> bool:
-    """Structural equality, ignoring source text."""
-    return a.knobs == b.knobs

@@ -536,8 +536,9 @@ class Store:
 
         Objective names: latency (cycles), latency_ns (cycles x achieved
         period), ff/lut/bram/dsp, and area (weighted resource sum using
-        ``area_weights`` in ff/lut/bram/dsp order). A stored value that
-        yields a negative or non-finite objective raises AnalyticsError.
+        ``area_weights`` in ff/lut/bram/dsp order: four non-negative values,
+        not all zero, else StoreError). A stored value that yields a
+        negative or non-finite objective raises AnalyticsError.
         """
         objectives = list(objectives)
         if not objectives:
@@ -547,8 +548,8 @@ class Store:
                 raise StoreError(f"unknown objective {name!r}")
         params: list = []
         if "area" in objectives:
-            if len(area_weights) != 4:
-                raise StoreError("area weights must be four values")
+            if len(area_weights) != 4 or any(w < 0 for w in area_weights):
+                raise StoreError("area weights must be four non-negative values")
             if all(w == 0 for w in area_weights):
                 raise StoreError("area weights must not be all zero")
             params = list(area_weights) * objectives.count("area")
@@ -702,15 +703,19 @@ class Store:
                     flush()
                     last_good = n
                     continue
-                if table not in _COLUMN_SETS:
-                    raise failure(f"unknown table {table!r}")
-                if obj.keys() != _COLUMN_SETS[table]:
+                # a table name, id or foreign key that is a JSON list or
+                # object cannot key a dict, which raises TypeError below
+                try:
+                    columns = _COLUMN_SETS[table]
+                except (KeyError, TypeError):
+                    raise failure(f"unknown table {table!r}") from None
+                if obj.keys() != columns:
                     raise failure(f"bad columns for table {table}")
                 if table in _PARENT:
                     fk, parent = _PARENT[table]
                     try:
                         obj[fk] = id_maps[parent][obj[fk]]
-                    except KeyError:
+                    except (KeyError, TypeError):
                         raise failure(
                             f"{table} row references unknown {fk}={obj[fk]}"
                         ) from None
@@ -727,7 +732,10 @@ class Store:
                         old_id, obj["id"] = obj["id"], next_id[table]
                         next_id[table] += 1
                         if old_id is not None:
-                            id_maps[table][old_id] = obj["id"]
+                            try:
+                                id_maps[table][old_id] = obj["id"]
+                            except TypeError:
+                                raise failure(f"malformed {table} id {old_id!r}") from None
                     run.append((n, [obj[c] for c in _EXPORT_COLS[table]]))
                     if len(run) == _RUN_ROWS:
                         flush()
@@ -760,7 +768,10 @@ class Store:
                         ) from None
                     raise failure(f"referential violation: {e}") from None
                 if old_id is not None:
-                    id_maps[table][old_id] = new_id
+                    try:
+                        id_maps[table][old_id] = new_id
+                    except TypeError:
+                        raise failure(f"malformed {table} id {old_id!r}") from None
                 counts[table] += 1
                 last_good = n
             flush()

@@ -17,11 +17,11 @@ from hlsdse.analytics import (
     hypervolume_2d,
     pareto_front,
     random_strategy,
-    scalarize_area,
 )
 from hlsdse.dsl import parse_csd
-from hlsdse.orchestrator import BackendSpec, Campaign, run_campaign
-from hlsdse.store import Store
+from hlsdse.orchestrator import BackendSpec, Campaign, ImplementationResult, run_campaign
+from hlsdse.space import build_index
+from hlsdse.store import Store, StoreError, SynthesisInfo
 
 
 def brute_force_front(points):
@@ -254,25 +254,52 @@ class TestHypervolume:
             hypervolume_2d(pts((2, 0)), DesignPoint((1.0, 1.0)))
 
 
+def area_values(resources, weights):
+    """The ``area`` objective that ``Store.fetch_points`` computes, the one
+    resource scalarization, for results with the given (ff, lut, bram, dsp)."""
+    csd = parse_csd("unroll;f;l1;{1,2,3,4}\nclock;{10}")
+    with Store(":memory:") as store:
+        store.init_schema()
+        rec = store.register_space(store.ensure_design("b", "a", "d"), csd, "t")
+        index = build_index(csd)
+        configs = store.add_configurations(
+            rec.id, [(i, index.decode(i)) for i in range(len(resources))]
+        )
+        for cfg, (ff, lut, bram, dsp) in zip(configs, resources):
+            store.record_result(
+                cfg.id,
+                ImplementationResult(
+                    status="ok", ff=ff, lut=lut, bram=bram, dsp=dsp,
+                    latency_cycles=1, achieved_period_ns=10.0,
+                ),
+                SynthesisInfo("t", "mock-hls", "1.0", "mockpart", 10.0),
+            )
+        return [p.values[0] for p in store.fetch_points(rec.id, ["area"], weights)]
+
+
 class TestScalarizeArea:
     def test_projection(self):
-        assert scalarize_area(10, 20, 1, 0, (0, 1, 0, 0)) == 20
+        assert area_values([(10, 20, 1, 0)], (0, 1, 0, 0)) == [20]
 
     def test_sum(self):
-        assert scalarize_area(10, 20, 1, 0, (1, 1, 1, 1)) == 31
+        assert area_values([(10, 20, 1, 0)], (1, 1, 1, 1)) == [31]
 
     def test_all_zero_rejected(self):
-        with pytest.raises(AnalyticsError):
-            scalarize_area(1, 1, 1, 1, (0, 0, 0, 0))
+        with pytest.raises(StoreError):
+            area_values([(1, 1, 1, 1)], (0, 0, 0, 0))
+
+    def test_negative_rejected(self):
+        with pytest.raises(StoreError, match="non-negative"):
+            area_values([(10, 20, 1, 0)], (-0.001, 1, 0, 0))
 
     def test_normalization_changes_argmin(self):
         # witness: weighting flips which point has smaller area
         a = (100, 10, 0, 0)  # ff-heavy
         b = (10, 100, 0, 0)  # lut-heavy
-        w_ff = (1, 0, 0, 0)
-        w_lut = (0, 1, 0, 0)
-        assert scalarize_area(*a, w_ff) > scalarize_area(*b, w_ff)
-        assert scalarize_area(*a, w_lut) < scalarize_area(*b, w_lut)
+        area_a, area_b = area_values([a, b], (1, 0, 0, 0))
+        assert area_a > area_b
+        area_a, area_b = area_values([a, b], (0, 1, 0, 0))
+        assert area_a < area_b
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from hlsdse.cli import EXIT_DOMAIN, main
+import hlsdse
+from hlsdse.cli import EXIT_DOMAIN, EXIT_USAGE, build_parser, main
 
 DATA = Path(__file__).parent / "data"
 REF = str(DATA / "last_step_scan.csd")
@@ -280,3 +284,93 @@ class TestJsonOutputs:
             code, out, _ = run(capsys, *argv)
             assert code == 0
             json.loads(out)
+
+
+# 11 knobs of 63 values each: 63**11 > 2**63 - 1
+OVERFLOW = "clock;{10}\n" + "".join(
+    f"unroll;f;l{i};{{1->4611686018427387904,pow_2}}\n" for i in range(11)
+)
+
+
+@pytest.fixture
+def fault_files(tmp_path):
+    """Inputs for the error table, by the placeholder names its argv use."""
+    files = {
+        "overflow": tmp_path / "overflow.csd",
+        "latin1": tmp_path / "latin1.csd",
+        "notdb": tmp_path / "notdb.sqlite",
+        "badrecord": tmp_path / "bad.jsonl",
+        "db": tmp_path / "test.sqlite",
+        "missing": tmp_path / "no" / "such",
+    }
+    files["overflow"].write_text(OVERFLOW)
+    files["latin1"].write_bytes("unroll;f;l\xe9;{1,2}\nclock;{10}\n".encode("latin-1"))
+    files["notdb"].write_text("not a database\n" * 100)
+    files["badrecord"].write_text('{"table": [1]}\n')
+    return {k: str(v) for k, v in files.items()}
+
+
+class TestErrorPath:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            ("count {overflow}", EXIT_DOMAIN),
+            ("expand {overflow}", EXIT_DOMAIN),
+            ("--db {db} run {overflow}", EXIT_DOMAIN),
+            ("--db {missing}/x.sqlite query 1", EXIT_USAGE),
+            ("--db {notdb} query 1", EXIT_USAGE),
+            ("count {latin1}", EXIT_DOMAIN),
+            ("--db {db} analyze 1 --points-csv {missing}/points.csv", EXIT_USAGE),
+            ("--db {db} query 7", EXIT_DOMAIN),
+            ("--db {db} import {badrecord}", EXIT_DOMAIN),
+            ("--db {db} analyze 1 --objectives latency,area --weights -1 1 0 0", EXIT_DOMAIN),
+            ("count {missing}.csd", EXIT_USAGE),
+        ],
+        ids=[
+            "overflow-count", "overflow-expand", "overflow-run", "db-missing-dir",
+            "db-not-sqlite", "csd-not-utf8", "points-csv-missing-dir", "unknown-space",
+            "import-list-table", "negative-weight", "csd-missing",
+        ],
+    )
+    def test_one_error_line(self, capsys, fault_files, toy_csd, argv, code):
+        if "analyze" in argv:
+            run(capsys, "--db", fault_files["db"], "run", toy_csd)
+        got, out, err = run(capsys, *argv.format(**fault_files).split())
+        assert got == code
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_validate_diagnostics_are_error_lines(self, capsys, tmp_path):
+        p = tmp_path / "bad.csd"
+        p.write_text("unroll;f;l1;{1,2}\nunroll;f;l1;{1,2}\n")
+        code, out, err = run(capsys, "validate", str(p))
+        assert code == EXIT_DOMAIN and out == ""
+        lines = err.splitlines()
+        assert len(lines) >= 2 and all(line.startswith("error: ") for line in lines)
+
+    def test_unknown_strategy_is_usage_error(self, capsys, db):
+        code, out, err = run(capsys, "--db", db, "analyze", "1", "--mode", "eval",
+                             "--strategy", "nope")
+        assert code == EXIT_USAGE
+        assert "invalid choice" in err
+
+    def test_bad_jobs_env_fails_run_only(self, capsys, monkeypatch, toy_csd, db):
+        monkeypatch.setenv("HLSDSE_JOBS", "many")
+        code, out, _ = run(capsys, "count", REF)
+        assert (code, out.strip()) == (0, "1600")
+        code, out, err = run(capsys, "--db", db, "run", toy_csd)
+        assert code == EXIT_USAGE
+        assert "--jobs" in err and "Traceback" not in err
+        monkeypatch.setenv("HLSDSE_JOBS", "3")
+        assert build_parser().parse_args(["run", toy_csd]).jobs == 3
+
+    def test_process_exit_code(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(hlsdse.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "hlsdse.cli", "--db", str(tmp_path / "no" / "x.sqlite"),
+             "query", "1"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert proc.stderr == "error: unable to open database file\n"

@@ -534,8 +534,17 @@ class TestExportImport:
             ("implementation", lambda obj: json.dumps({**obj, "configuration_id": 999})),
             ("configuration", lambda obj: json.dumps({**obj, "extra": 1})),
             ("synthesis_info", lambda obj: json.dumps(obj)[:-5]),
+            ("performance", lambda obj: json.dumps({**obj, "table": [obj["table"]]})),
+            ("configuration", lambda obj: json.dumps({**obj, "id": [obj["id"]]})),
+            (
+                "implementation",
+                lambda obj: json.dumps({**obj, "configuration_id": {"id": 1}}),
+            ),
         ],
-        ids=["check-violation", "unknown-foreign-key", "bad-columns", "malformed-json"],
+        ids=[
+            "check-violation", "unknown-foreign-key", "bad-columns", "malformed-json",
+            "list-table", "list-id", "object-foreign-key",
+        ],
     )
     def test_failure_mid_table_names_previous_record(self, store, table, corrupt):
         rec = self._populated(store, "unroll;f;l1;{1,2,4,8,16}\nclock;{10}")
@@ -549,6 +558,12 @@ class TestExportImport:
             assert exc.value.last_good == k - 1
             for t in TABLES:
                 assert other.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
+
+    def test_list_taxonomy_id(self, store):
+        with pytest.raises(ImportError_) as exc:
+            store.import_jsonl(b'{"table": "benchmark", "id": [1], "name": "b"}\n')
+        assert exc.value.last_good == -1
+        assert store.conn.execute("SELECT COUNT(*) FROM benchmark").fetchone() == (0,)
 
     def test_version_mismatch_stream(self, store):
         bad = b'{"table": "_meta", "schema_version": 99}\n'
