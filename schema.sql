@@ -61,7 +61,5 @@ CREATE TABLE IF NOT EXISTS performance (
     latency_cycles INTEGER NOT NULL CHECK (latency_cycles >= 0),
     achieved_period_ns REAL NOT NULL
 );
-CREATE INDEX IF NOT EXISTS idx_configuration_space_id
-    ON configuration(space_id);
 CREATE INDEX IF NOT EXISTS idx_implementation_config
     ON implementation(configuration_id);

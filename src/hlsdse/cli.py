@@ -82,6 +82,8 @@ def cmd_init_db(args) -> None:
 
 def cmd_run(args) -> None:
     csd = _read_csd(args)
+    # a space too large to index fails before any row is written
+    space.build_index(csd)
     with _open_store(args) as st:
         design_id = st.ensure_design(
             args.benchmark, args.algorithm, args.design, function_name=args.function

@@ -387,6 +387,9 @@ def run_campaign(store: Store, campaign: Campaign) -> CampaignReport:
     pending = store.pending_configurations(
         campaign.space_id, backend.tool_name, backend.tool_version, backend.fpga_part
     )
+    # each attempt commits one row under the campaign's tool and part, so
+    # the points still pending afterwards need no second scan
+    n_pending = len(pending)
     if campaign.limit is not None:
         pending = pending[: campaign.limit]
 
@@ -453,13 +456,6 @@ def run_campaign(store: Store, campaign: Campaign) -> CampaignReport:
     finally:
         log.close()
 
-    report.pending_after = len(
-        store.pending_configurations(
-            campaign.space_id,
-            backend.tool_name,
-            backend.tool_version,
-            backend.fpga_part,
-        )
-    )
+    report.pending_after = n_pending - report.attempted
     report.wall_time_s = time.monotonic() - start
     return report

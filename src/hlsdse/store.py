@@ -98,8 +98,6 @@ CREATE TABLE IF NOT EXISTS performance (
     latency_cycles INTEGER NOT NULL CHECK (latency_cycles >= 0),
     achieved_period_ns REAL NOT NULL
 );
-CREATE INDEX IF NOT EXISTS idx_configuration_space_id
-    ON configuration(space_id);
 CREATE INDEX IF NOT EXISTS idx_implementation_config
     ON implementation(configuration_id);
 """
@@ -147,13 +145,43 @@ _PARENT = {
     "resource_usage": ("implementation_id", "implementation"),
     "performance": ("implementation_id", "implementation"),
 }
-# taxonomy rows are got-or-created by their UNIQUE keys, as ensure_design
-# does, so that spaces of one design share them
+# taxonomy rows are got-or-created by their UNIQUE keys, by ensure_design
+# and import alike, so that spaces of one design share them
 _TAXONOMY_KEY = {
     "benchmark": ("name",),
     "algorithm": ("benchmark_id", "name"),
     "design": ("algorithm_id", "name"),
 }
+# a space's configuration rows with idx in [lo, hi], as ConfigRecord fields
+_CONFIG_RECORDS = (
+    "SELECT id, space_id, idx, config_key, key_text FROM configuration"
+    " WHERE space_id=? AND idx BETWEEN ? AND ? ORDER BY idx"
+)
+# (table, query) per table, parents first: each query binds the space id
+# and reads that table's rows of the space, every column in DDL order
+_OF_IMPLEMENTATIONS = (
+    " x JOIN implementation i ON i.id=x.implementation_id JOIN configuration c"
+    " ON c.id=i.configuration_id WHERE c.space_id=? ORDER BY x.implementation_id"
+)
+_EXPORT_QUERIES = [
+    ("benchmark",
+     "SELECT b.* FROM benchmark b JOIN algorithm a ON a.benchmark_id=b.id"
+     " JOIN design d ON d.algorithm_id=a.id"
+     " JOIN configuration_space s ON s.design_id=d.id WHERE s.id=?"),
+    ("algorithm",
+     "SELECT a.* FROM algorithm a JOIN design d ON d.algorithm_id=a.id"
+     " JOIN configuration_space s ON s.design_id=d.id WHERE s.id=?"),
+    ("design",
+     "SELECT d.* FROM design d"
+     " JOIN configuration_space s ON s.design_id=d.id WHERE s.id=?"),
+    ("configuration_space", "SELECT * FROM configuration_space WHERE id=?"),
+    ("configuration", "SELECT * FROM configuration WHERE space_id=? ORDER BY idx"),
+    ("implementation",
+     "SELECT i.* FROM implementation i JOIN configuration c"
+     " ON c.id=i.configuration_id WHERE c.space_id=? ORDER BY i.id"),
+    *((t, f"SELECT x.* FROM {t}{_OF_IMPLEMENTATIONS}")
+      for t in ("synthesis_info", "resource_usage", "performance")),
+]
 # the rows import sends in runs, one executemany per run of one table
 _BATCHED = frozenset(
     ["configuration", "implementation", "synthesis_info", "resource_usage", "performance"]
@@ -164,6 +192,13 @@ _RUN_ROWS = 256
 # one coder for every line, rather than one built per json.dumps/loads call
 _ENCODER = json.JSONEncoder(sort_keys=True)
 _DECODER = json.JSONDecoder()
+# what SQLite raises for a row it rejects: a constraint, or a value it
+# cannot bind (a JSON list or object, an integer beyond 64 bits); Python
+# 3.10 raises InterfaceError where later versions raise ProgrammingError
+_REJECTED = (
+    sqlite3.IntegrityError, sqlite3.InterfaceError, sqlite3.ProgrammingError,
+    OverflowError,
+)
 
 
 class StoreError(Exception):
@@ -221,6 +256,13 @@ class SynthesisInfo:
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
+
+
+def _rejection(table: str, e: Exception) -> str:
+    """The import diagnostic for a ``table`` row that SQLite rejected."""
+    if isinstance(e, sqlite3.IntegrityError):
+        return f"referential violation: {e}"
+    return f"malformed {table} record: {e}"
 
 
 class Store:
@@ -287,30 +329,26 @@ class Store:
         """Insert-or-fetch the benchmark/algorithm/design chain; returns the
         design id."""
         with self.conn:
-            self.conn.execute(
-                "INSERT OR IGNORE INTO benchmark (name) VALUES (?)", (benchmark,)
-            )
-            (bid,) = self.conn.execute(
-                "SELECT id FROM benchmark WHERE name=?", (benchmark,)
-            ).fetchone()
-            self.conn.execute(
-                "INSERT OR IGNORE INTO algorithm (benchmark_id, name) VALUES (?,?)",
-                (bid, algorithm),
-            )
-            (aid,) = self.conn.execute(
-                "SELECT id FROM algorithm WHERE benchmark_id=? AND name=?",
-                (bid, algorithm),
-            ).fetchone()
-            self.conn.execute(
-                "INSERT OR IGNORE INTO design"
-                " (algorithm_id, name, source_ref, function_name) VALUES (?,?,?,?)",
-                (aid, design, source_ref, function_name),
-            )
-            (did,) = self.conn.execute(
-                "SELECT id FROM design WHERE algorithm_id=? AND name=?",
-                (aid, design),
-            ).fetchone()
-        return did
+            bid = self._get_or_create("benchmark", {"name": benchmark})
+            aid = self._get_or_create("algorithm", {"benchmark_id": bid, "name": algorithm})
+            return self._get_or_create("design", {
+                "algorithm_id": aid, "name": design,
+                "source_ref": source_ref, "function_name": function_name,
+            })
+
+    def _get_or_create(self, table: str, row: dict) -> int:
+        """Id of the taxonomy row with ``row``'s key, inserting ``row`` (column
+        -> value, no id) when the table has none."""
+        keys = _TAXONOMY_KEY[table]
+        self.conn.execute(
+            f"{_INSERT[table]} ON CONFLICT ({','.join(keys)}) DO NOTHING",
+            [row.get(c) for c in _EXPORT_COLS[table]],
+        )
+        (row_id,) = self.conn.execute(
+            f"SELECT id FROM {table} WHERE " + " AND ".join(f"{k}=?" for k in keys),
+            [row[k] for k in keys],
+        ).fetchone()
+        return row_id
 
     # -- spaces and configurations ---------------------------------------
 
@@ -320,23 +358,31 @@ class Store:
         canonical = serialize_csd(csd)
         total = build_index(csd).total
         created = _now()
+        with self.conn:
+            space_id = self._insert_space([
+                None, design_id, canonical, total, contributor, created
+            ])
+        return SpaceRecord(space_id, design_id, canonical, total, contributor, created)
+
+    def _insert_space(self, values: list) -> int:
+        """Insert a configuration_space row, ``values`` in column order with a
+        None id; returns its id. A design that already holds the descriptor
+        raises DuplicateSpaceError, an unknown design or a rejected value
+        StoreError."""
         try:
-            with self.conn:
-                cur = self.conn.execute(
-                    "INSERT INTO configuration_space"
-                    " (design_id, csd_text, cardinality, contributor, created_at)"
-                    " VALUES (?,?,?,?,?)",
-                    (design_id, canonical, total, contributor, created),
-                )
+            return self.conn.execute(_INSERT["configuration_space"], values).lastrowid
         except sqlite3.IntegrityError as e:
-            existing = self.find_space(design_id, csd)
-            if existing:
+            _, design_id, csd_text, *_ = values
+            dup = self._space_id(design_id, csd_text)
+            if dup:
                 raise DuplicateSpaceError(
-                    f"space already registered for design {design_id}"
-                    f" (id {existing.id})"
+                    f"space already registered for design {design_id} (id {dup})"
                 ) from None
+            if self.conn.execute(
+                "SELECT 1 FROM design WHERE id=?", (design_id,)
+            ).fetchone():
+                raise StoreError(f"cannot register space for design {design_id}: {e}") from None
             raise StoreError(f"unknown design id {design_id}") from e
-        return SpaceRecord(cur.lastrowid, design_id, canonical, total, contributor, created)
 
     def get_space(self, space_id: int) -> SpaceRecord:
         row = self.conn.execute(
@@ -364,12 +410,8 @@ class Store:
 
     def configurations(self, space_id: int) -> list[ConfigRecord]:
         """The configuration rows written so far, in index order."""
-        self.get_space(space_id)
-        rows = self.conn.execute(
-            "SELECT id, space_id, idx, config_key, key_text FROM configuration"
-            " WHERE space_id=? ORDER BY idx",
-            (space_id,),
-        ).fetchall()
+        cardinality = self.get_space(space_id).cardinality
+        rows = self.conn.execute(_CONFIG_RECORDS, (space_id, 0, cardinality - 1))
         return [ConfigRecord(*r) for r in rows]
 
     def add_configurations(
@@ -383,11 +425,10 @@ class Store:
             return []
         with self.conn:
             self.conn.executemany(
-                "INSERT INTO configuration"
-                " (space_id, idx, config_key, key_text, directive_values)"
-                " VALUES (?,?,?,?,?) ON CONFLICT (space_id, idx) DO NOTHING",
+                _INSERT["configuration"] + " ON CONFLICT (space_id, idx) DO NOTHING",
                 (
                     (
+                        None,
                         space_id,
                         idx,
                         cfg.config_key,
@@ -398,9 +439,7 @@ class Store:
                 ),
             )
             rows = self.conn.execute(
-                "SELECT id, space_id, idx, config_key, key_text FROM configuration"
-                " WHERE space_id=? AND idx BETWEEN ? AND ? ORDER BY idx",
-                (space_id, configs[0][0], configs[-1][0]),
+                _CONFIG_RECORDS, (space_id, configs[0][0], configs[-1][0])
             ).fetchall()
         wanted = {idx for idx, _ in configs}
         return [ConfigRecord(*r) for r in rows if r[2] in wanted]
@@ -430,14 +469,11 @@ class Store:
                 )
         try:
             with self.conn:
-                cur = self.conn.execute(
-                    "INSERT INTO implementation (configuration_id, status)"
-                    " VALUES (?,?)",
-                    (configuration_id, result.status),
-                )
-                impl_id = cur.lastrowid
+                impl_id = self.conn.execute(
+                    _INSERT["implementation"], (None, configuration_id, result.status)
+                ).lastrowid
                 self.conn.execute(
-                    "INSERT INTO synthesis_info VALUES (?,?,?,?,?,?,?)",
+                    _INSERT["synthesis_info"],
                     (
                         impl_id,
                         info.timestamp or _now(),
@@ -450,11 +486,11 @@ class Store:
                 )
                 if result.status == "ok":
                     self.conn.execute(
-                        "INSERT INTO resource_usage VALUES (?,?,?,?,?)",
+                        _INSERT["resource_usage"],
                         (impl_id, result.ff, result.lut, result.bram, result.dsp),
                     )
                     self.conn.execute(
-                        "INSERT INTO performance VALUES (?,?,?)",
+                        _INSERT["performance"],
                         (impl_id, result.latency_cycles, result.achieved_period_ns),
                     )
         except sqlite3.IntegrityError as e:
@@ -532,7 +568,9 @@ class Store:
         area_weights: tuple[float, float, float, float] = (0.0, 1.0, 0.0, 0.0),
     ) -> list[DesignPoint]:
         """One validated objective vector per ok implementation of the
-        space, in configuration id order.
+        space, in configuration id order. A configuration with more than one
+        ok result, as a space run under two tools or parts holds, raises
+        StoreError naming the space's (tool, version, part) tuples.
 
         Objective names: latency (cycles), latency_ns (cycles x achieved
         period), ff/lut/bram/dsp, and area (weighted resource sum using
@@ -564,57 +602,26 @@ class Store:
             " WHERE c.space_id=? AND i.status='ok' ORDER BY i.configuration_id",
             params + [space_id],
         )
-        return [DesignPoint(row[:-1], row[-1]) for row in rows]
+        points = [DesignPoint(row[:-1], row[-1]) for row in rows]
+        if len({p.configuration_id for p in points}) < len(points):
+            tools = self.conn.execute(
+                "SELECT DISTINCT s.tool_name, s.tool_version, s.fpga_part"
+                " FROM synthesis_info s JOIN implementation i ON i.id = s.implementation_id"
+                " JOIN configuration c ON c.id = i.configuration_id"
+                " WHERE c.space_id=? AND i.status='ok' ORDER BY 1, 2, 3",
+                (space_id,),
+            )
+            raise StoreError(
+                f"space {space_id} has configurations with more than one ok result,"
+                " from " + ", ".join(f"{n} {v} on {part}" for n, v, part in tools)
+            )
+        return points
 
     # -- export / import --------------------------------------------------
 
     def _space_rows(self, space_id: int) -> Iterator[tuple[str, dict]]:
-        space = self.get_space(space_id)
-        did = space.design_id
-        (alg_id, dname, sref, fname) = self.conn.execute(
-            "SELECT algorithm_id, name, source_ref, function_name"
-            " FROM design WHERE id=?",
-            (did,),
-        ).fetchone()
-        (bid, aname) = self.conn.execute(
-            "SELECT benchmark_id, name FROM algorithm WHERE id=?", (alg_id,)
-        ).fetchone()
-        (bname,) = self.conn.execute(
-            "SELECT name FROM benchmark WHERE id=?", (bid,)
-        ).fetchone()
-        yield "benchmark", {"id": bid, "name": bname}
-        yield "algorithm", {"id": alg_id, "benchmark_id": bid, "name": aname}
-        yield "design", {
-            "id": did, "algorithm_id": alg_id, "name": dname,
-            "source_ref": sref, "function_name": fname,
-        }
-        yield "configuration_space", {
-            "id": space.id, "design_id": did, "csd_text": space.csd_text,
-            "cardinality": space.cardinality, "contributor": space.contributor,
-            "created_at": space.created_at,
-        }
-        for table, query in [
-            ("configuration",
-             "SELECT * FROM configuration WHERE space_id=? ORDER BY idx"),
-            ("implementation",
-             "SELECT i.* FROM implementation i JOIN configuration c"
-             " ON c.id=i.configuration_id WHERE c.space_id=? ORDER BY i.id"),
-            ("synthesis_info",
-             "SELECT s.* FROM synthesis_info s JOIN implementation i"
-             " ON i.id=s.implementation_id JOIN configuration c"
-             " ON c.id=i.configuration_id WHERE c.space_id=?"
-             " ORDER BY s.implementation_id"),
-            ("resource_usage",
-             "SELECT r.* FROM resource_usage r JOIN implementation i"
-             " ON i.id=r.implementation_id JOIN configuration c"
-             " ON c.id=i.configuration_id WHERE c.space_id=?"
-             " ORDER BY r.implementation_id"),
-            ("performance",
-             "SELECT p.* FROM performance p JOIN implementation i"
-             " ON i.id=p.implementation_id JOIN configuration c"
-             " ON c.id=i.configuration_id WHERE c.space_id=?"
-             " ORDER BY p.implementation_id"),
-        ]:
+        self.get_space(space_id)
+        for table, query in _EXPORT_QUERIES:
             cols = _EXPORT_COLS[table]
             for row in self.conn.execute(query, (space_id,)):
                 yield table, dict(zip(cols, row))
@@ -668,12 +675,12 @@ class Store:
             before = self.conn.total_changes
             try:
                 self.conn.executemany(_INSERT[run_table], (v for _, v in run))
-            except sqlite3.IntegrityError as e:
+            except _REJECTED as e:
                 # each row inserted before the failing one counts one change
                 applied = self.conn.total_changes - before
                 if applied:
                     last_good = run[applied - 1][0]
-                raise ImportError_(f"referential violation: {e}", last_good) from None
+                raise ImportError_(_rejection(run_table, e), last_good) from None
             counts[run_table] += len(run)
             last_good = run[-1][0]
             run = []
@@ -740,33 +747,19 @@ class Store:
                     if len(run) == _RUN_ROWS:
                         flush()
                     continue
+                # the taxonomy and space rows, written as ensure_design and
+                # register_space write them
                 flush()
                 old_id, obj["id"] = obj["id"], None
-                values = [obj[c] for c in _EXPORT_COLS[table]]
                 try:
                     if table in _TAXONOMY_KEY:
-                        keys = _TAXONOMY_KEY[table]
-                        self.conn.execute(
-                            f"{_INSERT[table]} ON CONFLICT ({','.join(keys)}) DO NOTHING",
-                            values,
-                        )
-                        (new_id,) = self.conn.execute(
-                            f"SELECT id FROM {table} WHERE "
-                            + " AND ".join(f"{k}=?" for k in keys),
-                            [obj[k] for k in keys],
-                        ).fetchone()
+                        new_id = self._get_or_create(table, obj)
                     else:
-                        new_id = self.conn.execute(_INSERT[table], values).lastrowid
-                except sqlite3.IntegrityError as e:
-                    dup = table == "configuration_space" and self._space_id(
-                        obj["design_id"], obj["csd_text"]
-                    )
-                    if dup:
-                        raise failure(
-                            f"space already registered for design"
-                            f" {obj['design_id']} (id {dup})"
-                        ) from None
-                    raise failure(f"referential violation: {e}") from None
+                        new_id = self._insert_space([obj[c] for c in _EXPORT_COLS[table]])
+                except StoreError as e:
+                    raise failure(str(e)) from None
+                except _REJECTED as e:
+                    raise failure(_rejection(table, e)) from None
                 if old_id is not None:
                     try:
                         id_maps[table][old_id] = new_id

@@ -365,6 +365,21 @@ class TestEvaluateStrategy:
             evaluate_strategy(st, rec.id, bad, budget=5)
 
 
+class TestMixedTools:
+    def test_evaluate_strategy_names_the_tools(self):
+        """Two campaigns on one space under different tools give two ok
+        results per configuration, which no read may silently mix."""
+        with Store(":memory:") as st:
+            st.init_schema()
+            did = st.ensure_design("b", "a", "d")
+            rec = st.register_space(did, parse_csd("unroll;f;l1;{1->16,pow_2}\nclock;{10}"), "t")
+            for tool in ("tool-a", "tool-b"):
+                backend = BackendSpec(kind="mock", tool_name=tool)
+                run_campaign(st, Campaign(space_id=rec.id, backend=backend, seed=1))
+            with pytest.raises(StoreError, match="tool-a 1.0 on .*, tool-b 1.0 on "):
+                evaluate_strategy(st, rec.id, exhaustive_strategy, budget=10**6)
+
+
 class TestRegression:
     def test_random_ten_percent_pinned(self, local_scan_text):
         # fixed-seed regression: value computed once on first run and frozen

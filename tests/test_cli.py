@@ -8,6 +8,9 @@ import pytest
 
 import hlsdse
 from hlsdse.cli import EXIT_DOMAIN, EXIT_USAGE, build_parser, main
+from hlsdse.dsl import parse_csd
+from hlsdse.orchestrator import BackendSpec, Campaign, run_campaign
+from hlsdse.store import Store
 
 DATA = Path(__file__).parent / "data"
 REF = str(DATA / "last_step_scan.csd")
@@ -121,6 +124,14 @@ class TestRun:
         assert report["ok"] == 0
         assert report["attempted"] == 0
         assert report["pending_after"] == 0
+
+    def test_limit_leaves_the_rest_pending(self, capsys, db, toy_csd):
+        for pending in (19, 14):
+            code, out, _ = run(
+                capsys, "--db", db, "--format", "json", "run", toy_csd, "--limit", "5",
+            )
+            assert code == 0
+            assert json.loads(out)["pending_after"] == pending
 
     def test_jobs_order_independent(self, capsys, tmp_path, toy_csd):
         outputs = []
@@ -300,6 +311,7 @@ def fault_files(tmp_path):
         "latin1": tmp_path / "latin1.csd",
         "notdb": tmp_path / "notdb.sqlite",
         "badrecord": tmp_path / "bad.jsonl",
+        "badvalue": tmp_path / "badvalue.jsonl",
         "db": tmp_path / "test.sqlite",
         "missing": tmp_path / "no" / "such",
     }
@@ -307,6 +319,7 @@ def fault_files(tmp_path):
     files["latin1"].write_bytes("unroll;f;l\xe9;{1,2}\nclock;{10}\n".encode("latin-1"))
     files["notdb"].write_text("not a database\n" * 100)
     files["badrecord"].write_text('{"table": [1]}\n')
+    files["badvalue"].write_text('{"table": "benchmark", "id": 1, "name": [1]}\n')
     return {k: str(v) for k, v in files.items()}
 
 
@@ -325,11 +338,12 @@ class TestErrorPath:
             ("--db {db} import {badrecord}", EXIT_DOMAIN),
             ("--db {db} analyze 1 --objectives latency,area --weights -1 1 0 0", EXIT_DOMAIN),
             ("count {missing}.csd", EXIT_USAGE),
+            ("--db {db} import {badvalue}", EXIT_DOMAIN),
         ],
         ids=[
             "overflow-count", "overflow-expand", "overflow-run", "db-missing-dir",
             "db-not-sqlite", "csd-not-utf8", "points-csv-missing-dir", "unknown-space",
-            "import-list-table", "negative-weight", "csd-missing",
+            "import-list-table", "negative-weight", "csd-missing", "import-list-value",
         ],
     )
     def test_one_error_line(self, capsys, fault_files, toy_csd, argv, code):
@@ -339,6 +353,27 @@ class TestErrorPath:
         assert got == code
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_overflow_run_writes_no_rows(self, capsys, fault_files):
+        code, _, _ = run(capsys, "--db", fault_files["db"], "run", fault_files["overflow"])
+        assert code == EXIT_DOMAIN
+        with Store(fault_files["db"]) as st:
+            st.init_schema()
+            for table in ("benchmark", "algorithm", "design", "configuration_space"):
+                assert st.conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone() == (0,)
+
+    def test_analyze_two_tools_fails(self, capsys, db, toy_csd):
+        with Store(db) as st:
+            st.init_schema()
+            did = st.ensure_design("b", "a", "d")
+            rec = st.register_space(did, parse_csd(Path(toy_csd).read_text()), "t")
+            for tool in ("tool-a", "tool-b"):
+                backend = BackendSpec(kind="mock", tool_name=tool)
+                run_campaign(st, Campaign(space_id=rec.id, backend=backend))
+        code, out, err = run(capsys, "--db", db, "analyze", str(rec.id))
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "tool-a 1.0 on" in err and "tool-b 1.0 on" in err
 
     def test_validate_diagnostics_are_error_lines(self, capsys, tmp_path):
         p = tmp_path / "bad.csd"

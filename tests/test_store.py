@@ -86,6 +86,19 @@ class TestSchema:
             with pytest.raises(VersionMismatchError):
                 st.init_schema()
 
+    def test_space_lookups_use_the_unique_index(self, store, toy_space):
+        """UNIQUE (space_id, idx) serves every space_id lookup, so no index
+        on configuration(space_id) alone is created."""
+        rec, _ = toy_space
+        named = [r[0] for r in store.conn.execute(
+            "SELECT name FROM sqlite_master WHERE type='index' AND sql IS NOT NULL"
+        )]
+        assert named == ["idx_implementation_config"]
+        plan = " ".join(r[-1] for r in store.conn.execute(
+            "EXPLAIN QUERY PLAN SELECT idx FROM configuration WHERE space_id=?", (rec.id,)
+        ))
+        assert "sqlite_autoindex_configuration_1" in plan
+
 
 # A mock campaign on space 1 of the store named by argv[1], logging to
 # argv[2]; each synthesis is slowed so that the campaign can be killed midway.
@@ -218,6 +231,11 @@ class TestRegisterSpace:
         with pytest.raises(StoreError):
             store.register_space(999, parse_csd("clock;{10}"), "test")
 
+    def test_rejected_value_is_store_error(self, store):
+        did = store.ensure_design("b", "a", "d")
+        with pytest.raises(StoreError, match="cannot register space for design 1"):
+            store.register_space(did, parse_csd("clock;{10}"), None)
+
     @settings(max_examples=25, deadline=None)
     @given(random_csds(max_knobs=3, max_values=4))
     def test_row_count_matches_cardinality(self, csd):
@@ -320,6 +338,16 @@ class TestPending:
 
 
 class TestFetchPoints:
+    def test_two_tools_fail_fast(self, store, toy_space):
+        rec, csd = toy_space
+        for cfg in write_rows(store, rec, csd)[:2]:
+            store.record_result(cfg.id, OK, INFO)
+            store.record_result(cfg.id, OK, dataclasses.replace(INFO, tool_name="other"))
+        with pytest.raises(
+            StoreError, match="from mock-hls 1.0 on mockpart, other 1.0 on mockpart$"
+        ):
+            store.fetch_points(rec.id, ["latency", "lut"])
+
     def test_weighted_area(self, store, toy_space):
         rec, csd = toy_space
         cfg = write_rows(store, rec, csd)[0]
@@ -540,10 +568,12 @@ class TestExportImport:
                 "implementation",
                 lambda obj: json.dumps({**obj, "configuration_id": {"id": 1}}),
             ),
+            ("configuration", lambda obj: json.dumps({**obj, "key_text": [1]})),
+            ("resource_usage", lambda obj: json.dumps({**obj, "lut": 2**70})),
         ],
         ids=[
             "check-violation", "unknown-foreign-key", "bad-columns", "malformed-json",
-            "list-table", "list-id", "object-foreign-key",
+            "list-table", "list-id", "object-foreign-key", "list-value", "int-beyond-64-bits",
         ],
     )
     def test_failure_mid_table_names_previous_record(self, store, table, corrupt):
@@ -564,6 +594,33 @@ class TestExportImport:
             store.import_jsonl(b'{"table": "benchmark", "id": [1], "name": "b"}\n')
         assert exc.value.last_good == -1
         assert store.conn.execute("SELECT COUNT(*) FROM benchmark").fetchone() == (0,)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            b'{"table": "benchmark", "id": 1, "name": [1]}\n',
+            b'{"table": "benchmark", "id": 1, "name": {"n": 1}}\n',
+            b'{"table": "benchmark", "id": 1, "name": 18446744073709551616}\n',
+        ],
+        ids=["list-name", "object-name", "int-beyond-64-bits"],
+    )
+    def test_unbindable_taxonomy_value(self, store, record):
+        with pytest.raises(ImportError_, match="malformed benchmark record") as exc:
+            store.import_jsonl(record)
+        assert exc.value.last_good == -1
+        assert store.conn.execute("SELECT COUNT(*) FROM benchmark").fetchone() == (0,)
+
+    def test_unbindable_space_value_after_taxonomy(self, store):
+        rec = self._populated(store, "unroll;f;l1;{1,2}\nclock;{10}")
+        lines = store.export_jsonl(rec.id).decode().splitlines()
+        k = next(n for n, line in enumerate(lines)
+                 if json.loads(line)["table"] == "configuration_space")
+        lines[k] = json.dumps({**json.loads(lines[k]), "contributor": ["t"]})
+        with Store(":memory:") as other:
+            other.init_schema()
+            with pytest.raises(ImportError_, match="malformed configuration_space") as exc:
+                other.import_jsonl(("\n".join(lines) + "\n").encode())
+            assert exc.value.last_good == k - 1
 
     def test_version_mismatch_stream(self, store):
         bad = b'{"table": "_meta", "schema_version": 99}\n'
