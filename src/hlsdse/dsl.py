@@ -20,7 +20,8 @@ from typing import Optional, Union
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 BIND_RE = re.compile(r"@bind_([A-Za-z_][A-Za-z0-9_]*)$")
-RANGE_RE = re.compile(r"(\d+)\s*->\s*(\d+)\s*,\s*([A-Za-z_][A-Za-z0-9_]*)$")
+NUMBER_RE = re.compile(r"[0-9]+")
+RANGE_RE = re.compile(r"([0-9]+)\s*->\s*([0-9]+)\s*,\s*([A-Za-z_][A-Za-z0-9_]*)$")
 
 
 class CsdError(Exception):
@@ -135,7 +136,7 @@ def expand_value_set(vs: ValueSet) -> list[Value]:
 
 @dataclass(frozen=True)
 class DirectiveKind:
-    """Registry entry for one directive token.
+    """Entry of the fixed directive table, one per directive token.
 
     ``takes_location`` controls whether the line carries function and target
     fields; ``fixed_params`` names the constant fields between the location
@@ -174,18 +175,14 @@ class Knob:
     def is_clock(self) -> bool:
         return self.directive.token == "clock"
 
-    def identity(self) -> tuple:
-        """Key used to detect duplicate knobs."""
-        return (self.directive.token, self.function, self.target, self.fixed_params)
+    @property
+    def location(self) -> tuple[str, ...]:
+        """The knob line's fields before its value sets; duplicates share it."""
+        where = (self.function, self.target) if self.directive.takes_location else ()
+        return (self.directive.token, *where, *self.fixed_params)
 
     def render(self) -> str:
-        parts = [self.directive.token]
-        if self.directive.takes_location:
-            parts.append(self.function or "")
-            parts.append(self.target or "")
-        parts.extend(self.fixed_params)
-        parts.extend(vs.render() for vs in self.value_sets)
-        line = ";".join(parts)
+        line = ";".join((*self.location, *(vs.render() for vs in self.value_sets)))
         if self.bind_tag:
             line += f"@bind_{self.bind_tag}"
         return line
@@ -205,7 +202,6 @@ class Diagnostic:
 @dataclass(frozen=True)
 class CSD:
     knobs: tuple[Knob, ...]
-    source_text: str = ""
 
     def bind_groups(self) -> dict[str, list[int]]:
         """Map each bind tag to the indices of its member knobs, in order."""
@@ -240,7 +236,7 @@ def _parse_value_set(text: str, lineno: int) -> ValueSet:
         tok = tok.strip()
         if not tok:
             raise CsdSyntaxError("empty value in set", lineno)
-        if tok.lstrip("-").isdigit():
+        if NUMBER_RE.fullmatch(tok):
             values.append(Value(int(tok)))
         elif IDENT_RE.match(tok):
             values.append(Value(tok))
@@ -252,7 +248,7 @@ def _parse_value_set(text: str, lineno: int) -> ValueSet:
         raise CsdSyntaxError(str(e), lineno) from None
 
 
-def _parse_line(line: str, lineno: int, registry: dict[str, DirectiveKind]) -> Knob:
+def _parse_line(line: str, lineno: int) -> Knob:
     bind_tag = None
     m = BIND_RE.search(line)
     if m:
@@ -264,7 +260,7 @@ def _parse_line(line: str, lineno: int, registry: dict[str, DirectiveKind]) -> K
     fields = [f.strip() for f in line.split(";")]
     if not fields or not fields[0]:
         raise CsdSyntaxError("missing directive kind", lineno, 1)
-    kind = registry.get(fields[0])
+    kind = DEFAULT_DIRECTIVES.get(fields[0])
     if kind is None:
         raise CsdSyntaxError(f"unknown directive kind {fields[0]!r}", lineno, 1)
 
@@ -301,7 +297,7 @@ def validate_csd(csd: CSD) -> list[Diagnostic]:
     seen: dict[tuple, int] = {}
     clock_indices = []
     for i, knob in enumerate(csd.knobs):
-        ident = knob.identity()
+        ident = knob.location
         if ident in seen:
             diags.append(
                 Diagnostic(
@@ -312,6 +308,10 @@ def validate_csd(csd: CSD) -> list[Diagnostic]:
             seen[ident] = i
         if knob.is_clock:
             clock_indices.append(i)
+            if not knob.value_sets[0].is_numeric:
+                diags.append(
+                    Diagnostic("CategoricalClock", i, "clock periods must be numbers")
+                )
         if knob.bind_tag is not None and not knob.value_sets[-1].is_numeric:
             diags.append(
                 Diagnostic("BindOnCategoricalSet", i, f"tag {knob.bind_tag!r}")
@@ -339,11 +339,7 @@ def validate_csd(csd: CSD) -> list[Diagnostic]:
     return diags
 
 
-def parse_csd(
-    text: str,
-    registry: Optional[dict[str, DirectiveKind]] = None,
-    validate: bool = True,
-) -> CSD:
+def parse_csd(text: str, validate: bool = True) -> CSD:
     """Parse descriptor text into a CSD.
 
     Raises CsdSyntaxError on malformed lines and, unless ``validate`` is
@@ -351,14 +347,13 @@ def parse_csd(
     """
     if not text.strip():
         raise CsdSyntaxError("empty descriptor", 1)
-    registry = registry or DEFAULT_DIRECTIVES
     knobs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        knobs.append(_parse_line(line, lineno, registry))
-    csd = CSD(tuple(knobs), source_text=text)
+        knobs.append(_parse_line(line, lineno))
+    csd = CSD(tuple(knobs))
     if validate:
         diags = validate_csd(csd)
         if diags:

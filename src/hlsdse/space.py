@@ -1,21 +1,20 @@
 """Configuration space cardinality, enumeration, and mixed-radix indexing.
 
 The space of a descriptor is the Cartesian product of its knob value sets.
-Bind groups are factored out as shared axes: each group contributes a single
-axis holding the common value list, placed at the first member knob's
-position, and the bound set of every member knob is excluded from that knob's
-own axis. Cardinality and point decoding are then plain mixed-radix
-arithmetic over the axis sizes.
+Each value set is one axis of the index, in knob order and then set order.
+A bind group is one axis too: it holds the common value list, comes first
+among its first member knob's axes, and writes its value to the last set of
+every member knob, whose own set gets no axis. Cardinality and point decoding
+are then plain mixed-radix arithmetic over the axis sizes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .dsl import CSD, Value, expand_value_set, validate_csd
 
@@ -31,24 +30,16 @@ class CardinalityOverflowError(SpaceError):
 
 
 @dataclass(frozen=True)
-class KnobAxis:
-    """Product of one knob's unbound value sets (unit axis when all bound)."""
+class Axis:
+    """One value list and the (knob index, set position) slots it fills.
 
-    knob_index: int
-    set_positions: tuple[int, ...]
-    values: tuple[tuple[Value, ...], ...]
+    An unbound value set has one slot; a bind group, tagged ``tag``, has one
+    slot per member knob, always that knob's last set.
+    """
 
-
-@dataclass(frozen=True)
-class SharedAxis:
-    """One bind group: a common numeric value list shared by member knobs."""
-
-    tag: str
     values: tuple[Value, ...]
-    members: tuple[int, ...]  # knob indices; the bound set is always the last
-
-
-Axis = Union[KnobAxis, SharedAxis]
+    slots: tuple[tuple[int, int], ...]
+    tag: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -66,17 +57,10 @@ class Configuration:
 
 
 def _render_key(csd: CSD, assignments) -> str:
-    parts = []
-    for knob, values in zip(csd.knobs, assignments):
-        loc = [knob.directive.token]
-        if knob.function:
-            loc.append(knob.function)
-        if knob.target:
-            loc.append(knob.target)
-        loc.extend(knob.fixed_params)
-        loc.append(",".join(v.render() for v in values))
-        parts.append(";".join(loc))
-    return "|".join(parts)
+    return "|".join(
+        ";".join((*knob.location, ",".join(v.render() for v in values)))
+        for knob, values in zip(csd.knobs, assignments)
+    )
 
 
 def _make_configuration(csd: CSD, assignments) -> Configuration:
@@ -106,72 +90,52 @@ class SpaceIndex:
         return self._assemble(digits)
 
     def _assemble(self, digits) -> Configuration:
-        n_knobs = len(self.csd.knobs)
         slots: list[list[Optional[Value]]] = [
             [None] * len(k.value_sets) for k in self.csd.knobs
         ]
         for axis, d in zip(self.axes, digits):
-            if isinstance(axis, SharedAxis):
-                v = axis.values[d]
-                for m in axis.members:
-                    slots[m][-1] = v
-            else:
-                for pos, v in zip(axis.set_positions, axis.values[d]):
-                    slots[axis.knob_index][pos] = v
-        assignments = [tuple(s) for s in slots]
-        return _make_configuration(self.csd, assignments)
+            for k, p in axis.slots:
+                slots[k][p] = axis.values[d]
+        return _make_configuration(self.csd, [tuple(row) for row in slots])
 
     def encode(self, config: Configuration) -> int:
         """Inverse of decode."""
         i = 0
         for axis, radix in zip(self.axes, self.radices):
-            if isinstance(axis, SharedAxis):
-                v = config.assignments[axis.members[0]][-1]
-                d = next(j for j, av in enumerate(axis.values) if av == v)
-            else:
-                picked = tuple(
-                    config.assignments[axis.knob_index][p] for p in axis.set_positions
-                )
-                d = next(j for j, av in enumerate(axis.values) if av == picked)
-            i = i * radix + d
+            k, p = axis.slots[0]
+            i = i * radix + axis.values.index(config.assignments[k][p])
         return i
 
 
 def build_index(csd: CSD) -> SpaceIndex:
-    """Factor a valid CSD into axes and compute the space size."""
+    """Factor a valid CSD into one axis per value set and bind group."""
     diags = validate_csd(csd)
     if diags:
         raise SpaceError(f"invalid CSD: {diags[0]}")
 
     groups = csd.bind_groups()
-    first_member = {tag: members[0] for tag, members in groups.items()}
     axes: list[Axis] = []
-    total = 1
+    for i, knob in enumerate(csd.knobs):
+        bound = len(knob.value_sets) - 1 if knob.bind_tag else None
+        if knob.bind_tag and groups[knob.bind_tag][0] == i:
+            slots = tuple(
+                (m, len(csd.knobs[m].value_sets) - 1) for m in groups[knob.bind_tag]
+            )
+            values = tuple(expand_value_set(knob.value_sets[-1]))
+            axes.append(Axis(values, slots, knob.bind_tag))
+        axes.extend(
+            Axis(tuple(expand_value_set(vs)), ((i, p),))
+            for p, vs in enumerate(knob.value_sets)
+            if p != bound
+        )
 
-    def grow(radix: int) -> None:
-        # checked before the axis's values are materialized
-        nonlocal total
+    radices = tuple(len(a.values) for a in axes)
+    total = 1
+    for radix in radices:
         total *= radix
         if total > MAX_CARDINALITY:
             raise CardinalityOverflowError(f"space size exceeds {MAX_CARDINALITY}")
-
-    for i, knob in enumerate(csd.knobs):
-        if knob.bind_tag and first_member[knob.bind_tag] == i:
-            vs = expand_value_set(knob.value_sets[-1])
-            grow(len(vs))
-            axes.append(
-                SharedAxis(knob.bind_tag, tuple(vs), tuple(groups[knob.bind_tag]))
-            )
-        n_sets = len(knob.value_sets)
-        positions = tuple(
-            p for p in range(n_sets) if not (knob.bind_tag and p == n_sets - 1)
-        )
-        expanded = [expand_value_set(knob.value_sets[p]) for p in positions]
-        grow(math.prod(len(e) for e in expanded))
-        combos = tuple(itertools.product(*expanded)) if expanded else ((),)
-        axes.append(KnobAxis(i, positions, combos))
-
-    return SpaceIndex(csd, tuple(axes), tuple(len(a.values) for a in axes), total)
+    return SpaceIndex(csd, tuple(axes), radices, total)
 
 
 def cardinality(csd: CSD) -> int:

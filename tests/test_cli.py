@@ -53,6 +53,14 @@ class TestValidate:
         code, out, err = run(capsys, "validate", "/no/such/file.csd")
         assert code == 2
 
+    def test_categorical_clock(self, capsys, tmp_path):
+        p = tmp_path / "clock.csd"
+        p.write_text("unroll;f;l1;{1,2}\nclock;{fast}\n")
+        code, out, err = run(capsys, "validate", str(p))
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "CategoricalClock" in err
+
 
 class TestCount:
     def test_reference(self, capsys):
@@ -360,6 +368,18 @@ class TestErrorPath:
         with Store(fault_files["db"]) as st:
             st.init_schema()
             for table in ("benchmark", "algorithm", "design", "configuration_space"):
+                assert st.conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone() == (0,)
+
+    def test_categorical_clock_run_writes_no_rows(self, capsys, db, tmp_path):
+        p = tmp_path / "clock.csd"
+        p.write_text("unroll;f;l1;{1,2}\nclock;{fast}\n")
+        code, out, err = run(capsys, "--db", db, "run", str(p))
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("error: ") and "CategoricalClock" in err
+        with Store(db) as st:
+            st.init_schema()
+            for table in ("benchmark", "algorithm", "design", "configuration_space",
+                          "configuration", "implementation"):
                 assert st.conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone() == (0,)
 
     def test_analyze_two_tools_fails(self, capsys, db, toy_csd):

@@ -138,6 +138,24 @@ class TestParse:
             parse_csd("resource;f;arr;{A,B}@bind_a\nclock;{10}")
         assert any(d.code == "BindOnCategoricalSet" for d in exc.value.diagnostics)
 
+    @pytest.mark.parametrize("token", ["-4", "\u00b2", "\u0663"])
+    def test_numeric_values_are_ascii_digits(self, token):
+        with pytest.raises(CsdSyntaxError, match="malformed value") as exc:
+            parse_csd(f"clock;{{10}}\nunroll;f;l;{{{token},1}}")
+        assert exc.value.line == 2
+
+    def test_range_bounds_are_ascii_digits(self):
+        with pytest.raises(CsdSyntaxError, match="malformed range") as exc:
+            parse_csd("clock;{10}\nunroll;f;l;{1->\u0668,pow_2}")
+        assert exc.value.line == 2
+
+    def test_categorical_clock_rejected(self):
+        with pytest.raises(CsdValidationError) as exc:
+            parse_csd("unroll;f;l;{1,2}\nclock;{fast}")
+        assert [(d.code, d.knob_index) for d in exc.value.diagnostics] == [
+            ("CategoricalClock", 1)
+        ]
+
     def test_duplicate_knob_rejected(self):
         text = "unroll;f;l1;{1,2}\nunroll;f;l1;{1,2}\nclock;{10}"
         with pytest.raises(CsdValidationError) as exc:

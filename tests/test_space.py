@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hlsdse.dsl import expand_value_set, parse_csd
 from hlsdse.space import (
     CardinalityOverflowError,
-    SharedAxis,
     SpaceError,
     build_index,
     cardinality,
@@ -60,8 +60,8 @@ class TestCardinality:
             cardinality(csd)
 
     def test_overflow_found_before_materializing(self, monkeypatch):
-        # ten 63-value knobs stay under the bound; the next knob's 126
-        # (type, factor) pairs cross it and must not be built
+        # ten 63-value knobs stay under the bound; the next knob's type and
+        # factor sets cross it, and no product of value sets is ever built
         pow2 = "{1->4611686018427387904,pow_2}"
         lines = ["clock;{10}"] + [f"unroll;f;l{i};{pow2}" for i in range(10)]
         lines.append(f"array_partition;f;a;1;{{cyclic,block}};{pow2}")
@@ -76,7 +76,7 @@ class TestCardinality:
         monkeypatch.setattr(itertools, "product", recording_product)
         with pytest.raises(CardinalityOverflowError):
             build_index(csd)
-        assert built == [1] + [63] * 10
+        assert built == []
 
 
 class TestIndex:
@@ -85,11 +85,11 @@ class TestIndex:
         assert index.total == 1600
         assert math.prod(index.radices) == 1600
         nontrivial = sorted(r for r in index.radices if r > 1)
-        assert nontrivial == [2, 5, 8, 20]
-        shared = [a for a in index.axes if isinstance(a, SharedAxis)]
+        assert nontrivial == [2, 2, 5, 8, 10]
+        shared = [a for a in index.axes if a.tag]
         assert len(shared) == 1
         assert shared[0].tag == "a"
-        assert shared[0].members == (3, 4)
+        assert shared[0].slots == ((3, 1), (4, 0))
         assert [v.raw for v in shared[0].values] == [1, 2, 4, 8, 16, 32, 64, 128]
 
     def test_unbound_two_knob_space(self):
@@ -228,3 +228,65 @@ class TestSample:
         sigma = (draws * p * (1 - p)) ** 0.5
         for v, n in counts.items():
             assert abs(n - mean) <= 3 * sigma, (v, n, mean, sigma)
+
+
+def _last_step_key(bucket, sum_, last_1, last_2):
+    """key_text of a last_step_scan.csd point from its swept values."""
+    return (
+        "resource;last_step_scan;bucket;RAM_2P_BRAM"
+        "|resource;last_step_scan;sum;RAM_2P_BRAM"
+        f"|array_partition;last_step_scan;bucket;1;{bucket}"
+        f"|array_partition;last_step_scan;sum;1;{sum_}"
+        f"|unroll;last_step_scan;last_1;{last_1}"
+        f"|unroll;last_step_scan;last_2;{last_2}"
+        "|clock;10"
+    )
+
+
+class TestPinnedMapping:
+    """The index -> configuration map is stored (idx, config_key), so it must
+    not change between versions: resumed campaigns and imports rely on it."""
+
+    @pytest.mark.parametrize(
+        "fixture, total, digest",
+        [
+            (
+                "last_step_scan_text",
+                1600,
+                "de250b30fa9c66823c10fe7571bbee921788aac2de1bc4dc3a4bb953a532e9f6",
+            ),
+            (
+                "local_scan_text",
+                704,
+                "0e046a61a0d75294d5ddf12a8ebb9a52be67dbb6246138ef8101decfcc33083c",
+            ),
+        ],
+    )
+    def test_key_text_digest(self, request, fixture, total, digest):
+        index = build_index(parse_csd(request.getfixturevalue(fixture)))
+        assert index.total == total
+        text = "\n".join(index.decode(i).key_text for i in range(total))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "idx, values",
+        [
+            (0, ("cyclic,1", "cyclic,1", 1, 1)),
+            (1, ("cyclic,1", "cyclic,1", 1, 2)),
+            # either side of a step of the bind group's digit
+            (9, ("cyclic,1", "block,1", 1, 16)),
+            (10, ("cyclic,1", "cyclic,2", 2, 1)),
+            # the bind group's digit wraps
+            (79, ("cyclic,1", "block,128", 128, 16)),
+            (80, ("cyclic,2", "cyclic,1", 1, 1)),
+            # one knob's type and factor sets both step
+            (799, ("cyclic,512", "block,128", 128, 16)),
+            (800, ("block,1", "cyclic,1", 1, 1)),
+            (1599, ("block,512", "block,128", 128, 16)),
+        ],
+    )
+    def test_explicit_points(self, last_step_scan_text, idx, values):
+        index = build_index(parse_csd(last_step_scan_text))
+        config = index.decode(idx)
+        assert config.key_text == _last_step_key(*values)
+        assert index.encode(config) == idx
