@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -82,8 +83,18 @@ def cmd_init_db(args) -> None:
 
 def cmd_run(args) -> None:
     csd = _read_csd(args)
-    # a space too large to index fails before any row is written
+    # a space too large to index, or a bad campaign option, fails before any
+    # row is written; the space id is filled in once the space is registered
     space.build_index(csd)
+    campaign = orchestrator.Campaign(
+        space_id=0,
+        backend=orchestrator.BackendSpec(kind=args.backend),
+        jobs=args.jobs,
+        seed=args.seed,
+        contributor=args.contributor,
+        log_path=args.log,
+        limit=args.limit,
+    )
     with _open_store(args) as st:
         design_id = st.ensure_design(
             args.benchmark, args.algorithm, args.design, function_name=args.function
@@ -91,15 +102,7 @@ def cmd_run(args) -> None:
         space_rec = st.find_space(design_id, csd) or st.register_space(
             design_id, csd, args.contributor
         )
-        campaign = orchestrator.Campaign(
-            space_id=space_rec.id,
-            backend=orchestrator.BackendSpec(kind=args.backend),
-            jobs=args.jobs,
-            seed=args.seed,
-            contributor=args.contributor,
-            log_path=args.log,
-            limit=args.limit,
-        )
+        campaign = dataclasses.replace(campaign, space_id=space_rec.id)
         report = orchestrator.run_campaign(st, campaign)
     _emit(
         args,

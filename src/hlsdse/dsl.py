@@ -22,6 +22,9 @@ IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 BIND_RE = re.compile(r"@bind_([A-Za-z_][A-Za-z0-9_]*)$")
 NUMBER_RE = re.compile(r"[0-9]+")
 RANGE_RE = re.compile(r"([0-9]+)\s*->\s*([0-9]+)\s*,\s*([A-Za-z_][A-Za-z0-9_]*)$")
+# the largest ``hi`` of a div range, which bounds its divisor scan at 2**20
+# trial divisions; HLS factor arguments are far smaller
+MAX_DIV_HI = 2**40
 
 
 class CsdError(Exception):
@@ -99,6 +102,8 @@ class GeneratedRange:
     def __post_init__(self):
         if not (1 <= self.lo <= self.hi):
             raise ValueError(f"invalid range bounds {self.lo}->{self.hi}")
+        if self.generator is GeneratorKind.DIV and self.hi > MAX_DIV_HI:
+            raise ValueError(f"div range bound {self.hi} exceeds {MAX_DIV_HI}")
 
     @property
     def is_numeric(self) -> bool:
@@ -226,9 +231,13 @@ def _parse_value_set(text: str, lineno: int) -> ValueSet:
         except ValueError:
             raise CsdSyntaxError(f"unknown range generator {gen!r}", lineno) from None
         try:
-            return GeneratedRange(lo, hi, kind)
+            rng = GeneratedRange(lo, hi, kind)
         except ValueError as e:
             raise CsdSyntaxError(str(e), lineno) from None
+        # a div range always holds hi; a pow_2 range may hold nothing
+        if kind is GeneratorKind.POW2 and not expand_value_set(rng):
+            raise CsdSyntaxError(f"no power of two in {lo}->{hi}", lineno)
+        return rng
     if "->" in body:
         raise CsdSyntaxError(f"malformed range set: {{{body}}}", lineno)
     values = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import shlex
 import signal
@@ -20,7 +21,8 @@ import subprocess
 import time
 import xml.etree.ElementTree as ET
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -51,10 +53,13 @@ class BackendSpec:
     fpga_part: str = "mockpart"
     command: Optional[str] = None  # placeholders: {config_dir} {design_src} {script}
     timeout_s: float = 4 * 3600.0
-    report_pattern: str = "report.xml"
-    report_format: str = "xml"  # xml | json
+    report_format: str = "xml"  # xml | json; the tool writes report.<format>
 
     def __post_init__(self):
+        if self.kind not in ("mock", "external_tool"):
+            raise ValueError(f"unknown backend kind {self.kind!r}")
+        if self.report_format not in ("xml", "json"):
+            raise ValueError(f"unknown report format {self.report_format!r}")
         if self.timeout_s <= 0:
             raise ValueError("timeout must be positive")
         if self.kind == "external_tool":
@@ -80,6 +85,8 @@ class Campaign:
     def __post_init__(self):
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.limit is not None and self.limit < 0:
+            raise ValueError("limit must be >= 0")
 
 
 @dataclass
@@ -93,15 +100,7 @@ class CampaignReport:
     max_in_flight: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "attempted": self.attempted,
-            "ok": self.ok,
-            "failed": self.failed,
-            "timeout": self.timeout,
-            "pending_after": self.pending_after,
-            "wall_time_s": round(self.wall_time_s, 3),
-            "max_in_flight": self.max_in_flight,
-        }
+        return {**asdict(self), "wall_time_s": round(self.wall_time_s, 3)}
 
 
 # -- directive script generation -----------------------------------------
@@ -147,53 +146,60 @@ def generate_directive_script(config: Configuration, csd: CSD) -> str:
 # -- report parsing -------------------------------------------------------
 
 
+# result field -> (JSON key, XML path, type)
+_REPORT_FIELDS = {
+    "ff": ("ff", "./AreaEstimates/Resources/FF", int),
+    "lut": ("lut", "./AreaEstimates/Resources/LUT", int),
+    "bram": ("bram", "./AreaEstimates/Resources/BRAM_18K", int),
+    "dsp": ("dsp", "./AreaEstimates/Resources/DSP48E", int),
+    "latency_cycles": (
+        "lat", "./PerformanceEstimates/SummaryOfOverallLatency/Worst-caseLatency", int
+    ),
+    "achieved_period_ns": (
+        "period", "./PerformanceEstimates/SummaryOfTimingAnalysis/EstimatedClockPeriod", float
+    ),
+}
+
+
+def _report_value(field: str, raw):
+    """``raw``, a report's text or JSON value, as ``field``'s type: a count must
+    be an integer in [0, 2**63), SQLite's range, a period a finite number > 0.
+    Anything else, fractional counts, booleans and nulls too, raises ValueError."""
+    typ = _REPORT_FIELDS[field][2]
+    try:
+        if type(raw) in (str, int, typ):
+            value = typ(raw)
+            if (0 <= value < 2**63) if typ is int else (0 < value < math.inf):
+                return value
+    except (ValueError, OverflowError):
+        pass
+    raise ValueError(f"bad value for {field}: {raw!r}")
+
+
 def parse_report(raw: bytes, fmt: str) -> ImplementationResult:
     """Extract resources and latency from a backend report.
 
-    Malformed input yields a synth_error result with a diagnostic; this
-    function never raises on bad report content.
+    Malformed input, or a missing or out-of-range value, yields a
+    synth_error result whose diagnostic names the field; this function never
+    raises on bad report content.
     """
     try:
         if fmt == "json":
             data = json.loads(raw.decode())
-            return ImplementationResult(
-                status="ok",
-                ff=int(data["ff"]),
-                lut=int(data["lut"]),
-                bram=int(data["bram"]),
-                dsp=int(data["dsp"]),
-                latency_cycles=int(data["lat"]),
-                achieved_period_ns=float(data["period"]),
-            )
-        if fmt == "xml":
+            if not isinstance(data, dict):
+                raise ValueError("not a JSON object")
+            found = {f: data.get(key) for f, (key, _, _) in _REPORT_FIELDS.items()}
+        elif fmt == "xml":
             root = ET.fromstring(raw.decode())
-
-            def text(path):
-                node = root.find(path)
-                if node is None or node.text is None:
-                    raise KeyError(path)
-                return node.text.strip()
-
-            return ImplementationResult(
-                status="ok",
-                ff=int(text("./AreaEstimates/Resources/FF")),
-                lut=int(text("./AreaEstimates/Resources/LUT")),
-                bram=int(text("./AreaEstimates/Resources/BRAM_18K")),
-                dsp=int(text("./AreaEstimates/Resources/DSP48E")),
-                latency_cycles=int(
-                    text("./PerformanceEstimates/SummaryOfOverallLatency/Worst-caseLatency")
-                ),
-                achieved_period_ns=float(
-                    text("./PerformanceEstimates/SummaryOfTimingAnalysis/EstimatedClockPeriod")
-                ),
-            )
-        return ImplementationResult(
-            status="synth_error", diagnostic=f"unknown report format {fmt!r}"
-        )
-    except (ValueError, KeyError, ET.ParseError, UnicodeDecodeError) as e:
+            found = {f: root.findtext(path) for f, (_, path, _) in _REPORT_FIELDS.items()}
+        else:
+            raise ValueError(f"unknown report format {fmt!r}")
+        values = {field: _report_value(field, value) for field, value in found.items()}
+    except (ValueError, ET.ParseError, UnicodeDecodeError) as e:
         return ImplementationResult(
             status="synth_error", diagnostic=f"unparseable report: {e}"
         )
+    return ImplementationResult(status="ok", **values)
 
 
 # -- mock backend ---------------------------------------------------------
@@ -296,7 +302,7 @@ def _run_external(
     script_path.write_text(generate_directive_script(config, csd))
     # the sandbox is reused across runs: a report left by an earlier run must
     # not be scored as this run's
-    report_path = config_dir / backend.report_pattern
+    report_path = config_dir / f"report.{backend.report_format}"
     report_path.unlink(missing_ok=True)
     cmd = backend.command.format(
         config_dir=str(config_dir),
@@ -330,13 +336,7 @@ def _run_external(
             diagnostic=f"tool exit {proc.returncode}",
         )
     result = parse_report(report_path.read_bytes(), backend.report_format)
-    return ImplementationResult(
-        **{
-            **result.__dict__,
-            "duration_s": duration,
-            "raw_report_ref": str(report_path),
-        }
-    )
+    return replace(result, duration_s=duration, raw_report_ref=str(report_path))
 
 
 def _synthesize_one(
@@ -347,28 +347,20 @@ def _synthesize_one(
     return _run_external(backend, config, csd, campaign)
 
 
-class _EventLog:
-    def __init__(self, path: Optional[str]):
-        self.path = path
-        self._fh = open(path, "a") if path else None
-
-    def emit(self, event: str, record: ConfigRecord, **extra):
-        if self._fh is None:
-            return
-        obj = {
-            "event": event,
-            "config_id": record.id,
-            "idx": record.idx,
-            "config_key": record.config_key,
-            "ts": time.time(),
-            **extra,
-        }
-        self._fh.write(json.dumps(obj) + "\n")
-        self._fh.flush()
-
-    def close(self):
-        if self._fh:
-            self._fh.close()
+def _emit(log, event: str, record: ConfigRecord, **extra) -> None:
+    """Append one event line to the campaign's log file ``log``, if it keeps one."""
+    if log is None:
+        return
+    obj = {
+        "event": event,
+        "config_id": record.id,
+        "idx": record.idx,
+        "config_key": record.config_key,
+        "ts": time.time(),
+        **extra,
+    }
+    log.write(json.dumps(obj) + "\n")
+    log.flush()
 
 
 # configuration rows written per transaction ahead of their attempts
@@ -387,75 +379,58 @@ def run_campaign(store: Store, campaign: Campaign) -> CampaignReport:
     pending = store.pending_configurations(
         campaign.space_id, backend.tool_name, backend.tool_version, backend.fpga_part
     )
-    # each attempt commits one row under the campaign's tool and part, so
-    # the points still pending afterwards need no second scan
-    n_pending = len(pending)
-    if campaign.limit is not None:
-        pending = pending[: campaign.limit]
-
-    def attempts():
-        """(row, configuration) per pending point; the rows of each chunk
-        are written in one transaction just before its first attempt."""
-        for lo in range(0, len(pending), _ROW_CHUNK):
-            chunk = [(i, index.decode(i)) for i in pending[lo : lo + _ROW_CHUNK]]
-            records = store.add_configurations(campaign.space_id, chunk)
-            yield from zip(records, (config for _, config in chunk))
-
+    todo = pending[: campaign.limit]
     clock_knob = next(i for i, knob in enumerate(csd.knobs) if knob.is_clock)
 
     report = CampaignReport()
-    log = _EventLog(campaign.log_path)
+    log = open(campaign.log_path, "a") if campaign.log_path else None
     start = time.monotonic()
-    queue = attempts()
-    in_flight: dict = {}
+    in_flight: dict = {}  # future -> (record, configuration)
 
-    def submit(executor):
-        record, config = next(queue, (None, None))
-        if record is None:
-            return False
-        log.emit("start", record)
-        fut = executor.submit(_synthesize_one, backend, config, csd, campaign)
-        in_flight[fut] = (record, float(config.assignments[clock_knob][0].raw))
-        report.max_in_flight = max(report.max_in_flight, len(in_flight))
-        return True
+    def commit(done):
+        """Record each finished attempt; only then may its slot be reused."""
+        for fut in done:
+            record, config = in_flight.pop(fut)
+            try:
+                result = fut.result()
+            except Exception as e:  # backend invocation failure
+                result = ImplementationResult(status="synth_error", diagnostic=str(e))
+            info = SynthesisInfo(
+                contributor=campaign.contributor,
+                tool_name=backend.tool_name,
+                tool_version=backend.tool_version,
+                fpga_part=backend.fpga_part,
+                clock_period_ns=float(config.assignments[clock_knob][0].raw),
+            )
+            store.record_result(record.id, result, info)
+            report.attempted += 1
+            if result.status == "ok":
+                report.ok += 1
+                _emit(log, "done", record)
+            elif result.status == "timeout":
+                report.timeout += 1
+                _emit(log, "timeout", record)
+            else:
+                report.failed += 1
+                _emit(log, "fail", record, diagnostic=result.diagnostic)
 
-    try:
-        with ThreadPoolExecutor(max_workers=campaign.jobs) as executor:
-            for _ in range(campaign.jobs):
-                if not submit(executor):
-                    break
-            while in_flight:
-                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    record, clock_period = in_flight.pop(fut)
-                    try:
-                        result = fut.result()
-                    except Exception as e:  # backend invocation failure
-                        result = ImplementationResult(
-                            status="synth_error", diagnostic=str(e)
-                        )
-                    info = SynthesisInfo(
-                        contributor=campaign.contributor,
-                        tool_name=backend.tool_name,
-                        tool_version=backend.tool_version,
-                        fpga_part=backend.fpga_part,
-                        clock_period_ns=clock_period,
-                    )
-                    store.record_result(record.id, result, info)
-                    report.attempted += 1
-                    if result.status == "ok":
-                        report.ok += 1
-                        log.emit("done", record)
-                    elif result.status == "timeout":
-                        report.timeout += 1
-                        log.emit("timeout", record)
-                    else:
-                        report.failed += 1
-                        log.emit("fail", record, diagnostic=result.diagnostic)
-                    submit(executor)
-    finally:
-        log.close()
+    with log or nullcontext(), ThreadPoolExecutor(max_workers=campaign.jobs) as executor:
+        # the rows of each chunk are written in one transaction just before
+        # its first attempt
+        for lo in range(0, len(todo), _ROW_CHUNK):
+            chunk = [(i, index.decode(i)) for i in todo[lo : lo + _ROW_CHUNK]]
+            records = store.add_configurations(campaign.space_id, chunk)
+            for record, (_, config) in zip(records, chunk):
+                if len(in_flight) == campaign.jobs:
+                    commit(wait(in_flight, return_when=FIRST_COMPLETED).done)
+                _emit(log, "start", record)
+                fut = executor.submit(_synthesize_one, backend, config, csd, campaign)
+                in_flight[fut] = (record, config)
+                report.max_in_flight = max(report.max_in_flight, len(in_flight))
+        commit(wait(in_flight).done)
 
-    report.pending_after = n_pending - report.attempted
+    # each attempt commits one row under the campaign's tool and part, so
+    # the points still pending afterwards need no second scan
+    report.pending_after = len(pending) - report.attempted
     report.wall_time_s = time.monotonic() - start
     return report

@@ -53,6 +53,13 @@ class TestValidate:
         code, out, err = run(capsys, "validate", "/no/such/file.csd")
         assert code == 2
 
+    def test_pow2_range_without_power_of_two(self, capsys, tmp_path):
+        p = tmp_path / "empty.csd"
+        p.write_text("unroll;f;l;{3->3,pow_2}\nclock;{10}\n")
+        code, out, err = run(capsys, "validate", str(p))
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == "error: line 1: no power of two in 3->3\n"
+
     def test_categorical_clock(self, capsys, tmp_path):
         p = tmp_path / "clock.csd"
         p.write_text("unroll;f;l1;{1,2}\nclock;{fast}\n")
@@ -366,6 +373,16 @@ class TestErrorPath:
         code, _, _ = run(capsys, "--db", fault_files["db"], "run", fault_files["overflow"])
         assert code == EXIT_DOMAIN
         with Store(fault_files["db"]) as st:
+            st.init_schema()
+            for table in ("benchmark", "algorithm", "design", "configuration_space"):
+                assert st.conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone() == (0,)
+
+    @pytest.mark.parametrize("option", [("--jobs", "0"), ("--limit", "-1")])
+    def test_bad_campaign_option_writes_no_rows(self, capsys, db, toy_csd, option):
+        code, out, err = run(capsys, "--db", db, "run", toy_csd, *option)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        with Store(db) as st:
             st.init_schema()
             for table in ("benchmark", "algorithm", "design", "configuration_space"):
                 assert st.conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone() == (0,)

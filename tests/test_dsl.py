@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlsdse.dsl import (
+    MAX_DIV_HI,
     CsdSyntaxError,
     CsdValidationError,
     ExplicitList,
@@ -128,6 +129,26 @@ class TestParse:
     def test_unknown_generator(self):
         with pytest.raises(CsdSyntaxError):
             parse_csd("unroll;f;l;{1->8,fib}\nclock;{10}")
+
+    def test_pow2_range_without_power_of_two_rejected(self):
+        with pytest.raises(CsdSyntaxError) as e:
+            parse_csd("clock;{10}\nunroll;f;l;{3->3,pow_2}")
+        assert e.value.line == 2
+        assert "no power of two" in str(e.value)
+        # a range holding one power of two is fine
+        (_, knob) = parse_csd("clock;{10}\nunroll;f;l;{3->4,pow_2}").knobs
+        assert [v.raw for v in expand_value_set(knob.value_sets[0])] == [4]
+
+    def test_huge_div_range_rejected_before_expansion(self):
+        start = time.perf_counter()
+        with pytest.raises(CsdSyntaxError) as e:
+            parse_csd(f"clock;{{10}}\nunroll;f;l;{{1->{2**62},div}}")
+        assert time.perf_counter() - start < 0.1
+        assert e.value.line == 2
+        with pytest.raises(ValueError):
+            GeneratedRange(1, MAX_DIV_HI + 1, GeneratorKind.DIV)
+        # the cap holds for div ranges only
+        GeneratedRange(1, MAX_DIV_HI + 1, GeneratorKind.POW2)
 
     def test_empty_text(self):
         with pytest.raises(CsdSyntaxError):

@@ -2,6 +2,7 @@ import json
 import os
 import shlex
 import signal
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,78 @@ class TestParseReport:
 
     def test_bad_json(self):
         assert parse_report(b"{not json", "json").status == "synth_error"
+
+
+def _xml_report(**values):
+    """The sample report with some element texts replaced, by tag."""
+    root = ET.fromstring(SAMPLE_REPORT.read_bytes())
+    for tag, text in values.items():
+        root.find(f".//{tag}").text = text
+    return ET.tostring(root)
+
+
+_JSON_OK = {"ff": 10, "lut": 20, "bram": 1, "dsp": 0, "lat": 100, "period": 9.5}
+
+
+def _json_report(**values):
+    return json.dumps({**_JSON_OK, **values}).encode()
+
+
+# (format, JSON key or XML tag, bad value, result field named in the diagnostic)
+_BAD_VALUES = [
+    ("xml", "EstimatedClockPeriod", "nan", "achieved_period_ns"),
+    ("xml", "EstimatedClockPeriod", "inf", "achieved_period_ns"),
+    ("xml", "EstimatedClockPeriod", "-1", "achieved_period_ns"),
+    ("xml", "EstimatedClockPeriod", "0", "achieved_period_ns"),
+    ("xml", "FF", "-5", "ff"),
+    ("xml", "Worst-caseLatency", "-3", "latency_cycles"),
+    ("xml", "LUT", str(2**63), "lut"),
+    ("json", "period", "nan", "achieved_period_ns"),
+    ("json", "period", 1e400, "achieved_period_ns"),
+    ("json", "period", 10**400, "achieved_period_ns"),
+    ("json", "period", -2.5, "achieved_period_ns"),
+    ("json", "ff", None, "ff"),
+    ("json", "ff", 1.7, "ff"),
+    ("json", "ff", True, "ff"),
+    ("json", "dsp", [1], "dsp"),
+    ("json", "bram", -1, "bram"),
+    ("json", "lat", -1, "latency_cycles"),
+    ("json", "lut", 2**63, "lut"),
+]
+
+
+class TestReportValues:
+    """Counts must be integers in [0, 2**63) and the period finite and > 0;
+    any other value is a synth_error naming the field, in either format."""
+
+    @pytest.mark.parametrize(
+        "fmt, key, value, field",
+        _BAD_VALUES,
+        ids=[f"{fmt}-{key}={value!r:.12}" for fmt, key, value, _ in _BAD_VALUES],
+    )
+    def test_bad_value_is_synth_error(self, fmt, key, value, field):
+        report = _xml_report if fmt == "xml" else _json_report
+        r = parse_report(report(**{key: value}), fmt)
+        assert r.status == "synth_error"
+        assert field in r.diagnostic
+
+    @pytest.mark.parametrize("raw", [b"[1]", b"null", b'"ff"'])
+    def test_json_not_an_object(self, raw):
+        r = parse_report(raw, "json")
+        assert r.status == "synth_error"
+        assert "not a JSON object" in r.diagnostic
+
+    @pytest.mark.parametrize(
+        "raw, fmt",
+        [
+            pytest.param(_xml_report(FF=" 7 ", EstimatedClockPeriod="1e1"), "xml", id="xml"),
+            pytest.param(_json_report(ff="7", period=10), "json", id="json"),
+        ],
+    )
+    def test_number_forms(self, raw, fmt):
+        r = parse_report(raw, fmt)
+        assert (r.status, r.ff, r.achieved_period_ns) == ("ok", 7, 10.0)
+        assert type(r.ff) is int and type(r.achieved_period_ns) is float
 
 
 class TestMockBackend:
@@ -259,7 +332,46 @@ class TestRunCampaign:
             assert period == float(index.decode(idx).assignments[clock][0].raw)
 
 
+    def test_bad_report_fails_the_attempt_not_the_campaign(self, tmp_path):
+        nan_report = tmp_path / "nan_report.xml"
+        nan_report.write_bytes(_xml_report(EstimatedClockPeriod="nan"))
+        backend = BackendSpec(
+            kind="external_tool",
+            command=f"sh -c 'cp \"$0\" \"$1/report.xml\"' {shlex.quote(str(nan_report))}"
+            " {config_dir} {design_src} {script}",
+            timeout_s=30,
+        )
+        log = tmp_path / "events.jsonl"
+        with Store(":memory:") as st:
+            st.init_schema()
+            did = st.ensure_design("b", "a", "d")
+            rec = st.register_space(did, parse_csd("unroll;f;l1;{1,2,4}\nclock;{10}"), "t")
+            report = run_campaign(st, Campaign(
+                space_id=rec.id, backend=backend, jobs=2, work_dir=str(tmp_path),
+                log_path=str(log),
+            ))
+            assert (report.attempted, report.failed, report.ok) == (3, 3, 0)
+            assert st.count_implementations(rec.id, "synth_error") == rec.cardinality
+        fails = [json.loads(line) for line in log.read_text().splitlines()]
+        fails = [e for e in fails if e["event"] == "fail"]
+        assert len(fails) == 3
+        assert all("achieved_period_ns" in e["diagnostic"] for e in fails)
+
+
 class TestBackendSpec:
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            BackendSpec(kind="bogus")
+
+    def test_unknown_report_format_rejected(self):
+        with pytest.raises(ValueError, match="csv"):
+            BackendSpec(kind="mock", report_format="csv")
+
+    def test_limit_not_negative(self):
+        with pytest.raises(ValueError):
+            Campaign(space_id=1, backend=MOCK, limit=-1)
+        assert Campaign(space_id=1, backend=MOCK, limit=0).limit == 0
+
     def test_external_requires_placeholders(self):
         with pytest.raises(ValueError):
             BackendSpec(kind="external_tool", command="run_hls")
@@ -332,6 +444,25 @@ class TestExternalBackend:
         assert (sandboxes[0] / "directives.tcl").read_text().startswith(
             "set_directive_unroll"
         )
+
+    def test_json_report_read_from_report_json(self, tmp_path):
+        from hlsdse.orchestrator import _run_external
+
+        report = tmp_path / "r.json"
+        report.write_bytes(_json_report())
+        backend = BackendSpec(
+            kind="external_tool",
+            command=f"sh -c 'cp \"$0\" \"$1/report.json\"' {shlex.quote(str(report))}"
+            " {config_dir} {design_src} {script}",
+            timeout_s=30,
+            report_format="json",
+        )
+        csd = parse_csd("unroll;f;l1;{1,2}\nclock;{10}")
+        cfg = build_index(csd).decode(0)
+        campaign = Campaign(space_id=1, backend=backend, work_dir=str(tmp_path))
+        result = _run_external(backend, cfg, csd, campaign)
+        assert (result.status, result.ff, result.latency_cycles) == ("ok", 10, 100)
+        assert result.raw_report_ref.endswith("report.json")
 
     def test_stale_report_not_reused(self, tmp_path):
         from hlsdse.orchestrator import _run_external
