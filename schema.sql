@@ -29,11 +29,7 @@ CREATE TABLE IF NOT EXISTS configuration (
     id INTEGER PRIMARY KEY,
     space_id INTEGER NOT NULL REFERENCES configuration_space(id),
     idx INTEGER NOT NULL,
-    config_key TEXT NOT NULL,
-    key_text TEXT NOT NULL,
-    directive_values TEXT NOT NULL,
-    UNIQUE (space_id, idx),
-    UNIQUE (space_id, config_key)
+    UNIQUE (space_id, idx)
 );
 CREATE TABLE IF NOT EXISTS implementation (
     id INTEGER PRIMARY KEY,
@@ -63,3 +59,23 @@ CREATE TABLE IF NOT EXISTS performance (
 );
 CREATE INDEX IF NOT EXISTS idx_implementation_config
     ON implementation(configuration_id);
+CREATE TRIGGER IF NOT EXISTS configuration_idx_in_range
+BEFORE INSERT ON configuration
+WHEN NOT (typeof(NEW.idx) = 'integer' AND NEW.idx >= 0 AND NEW.idx <
+    (SELECT cardinality FROM configuration_space WHERE id = NEW.space_id))
+BEGIN
+    SELECT RAISE(ABORT, 'configuration index out of range');
+END;
+CREATE TRIGGER IF NOT EXISTS one_ok_result_per_tool
+BEFORE INSERT ON synthesis_info
+WHEN EXISTS (
+    SELECT 1 FROM implementation n
+    JOIN implementation i ON i.configuration_id = n.configuration_id
+    JOIN synthesis_info s ON s.implementation_id = i.id
+    WHERE n.id = NEW.implementation_id AND n.status = 'ok' AND i.status = 'ok'
+        AND s.tool_name = NEW.tool_name AND s.tool_version = NEW.tool_version
+        AND s.fpga_part = NEW.fpga_part
+)
+BEGIN
+    SELECT RAISE(ABORT, 'duplicate ok implementation');
+END;

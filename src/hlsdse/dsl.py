@@ -217,6 +217,15 @@ class CSD:
         return groups
 
 
+def _parse_number(token: str, lineno: int) -> int:
+    """A token of ASCII digits as an int; Python refuses to convert one of
+    more than 4300 digits (sys.int_info.default_max_str_digits)."""
+    try:
+        return int(token)
+    except ValueError:
+        raise CsdSyntaxError(f"{len(token)}-digit number is too long", lineno) from None
+
+
 def _parse_value_set(text: str, lineno: int) -> ValueSet:
     if not (text.startswith("{") and text.endswith("}")):
         raise CsdSyntaxError(f"value set must be brace-delimited: {text!r}", lineno)
@@ -225,7 +234,8 @@ def _parse_value_set(text: str, lineno: int) -> ValueSet:
         raise CsdSyntaxError("empty value set", lineno)
     m = RANGE_RE.match(body)
     if m:
-        lo, hi, gen = int(m.group(1)), int(m.group(2)), m.group(3)
+        lo, hi = (_parse_number(m.group(g), lineno) for g in (1, 2))
+        gen = m.group(3)
         try:
             kind = GeneratorKind(gen)
         except ValueError:
@@ -246,7 +256,7 @@ def _parse_value_set(text: str, lineno: int) -> ValueSet:
         if not tok:
             raise CsdSyntaxError("empty value in set", lineno)
         if NUMBER_RE.fullmatch(tok):
-            values.append(Value(int(tok)))
+            values.append(Value(_parse_number(tok, lineno)))
         elif IDENT_RE.match(tok):
             values.append(Value(tok))
         else:

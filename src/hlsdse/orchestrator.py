@@ -347,15 +347,16 @@ def _synthesize_one(
     return _run_external(backend, config, csd, campaign)
 
 
-def _emit(log, event: str, record: ConfigRecord, **extra) -> None:
-    """Append one event line to the campaign's log file ``log``, if it keeps one."""
+def _emit(log, event: str, record: ConfigRecord, config: Configuration, **extra) -> None:
+    """Append one event line about the attempt of ``config``, stored as
+    ``record``, to the campaign's log file ``log``, if it keeps one."""
     if log is None:
         return
     obj = {
         "event": event,
         "config_id": record.id,
         "idx": record.idx,
-        "config_key": record.config_key,
+        "config_key": config.config_key,
         "ts": time.time(),
         **extra,
     }
@@ -406,24 +407,24 @@ def run_campaign(store: Store, campaign: Campaign) -> CampaignReport:
             report.attempted += 1
             if result.status == "ok":
                 report.ok += 1
-                _emit(log, "done", record)
+                _emit(log, "done", record, config)
             elif result.status == "timeout":
                 report.timeout += 1
-                _emit(log, "timeout", record)
+                _emit(log, "timeout", record, config)
             else:
                 report.failed += 1
-                _emit(log, "fail", record, diagnostic=result.diagnostic)
+                _emit(log, "fail", record, config, diagnostic=result.diagnostic)
 
     with log or nullcontext(), ThreadPoolExecutor(max_workers=campaign.jobs) as executor:
         # the rows of each chunk are written in one transaction just before
         # its first attempt
         for lo in range(0, len(todo), _ROW_CHUNK):
-            chunk = [(i, index.decode(i)) for i in todo[lo : lo + _ROW_CHUNK]]
-            records = store.add_configurations(campaign.space_id, chunk)
-            for record, (_, config) in zip(records, chunk):
+            records = store.add_configurations(campaign.space_id, todo[lo : lo + _ROW_CHUNK])
+            for record in records:
+                config = index.decode(record.idx)
                 if len(in_flight) == campaign.jobs:
                     commit(wait(in_flight, return_when=FIRST_COMPLETED).done)
-                _emit(log, "start", record)
+                _emit(log, "start", record, config)
                 fut = executor.submit(_synthesize_one, backend, config, csd, campaign)
                 in_flight[fut] = (record, config)
                 report.max_in_flight = max(report.max_in_flight, len(in_flight))

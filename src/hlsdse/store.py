@@ -2,18 +2,22 @@
 
 Schema (nine tables): benchmark -> algorithm -> design form the design
 taxonomy; configuration_space rows hold the canonical descriptor text and
-its cardinality; a configuration row is written only when the point is
-about to be attempted, since its key, key text and directive values are a
-pure function of the descriptor text and the point's index; each synthesis
-attempt is an implementation row with its synthesis_info provenance and, for
-successful runs, resource_usage and performance rows. The DDL is shipped
-verbatim in SCHEMA_DDL.
+its cardinality; a configuration row is (id, space_id, idx), written only
+when the point is about to be attempted: its key, key text and directive
+values are a pure function of the descriptor text and the index, derived by
+``SpaceIndex.decode`` and never stored. Each synthesis attempt is an
+implementation row with its synthesis_info provenance and, for successful
+runs, resource_usage and performance rows. The DDL is shipped verbatim in
+SCHEMA_DDL; its triggers make the database itself reject a configuration
+index outside [0, cardinality) and a second ok result for one configuration
+and (tool, version, part), whoever writes the row.
 
-Schema version 2 differs from version 1 only in that meaning: a version-1
-store holds a row for every point, and those rows stay valid, because the
-pending points of a space are derived from its cardinality and the
-attempted rows, never from which rows exist. Opening a version-1 store
-bumps its version; imports accept exports of either version.
+Versions 1 and 2 stored the three derived fields in every configuration
+row (version 1 also held a row for every point, which stays valid: pending
+points are derived from the cardinality and the attempted rows). Opening
+such a store rebuilds its configuration table in place, keeping the ids;
+imports read exports of versions 1 to 3, checking a legacy row's three
+fields against its index before dropping them.
 """
 
 from __future__ import annotations
@@ -27,12 +31,14 @@ from datetime import datetime, timezone
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .analytics import DesignPoint
-from .dsl import CSD, parse_csd, serialize_csd
-from .space import Configuration, build_index
+from .dsl import CSD, CsdError, parse_csd, serialize_csd
+from .space import SpaceError, SpaceIndex, build_index
 
-SCHEMA_VERSION = 2
-# export versions import_jsonl reads: their table layouts are identical
-IMPORT_VERSIONS = (1, 2)
+SCHEMA_VERSION = 3
+# export versions import_jsonl reads; a configuration row of version 1 or 2
+# also carries LEGACY_FIELDS
+IMPORT_VERSIONS = (1, 2, 3)
+LEGACY_FIELDS = ("config_key", "key_text", "directive_values")
 
 SCHEMA_DDL = """
 CREATE TABLE IF NOT EXISTS benchmark (
@@ -66,11 +72,7 @@ CREATE TABLE IF NOT EXISTS configuration (
     id INTEGER PRIMARY KEY,
     space_id INTEGER NOT NULL REFERENCES configuration_space(id),
     idx INTEGER NOT NULL,
-    config_key TEXT NOT NULL,
-    key_text TEXT NOT NULL,
-    directive_values TEXT NOT NULL,
-    UNIQUE (space_id, idx),
-    UNIQUE (space_id, config_key)
+    UNIQUE (space_id, idx)
 );
 CREATE TABLE IF NOT EXISTS implementation (
     id INTEGER PRIMARY KEY,
@@ -100,6 +102,26 @@ CREATE TABLE IF NOT EXISTS performance (
 );
 CREATE INDEX IF NOT EXISTS idx_implementation_config
     ON implementation(configuration_id);
+CREATE TRIGGER IF NOT EXISTS configuration_idx_in_range
+BEFORE INSERT ON configuration
+WHEN NOT (typeof(NEW.idx) = 'integer' AND NEW.idx >= 0 AND NEW.idx <
+    (SELECT cardinality FROM configuration_space WHERE id = NEW.space_id))
+BEGIN
+    SELECT RAISE(ABORT, 'configuration index out of range');
+END;
+CREATE TRIGGER IF NOT EXISTS one_ok_result_per_tool
+BEFORE INSERT ON synthesis_info
+WHEN EXISTS (
+    SELECT 1 FROM implementation n
+    JOIN implementation i ON i.configuration_id = n.configuration_id
+    JOIN synthesis_info s ON s.implementation_id = i.id
+    WHERE n.id = NEW.implementation_id AND n.status = 'ok' AND i.status = 'ok'
+        AND s.tool_name = NEW.tool_name AND s.tool_version = NEW.tool_version
+        AND s.fpga_part = NEW.fpga_part
+)
+BEGIN
+    SELECT RAISE(ABORT, 'duplicate ok implementation');
+END;
 """
 
 TABLES = [
@@ -154,9 +176,11 @@ _TAXONOMY_KEY = {
 }
 # a space's configuration rows with idx in [lo, hi], as ConfigRecord fields
 _CONFIG_RECORDS = (
-    "SELECT id, space_id, idx, config_key, key_text FROM configuration"
+    "SELECT id, space_id, idx FROM configuration"
     " WHERE space_id=? AND idx BETWEEN ? AND ? ORDER BY idx"
 )
+# the columns of a version-1 or version-2 configuration record
+_LEGACY_CONFIG_COLUMNS = _COLUMN_SETS["configuration"] | frozenset(LEGACY_FIELDS)
 # (table, query) per table, parents first: each query binds the space id
 # and reads that table's rows of the space, every column in DDL order
 _OF_IMPLEMENTATIONS = (
@@ -192,6 +216,41 @@ _RUN_ROWS = 256
 # one coder for every line, rather than one built per json.dumps/loads call
 _ENCODER = json.JSONEncoder(sort_keys=True)
 _DECODER = json.JSONDecoder()
+# what blocks the upgrade of a version-1 or version-2 store, because the
+# version-3 triggers reject it: the first configuration and (tool, version,
+# part) with more than one ok result, and the first configuration whose idx
+# lies outside its space
+_DUPLICATE_OK = """
+SELECT i.configuration_id, s.tool_name, s.tool_version, s.fpga_part, COUNT(*)
+FROM implementation i
+JOIN synthesis_info s ON s.implementation_id = i.id
+WHERE i.status = 'ok'
+GROUP BY 1, 2, 3, 4 HAVING COUNT(*) > 1 ORDER BY 1, 2, 3, 4 LIMIT 1
+"""
+_OUT_OF_RANGE = """
+SELECT c.id, c.idx FROM configuration c
+JOIN configuration_space s ON s.id = c.space_id
+WHERE NOT (typeof(c.idx) = 'integer' AND c.idx >= 0 AND c.idx < s.cardinality)
+ORDER BY c.id LIMIT 1
+"""
+# SQLite's table-rebuild procedure, run with foreign keys off: the new table
+# takes the old ids, then the old name
+_REBUILD_CONFIGURATION = (
+    """CREATE TABLE configuration_v3 (
+    id INTEGER PRIMARY KEY,
+    space_id INTEGER NOT NULL REFERENCES configuration_space(id),
+    idx INTEGER NOT NULL,
+    UNIQUE (space_id, idx)
+)""",
+    "INSERT INTO configuration_v3 (id, space_id, idx)"
+    " SELECT id, space_id, idx FROM configuration",
+    "DROP TABLE configuration",
+    "ALTER TABLE configuration_v3 RENAME TO configuration",
+)
+# the messages of SCHEMA_DDL's triggers
+_TRIGGER_ABORTS = frozenset(
+    ["configuration index out of range", "duplicate ok implementation"]
+)
 # what SQLite raises for a row it rejects: a constraint, or a value it
 # cannot bind (a JSON list or object, an integer beyond 64 bits); Python
 # 3.10 raises InterfaceError where later versions raise ProgrammingError
@@ -240,8 +299,6 @@ class ConfigRecord:
     id: int
     space_id: int
     idx: int
-    config_key: str
-    key_text: str
 
 
 @dataclass(frozen=True)
@@ -260,9 +317,31 @@ def _now() -> str:
 
 def _rejection(table: str, e: Exception) -> str:
     """The import diagnostic for a ``table`` row that SQLite rejected."""
+    if str(e) in _TRIGGER_ABORTS:
+        return str(e)
     if isinstance(e, sqlite3.IntegrityError):
         return f"referential violation: {e}"
     return f"malformed {table} record: {e}"
+
+
+def _legacy_mismatch(index: SpaceIndex, row: dict) -> Optional[str]:
+    """Why a version-1 or version-2 configuration row's LEGACY_FIELDS are
+    not those its idx decodes to, or None when they are."""
+    idx = row["idx"]
+    if not (type(idx) is int and 0 <= idx < index.total):
+        return "configuration index out of range"
+    config = index.decode(idx)
+    derived = {
+        "config_key": config.config_key,
+        "key_text": config.key_text,
+        "directive_values": json.dumps(
+            [[v.raw for v in values] for values in config.assignments]
+        ),
+    }
+    for field in LEGACY_FIELDS:
+        if row[field] != derived[field]:
+            return f"configuration idx {idx}: {field} does not match its index"
+    return None
 
 
 class Store:
@@ -298,16 +377,52 @@ class Store:
 
     def init_schema(self):
         """Create all tables; idempotent. Rejects stores written by a newer
-        schema version; an older store is upgraded by the version bump alone
-        (see the module docstring)."""
+        schema version and upgrades older ones (see the module docstring)."""
         (version,) = self.conn.execute("PRAGMA user_version").fetchone()
         if version > SCHEMA_VERSION:
             raise VersionMismatchError(
                 f"store version {version} is newer than supported {SCHEMA_VERSION}"
             )
+        columns = self.conn.execute("PRAGMA table_info(configuration)").fetchall()
+        if any(row[1] in LEGACY_FIELDS for row in columns):
+            self._rebuild_configuration()
+        # one transaction: a new store gets its whole schema or none of it
         with self.conn:
-            self.conn.executescript(SCHEMA_DDL)
-            self.conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+            self.conn.executescript(
+                f"BEGIN; {SCHEMA_DDL} PRAGMA user_version = {SCHEMA_VERSION}; COMMIT;"
+            )
+
+    def _rebuild_configuration(self):
+        """Drop a version-1 or version-2 configuration table's LEGACY_FIELDS
+        in one transaction, keeping its ids. A store holding what the
+        version-3 triggers reject raises StoreError and is left as it was."""
+        conn = self.conn
+        # foreign keys can only be switched outside a transaction
+        conn.commit()
+        conn.execute("PRAGMA foreign_keys = OFF")
+        try:
+            with conn:
+                conn.execute("BEGIN")
+                dup = conn.execute(_DUPLICATE_OK).fetchone()
+                if dup:
+                    cid, tool, version, part, n = dup
+                    raise DuplicateImplementationError(
+                        f"cannot upgrade store: configuration {cid} has {n} ok"
+                        f" implementations for {tool} {version} on {part}"
+                    )
+                bad = conn.execute(_OUT_OF_RANGE).fetchone()
+                if bad:
+                    raise StoreError(
+                        f"cannot upgrade store: configuration {bad[0]} has index"
+                        f" {bad[1]!r} out of its space's range"
+                    )
+                for statement in _REBUILD_CONFIGURATION:
+                    conn.execute(statement)
+                problems = self.check_integrity()
+                if problems:
+                    raise StoreError("cannot upgrade store: " + ", ".join(problems))
+        finally:
+            conn.execute("PRAGMA foreign_keys = ON")
 
     def table_names(self) -> list[str]:
         rows = self.conn.execute(
@@ -384,6 +499,19 @@ class Store:
                 raise StoreError(f"cannot register space for design {design_id}: {e}") from None
             raise StoreError(f"unknown design id {design_id}") from e
 
+    def _check_space(self, space_id: int) -> SpaceIndex:
+        """The index of a space row's descriptor, whose size must be the
+        row's cardinality, since configuration indices are checked against
+        it; raises StoreError, CsdError or SpaceError."""
+        space = self.get_space(space_id)
+        index = build_index(parse_csd(space.csd_text))
+        if index.total != space.cardinality:
+            raise StoreError(
+                f"space cardinality {space.cardinality!r} is not the size of its"
+                f" descriptor, {index.total}"
+            )
+        return index
+
     def get_space(self, space_id: int) -> SpaceRecord:
         row = self.conn.execute(
             "SELECT id, design_id, csd_text, cardinality, contributor, created_at"
@@ -414,34 +542,25 @@ class Store:
         rows = self.conn.execute(_CONFIG_RECORDS, (space_id, 0, cardinality - 1))
         return [ConfigRecord(*r) for r in rows]
 
-    def add_configurations(
-        self, space_id: int, configs: Sequence[tuple[int, Configuration]]
-    ) -> list[ConfigRecord]:
-        """Get-or-create the rows of ``configs``, (idx, decoded configuration)
-        pairs in ascending idx order, in one transaction; returns their
-        records in that order. Rows are created in the order given, so ids
-        follow idx order whenever configurations are attempted in it."""
-        if not configs:
+    def add_configurations(self, space_id: int, idxs: Sequence[int]) -> list[ConfigRecord]:
+        """Get-or-create the rows of the indices ``idxs``, ascending, in one
+        transaction; returns their records in that order. Rows are created
+        in the order given, so ids follow idx order whenever configurations
+        are attempted in it. An index outside the space raises StoreError."""
+        if not idxs:
             return []
-        with self.conn:
-            self.conn.executemany(
-                _INSERT["configuration"] + " ON CONFLICT (space_id, idx) DO NOTHING",
-                (
-                    (
-                        None,
-                        space_id,
-                        idx,
-                        cfg.config_key,
-                        cfg.key_text,
-                        json.dumps([[v.raw for v in vals] for vals in cfg.assignments]),
-                    )
-                    for idx, cfg in configs
-                ),
-            )
-            rows = self.conn.execute(
-                _CONFIG_RECORDS, (space_id, configs[0][0], configs[-1][0])
-            ).fetchall()
-        wanted = {idx for idx, _ in configs}
+        try:
+            with self.conn:
+                self.conn.executemany(
+                    _INSERT["configuration"] + " ON CONFLICT (space_id, idx) DO NOTHING",
+                    ((None, space_id, idx) for idx in idxs),
+                )
+                rows = self.conn.execute(
+                    _CONFIG_RECORDS, (space_id, idxs[0], idxs[-1])
+                ).fetchall()
+        except sqlite3.IntegrityError as e:
+            raise StoreError(f"cannot add configurations to space {space_id}: {e}") from None
+        wanted = set(idxs)
         return [ConfigRecord(*r) for r in rows if r[2] in wanted]
 
     # -- results ----------------------------------------------------------
@@ -451,22 +570,10 @@ class Store:
         ok results, resources and performance) atomically; returns the
         implementation id.
 
-        ``result`` is an orchestrator.ImplementationResult.
+        ``result`` is an orchestrator.ImplementationResult. A second ok
+        result for the configuration under the same tool, version and part
+        raises DuplicateImplementationError and writes nothing.
         """
-        if result.status == "ok":
-            dup = self.conn.execute(
-                "SELECT i.id FROM implementation i"
-                " JOIN synthesis_info s ON s.implementation_id = i.id"
-                " WHERE i.configuration_id=? AND i.status='ok'"
-                " AND s.tool_name=? AND s.tool_version=? AND s.fpga_part=?",
-                (configuration_id, info.tool_name, info.tool_version, info.fpga_part),
-            ).fetchone()
-            if dup:
-                raise DuplicateImplementationError(
-                    f"configuration {configuration_id} already has an ok"
-                    f" implementation for {info.tool_name} {info.tool_version}"
-                    f" on {info.fpga_part}"
-                )
         try:
             with self.conn:
                 impl_id = self.conn.execute(
@@ -494,6 +601,12 @@ class Store:
                         (impl_id, result.latency_cycles, result.achieved_period_ns),
                     )
         except sqlite3.IntegrityError as e:
+            if str(e) == "duplicate ok implementation":
+                raise DuplicateImplementationError(
+                    f"configuration {configuration_id} already has an ok"
+                    f" implementation for {info.tool_name} {info.tool_version}"
+                    f" on {info.fpga_part}"
+                ) from None
             # an unknown configuration id fails the foreign key, a negative
             # resource count its CHECK
             raise StoreError(
@@ -661,8 +774,14 @@ class Store:
         to _RUN_ROWS consecutive rows of one other table goes in one
         executemany. Configuration and implementation rows carry the ids
         SQLite would pick, one past the table's largest, so children can be
-        remapped before their parents are written."""
+        remapped before their parents are written.
+
+        A version-1 or version-2 configuration record also carries
+        LEGACY_FIELDS; each must be what the record's idx decodes to in its
+        space, and is then dropped."""
         id_maps: dict[str, dict[int, int]] = {t: {} for t in TABLES}
+        version = SCHEMA_VERSION
+        indexes: dict[int, SpaceIndex] = {}  # imported space id -> its index
         next_id: dict[str, int] = {}
         counts: Counter = Counter()
         last_good = -1
@@ -703,10 +822,9 @@ class Store:
                     raise failure("malformed record: not a JSON object")
                 table = obj.pop("table", None)
                 if table == "_meta":
-                    if obj.get("schema_version") not in IMPORT_VERSIONS:
-                        raise failure(
-                            f"schema version mismatch: {obj.get('schema_version')}"
-                        )
+                    version = obj.get("schema_version")
+                    if version not in IMPORT_VERSIONS:
+                        raise failure(f"schema version mismatch: {version}")
                     flush()
                     last_good = n
                     continue
@@ -716,7 +834,8 @@ class Store:
                     columns = _COLUMN_SETS[table]
                 except (KeyError, TypeError):
                     raise failure(f"unknown table {table!r}") from None
-                if obj.keys() != columns:
+                legacy = table == "configuration" and version != SCHEMA_VERSION
+                if obj.keys() != (_LEGACY_CONFIG_COLUMNS if legacy else columns):
                     raise failure(f"bad columns for table {table}")
                 if table in _PARENT:
                     fk, parent = _PARENT[table]
@@ -726,6 +845,10 @@ class Store:
                         raise failure(
                             f"{table} row references unknown {fk}={obj[fk]}"
                         ) from None
+                if legacy:
+                    mismatch = _legacy_mismatch(indexes[obj["space_id"]], obj)
+                    if mismatch:
+                        raise failure(mismatch)
                 if table in _BATCHED:
                     if table != run_table:
                         flush()
@@ -756,10 +879,13 @@ class Store:
                         new_id = self._get_or_create(table, obj)
                     else:
                         new_id = self._insert_space([obj[c] for c in _EXPORT_COLS[table]])
+                        indexes[new_id] = self._check_space(new_id)
                 except StoreError as e:
                     raise failure(str(e)) from None
                 except _REJECTED as e:
                     raise failure(_rejection(table, e)) from None
+                except (CsdError, SpaceError) as e:
+                    raise failure(f"configuration_space descriptor: {e}") from None
                 if old_id is not None:
                     try:
                         id_maps[table][old_id] = new_id

@@ -20,7 +20,6 @@ from hlsdse.analytics import (
 )
 from hlsdse.dsl import parse_csd
 from hlsdse.orchestrator import BackendSpec, Campaign, ImplementationResult, run_campaign
-from hlsdse.space import build_index
 from hlsdse.store import Store, StoreError, SynthesisInfo
 
 
@@ -261,10 +260,7 @@ def area_values(resources, weights):
     with Store(":memory:") as store:
         store.init_schema()
         rec = store.register_space(store.ensure_design("b", "a", "d"), csd, "t")
-        index = build_index(csd)
-        configs = store.add_configurations(
-            rec.id, [(i, index.decode(i)) for i in range(len(resources))]
-        )
+        configs = store.add_configurations(rec.id, range(len(resources)))
         for cfg, (ff, lut, bram, dsp) in zip(configs, resources):
             store.record_result(
                 cfg.id,

@@ -68,6 +68,13 @@ class TestValidate:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "CategoricalClock" in err
 
+    def test_overlong_number(self, capsys, tmp_path):
+        p = tmp_path / "long.csd"
+        p.write_text("unroll;f;l;{1->" + "9" * 5000 + ",pow_2}\nclock;{10}\n")
+        code, out, err = run(capsys, "validate", str(p))
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == "error: line 1: 5000-digit number is too long\n"
+
 
 class TestCount:
     def test_reference(self, capsys):
@@ -246,14 +253,13 @@ class TestAnalyze:
     def test_invalid_objective_is_one_domain_error(self, capsys, db):
         from hlsdse.dsl import parse_csd
         from hlsdse.orchestrator import ImplementationResult
-        from hlsdse.space import build_index
         from hlsdse.store import Store, SynthesisInfo
 
         csd = parse_csd(TOY)
         with Store(db) as st:
             st.init_schema()
             rec = st.register_space(st.ensure_design("b", "a", "d"), csd, "t")
-            (cfg,) = st.add_configurations(rec.id, [(0, build_index(csd).decode(0))])
+            (cfg,) = st.add_configurations(rec.id, [0])
             st.record_result(
                 cfg.id,
                 ImplementationResult(status="ok", latency_cycles=100, achieved_period_ns=-1.0),

@@ -170,6 +170,17 @@ class TestParse:
             parse_csd("clock;{10}\nunroll;f;l;{1->\u0668,pow_2}")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize(
+        "value_set", ["{" + "9" * 5000 + "}", "{1->" + "9" * 5000 + ",pow_2}"],
+        ids=["list-value", "range-bound"],
+    )
+    def test_overlong_number_is_syntax_error(self, value_set):
+        """A token beyond Python's int conversion limit (4300 digits) is a
+        descriptor error with its line, not the interpreter's ValueError."""
+        with pytest.raises(CsdSyntaxError, match="5000-digit number") as exc:
+            parse_csd(f"clock;{{10}}\nunroll;f;l;{value_set}")
+        assert exc.value.line == 2
+
     def test_categorical_clock_rejected(self):
         with pytest.raises(CsdValidationError) as exc:
             parse_csd("unroll;f;l;{1,2}\nclock;{fast}")

@@ -220,23 +220,17 @@ class TestRunCampaign:
         assert report.max_in_flight <= 8
         assert st.count_implementations(rec.id, "ok") == 704
 
-    def test_rows_written_on_attempt(self, populated_store, local_scan_text):
+    def test_rows_written_on_attempt(self, populated_store):
         st, rec = populated_store
-        index = build_index(parse_csd(local_scan_text))
 
         def check_rows(n):
             rows = st.conn.execute(
-                "SELECT id, idx, config_key, key_text, directive_values"
-                " FROM configuration WHERE space_id=? ORDER BY id",
+                "SELECT id, idx FROM configuration WHERE space_id=? ORDER BY id",
                 (rec.id,),
             ).fetchall()
             # ids follow idx order, and a row exists only once attempted
             assert [r[1] for r in rows] == list(range(n))
             assert [r[0] for r in rows] == list(range(1, n + 1))
-            for _, idx, key, key_text, values in rows:
-                cfg = index.decode(idx)
-                assert (key, key_text) == (cfg.config_key, cfg.key_text)
-                assert json.loads(values) == [[v.raw for v in a] for a in cfg.assignments]
 
         assert st.configurations(rec.id) == []
         run_campaign(st, Campaign(space_id=rec.id, backend=MOCK, jobs=4, limit=300))

@@ -15,10 +15,15 @@ from hypothesis import given, settings
 import hlsdse
 from hlsdse.analytics import AnalyticsError, DesignPoint
 from hlsdse.dsl import parse_csd, serialize_csd
-from hlsdse.orchestrator import BackendSpec, Campaign, ImplementationResult, run_campaign
-from hlsdse.space import build_index, cardinality, enumerate_space
+from hlsdse.orchestrator import (
+    BackendSpec,
+    Campaign,
+    ImplementationResult,
+    mock_synthesize,
+    run_campaign,
+)
+from hlsdse.space import build_index, cardinality
 from hlsdse.store import (
-    SCHEMA_DDL,
     TABLES,
     DuplicateImplementationError,
     DuplicateSpaceError,
@@ -44,6 +49,10 @@ OK = ImplementationResult(
     achieved_period_ns=9.5,
 )
 
+# a 20-result seed-1 mock campaign on local_scan.csd, exported by schema
+# version 2
+V2_EXPORT = Path(__file__).parent / "data" / "v2_export.jsonl"
+
 
 @pytest.fixture
 def store():
@@ -54,10 +63,7 @@ def store():
 
 def write_rows(store, rec, csd):
     """Write every configuration row of a space, as a full campaign does."""
-    index = build_index(csd)
-    return store.add_configurations(
-        rec.id, [(i, index.decode(i)) for i in range(index.total)]
-    )
+    return store.add_configurations(rec.id, range(build_index(csd).total))
 
 
 @pytest.fixture
@@ -129,8 +135,8 @@ class TestWal:
 
     def test_memory_store_ignores_them(self, store, toy_space):
         assert store.conn.execute("PRAGMA journal_mode").fetchone() == ("memory",)
-        rec, csd = toy_space
-        (cfg,) = store.add_configurations(rec.id, [(0, build_index(csd).decode(0))])
+        rec, _ = toy_space
+        (cfg,) = store.add_configurations(rec.id, [0])
         store.record_result(cfg.id, OK, INFO)
         assert store.count_implementations(rec.id, "ok") == 1
 
@@ -209,18 +215,22 @@ class TestRegisterSpace:
         assert statements("large", last_step_scan_text) == small
 
     def test_add_configurations_get_or_create(self, store, toy_space):
-        rec, csd = toy_space
-        index = build_index(csd)
-        (middle,) = store.add_configurations(rec.id, [(2, index.decode(2))])
-        first = store.add_configurations(rec.id, [(i, index.decode(i)) for i in (1, 4)])
+        rec, _ = toy_space
+        (middle,) = store.add_configurations(rec.id, [2])
+        first = store.add_configurations(rec.id, [1, 4])
         assert [c.idx for c in first] == [1, 4]
-        again = store.add_configurations(
-            rec.id, [(i, index.decode(i)) for i in range(index.total)]
-        )
-        assert [c.idx for c in again] == list(range(index.total))
+        again = store.add_configurations(rec.id, range(rec.cardinality))
+        assert [c.idx for c in again] == list(range(rec.cardinality))
         assert [again[1], again[2], again[4]] == [first[0], middle, first[1]]
         assert store.configurations(rec.id) == again
         assert store.add_configurations(rec.id, []) == []
+
+    @pytest.mark.parametrize("idxs", [[-1], [5, 6]])
+    def test_add_configurations_out_of_range(self, store, toy_space, idxs):
+        rec, _ = toy_space
+        with pytest.raises(StoreError, match="configuration index out of range"):
+            store.add_configurations(rec.id, idxs)
+        assert store.configurations(rec.id) == []
 
     def test_duplicate_space_rejected(self, store, toy_space):
         (rec, csd) = toy_space
@@ -274,6 +284,20 @@ class TestRecordResult:
         store.record_result(cfg.id, OK, INFO)
         with pytest.raises(DuplicateImplementationError):
             store.record_result(cfg.id, OK, INFO)
+
+    def test_database_rejects_duplicate_ok(self, store, toy_space):
+        """The one-ok-result-per-tool rule holds for any writer, not only
+        record_result."""
+        rec, csd = toy_space
+        cfg = write_rows(store, rec, csd)[0]
+        store.record_result(cfg.id, OK, INFO)
+        with store.conn:
+            store.conn.execute("INSERT INTO implementation VALUES (2, ?, 'ok')", (cfg.id,))
+            with pytest.raises(sqlite3.IntegrityError, match="^duplicate ok implementation$"):
+                store.conn.execute(
+                    "INSERT INTO synthesis_info SELECT 2, timestamp, contributor, tool_name,"
+                    " tool_version, fpga_part, clock_period_ns FROM synthesis_info"
+                )
 
     def test_other_tool_allowed(self, store, toy_space):
         rec, csd = toy_space
@@ -568,7 +592,7 @@ class TestExportImport:
                 "implementation",
                 lambda obj: json.dumps({**obj, "configuration_id": {"id": 1}}),
             ),
-            ("configuration", lambda obj: json.dumps({**obj, "key_text": [1]})),
+            ("configuration", lambda obj: json.dumps({**obj, "idx": [1]})),
             ("resource_usage", lambda obj: json.dumps({**obj, "lut": 2**70})),
         ],
         ids=[
@@ -588,6 +612,75 @@ class TestExportImport:
             assert exc.value.last_good == k - 1
             for t in TABLES:
                 assert other.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
+
+    def test_duplicate_ok_result_rejected(self, store):
+        """An import obeys the rule that record_result obeys: one ok result
+        per configuration and (tool, version, part)."""
+        rec = self._populated(store, "unroll;f;l1;{1,2,4}\nclock;{10}")
+        lines = store.export_jsonl(rec.id).decode().splitlines()
+        objs = [json.loads(line) for line in lines[1:]]
+        by_table = {t: [o for o in objs if o["table"] == t] for t in TABLES}
+        # a second ok result for the first configuration, same tool
+        new_id = 1 + max(o["id"] for o in by_table["implementation"])
+        for t in ("implementation", "synthesis_info", "resource_usage", "performance"):
+            key = "id" if t == "implementation" else "implementation_id"
+            by_table[t].append({**by_table[t][0], key: new_id})
+        lines = lines[:1] + [json.dumps(o) for t in TABLES for o in by_table[t]]
+        with Store(":memory:") as other:
+            other.init_schema()
+            with pytest.raises(ImportError_, match="duplicate ok implementation") as exc:
+                other.import_jsonl(("\n".join(lines) + "\n").encode())
+            # the second ok result is rejected at its synthesis_info row
+            k = lines.index(json.dumps(by_table["synthesis_info"][-1]))
+            assert exc.value.last_good == k - 1
+            for t in TABLES:
+                assert other.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("cardinality", 10**6, "space cardinality 1000000 is not the size"),
+            ("cardinality", 2, "space cardinality 2 is not the size"),
+            ("csd_text", "unroll;f;l1;{1,2,4}\n", "MissingClock"),
+            ("csd_text", "unroll;f;l1;{1,2,4\nclock;{10}\n", "line 1"),
+        ],
+        ids=["cardinality-too-large", "cardinality-too-small", "no-clock", "syntax"],
+    )
+    def test_space_must_match_its_descriptor(self, store, field, value, message):
+        """The idx range check rests on the space's cardinality, so an
+        imported space row must be a valid descriptor of that size."""
+        rec = self._populated(store, "unroll;f;l1;{1,2,4}\nclock;{10}")
+        lines = store.export_jsonl(rec.id).decode().splitlines()
+        k = next(n for n, line in enumerate(lines)
+                 if json.loads(line)["table"] == "configuration_space")
+        lines[k] = json.dumps({**json.loads(lines[k]), field: value})
+        with Store(":memory:") as other:
+            other.init_schema()
+            with pytest.raises(ImportError_, match=message) as exc:
+                other.import_jsonl(("\n".join(lines) + "\n").encode())
+            assert exc.value.last_good == k - 1
+            for t in TABLES:
+                assert other.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
+
+    @pytest.mark.parametrize("idx", [-1, 704, 10**6, "x"])
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_idx_out_of_range_rejected(self, store, idx, version):
+        """A configuration row's idx must name a point of its space, in a
+        legacy payload and in a current one alike."""
+        payload = V2_EXPORT.read_bytes()
+        if version == 3:
+            store.import_jsonl(payload)
+            payload = store.export_jsonl(1)
+        lines = payload.decode().splitlines()
+        k = [n for n, line in enumerate(lines)
+             if json.loads(line)["table"] == "configuration"][2]
+        lines[k] = json.dumps({**json.loads(lines[k]), "idx": idx})
+        with Store(":memory:") as other:
+            other.init_schema()
+            with pytest.raises(ImportError_, match="configuration index out of range") as exc:
+                other.import_jsonl(("\n".join(lines) + "\n").encode())
+            assert exc.value.last_good == k - 1
+            assert other.conn.execute("SELECT COUNT(*) FROM configuration").fetchone() == (0,)
 
     def test_list_taxonomy_id(self, store):
         with pytest.raises(ImportError_) as exc:
@@ -653,20 +746,97 @@ class TestExportImport:
         ]
 
 
-def build_v1_store(path, csd):
-    """A store as schema version 1 left it: every configuration row written
-    at registration, and user_version 1."""
+# The schema of versions 1 and 2, frozen: a configuration row also stored
+# its config_key, key_text and directive_values, under a second UNIQUE
+# index. Version-1 stores also carry idx_configuration_space_id.
+LEGACY_DDL = """
+CREATE TABLE benchmark (
+    id INTEGER PRIMARY KEY,
+    name TEXT NOT NULL UNIQUE
+);
+CREATE TABLE algorithm (
+    id INTEGER PRIMARY KEY,
+    benchmark_id INTEGER NOT NULL REFERENCES benchmark(id),
+    name TEXT NOT NULL,
+    UNIQUE (benchmark_id, name)
+);
+CREATE TABLE design (
+    id INTEGER PRIMARY KEY,
+    algorithm_id INTEGER NOT NULL REFERENCES algorithm(id),
+    name TEXT NOT NULL,
+    source_ref TEXT,
+    function_name TEXT,
+    UNIQUE (algorithm_id, name)
+);
+CREATE TABLE configuration_space (
+    id INTEGER PRIMARY KEY,
+    design_id INTEGER NOT NULL REFERENCES design(id),
+    csd_text TEXT NOT NULL,
+    cardinality INTEGER NOT NULL,
+    contributor TEXT NOT NULL,
+    created_at TEXT NOT NULL,
+    UNIQUE (design_id, csd_text)
+);
+CREATE TABLE configuration (
+    id INTEGER PRIMARY KEY,
+    space_id INTEGER NOT NULL REFERENCES configuration_space(id),
+    idx INTEGER NOT NULL,
+    config_key TEXT NOT NULL,
+    key_text TEXT NOT NULL,
+    directive_values TEXT NOT NULL,
+    UNIQUE (space_id, idx),
+    UNIQUE (space_id, config_key)
+);
+CREATE TABLE implementation (
+    id INTEGER PRIMARY KEY,
+    configuration_id INTEGER NOT NULL REFERENCES configuration(id),
+    status TEXT NOT NULL CHECK (status IN ('ok','synth_error','timeout'))
+);
+CREATE TABLE synthesis_info (
+    implementation_id INTEGER PRIMARY KEY REFERENCES implementation(id),
+    timestamp TEXT NOT NULL,
+    contributor TEXT NOT NULL,
+    tool_name TEXT NOT NULL,
+    tool_version TEXT NOT NULL,
+    fpga_part TEXT NOT NULL,
+    clock_period_ns REAL NOT NULL
+);
+CREATE TABLE resource_usage (
+    implementation_id INTEGER PRIMARY KEY REFERENCES implementation(id),
+    ff INTEGER NOT NULL CHECK (ff >= 0),
+    lut INTEGER NOT NULL CHECK (lut >= 0),
+    bram INTEGER NOT NULL CHECK (bram >= 0),
+    dsp INTEGER NOT NULL CHECK (dsp >= 0)
+);
+CREATE TABLE performance (
+    implementation_id INTEGER PRIMARY KEY REFERENCES implementation(id),
+    latency_cycles INTEGER NOT NULL CHECK (latency_cycles >= 0),
+    achieved_period_ns REAL NOT NULL
+);
+CREATE INDEX idx_implementation_config ON implementation(configuration_id);
+"""
+LEGACY_CONFIG_COLUMNS = [
+    "id", "space_id", "idx", "config_key", "key_text", "directive_values"
+]
+
+
+def build_legacy_store(path, csd, version, idxs):
+    """A store as schema ``version`` (1 or 2) left it, holding the
+    configuration rows of ``idxs`` with ids 1, 2, ... in that order."""
     conn = sqlite3.connect(path)
-    conn.executescript(SCHEMA_DDL)
+    conn.executescript(LEGACY_DDL)
+    if version == 1:
+        conn.execute("CREATE INDEX idx_configuration_space_id ON configuration(space_id)")
     conn.execute("INSERT INTO benchmark (name) VALUES ('b')")
     conn.execute("INSERT INTO algorithm (benchmark_id, name) VALUES (1, 'a')")
     conn.execute("INSERT INTO design (algorithm_id, name) VALUES (1, 'd')")
     conn.execute(
         "INSERT INTO configuration_space"
         " (design_id, csd_text, cardinality, contributor, created_at)"
-        " VALUES (1, ?, ?, 'v1', '2021-01-01T00:00:00+00:00')",
+        " VALUES (1, ?, ?, 'legacy', '2021-01-01T00:00:00+00:00')",
         (serialize_csd(csd), cardinality(csd)),
     )
+    index = build_index(csd)
     conn.executemany(
         "INSERT INTO configuration"
         " (space_id, idx, config_key, key_text, directive_values)"
@@ -674,12 +844,43 @@ def build_v1_store(path, csd):
         (
             (i, c.config_key, c.key_text,
              json.dumps([[v.raw for v in vals] for vals in c.assignments]))
-            for i, c in enumerate(enumerate_space(csd))
+            for i, c in ((i, index.decode(i)) for i in idxs)
         ),
     )
-    conn.execute("PRAGMA user_version = 1")
+    conn.execute(f"PRAGMA user_version = {version}")
     conn.commit()
     conn.close()
+
+
+def legacy_ok_result(conn, impl_id, configuration_id, tool="mock-hls"):
+    """Write one ok result as a legacy store holds it, with raw SQL."""
+    conn.execute(
+        "INSERT INTO implementation VALUES (?, ?, 'ok')", (impl_id, configuration_id)
+    )
+    conn.execute(
+        "INSERT INTO synthesis_info VALUES (?, '2021-01-01T00:00:00+00:00', 'legacy',"
+        " ?, '1.0', 'mockpart', 10.0)",
+        (impl_id, tool),
+    )
+    conn.execute("INSERT INTO resource_usage VALUES (?, 10, 20, 1, 0)", (impl_id,))
+    conn.execute("INSERT INTO performance VALUES (?, 100, 9.5)", (impl_id,))
+
+
+def columns(conn, table):
+    return [row[1] for row in conn.execute(f"PRAGMA table_info({table})")]
+
+
+def fresh_campaign_points(local_scan_text, limit):
+    """The objective vectors of a fresh seed-1 mock campaign on local_scan,
+    as ``tests/data/v2_export.jsonl`` recorded them for its 20 results."""
+    with Store(":memory:") as st:
+        st.init_schema()
+        rec = st.register_space(
+            st.ensure_design("b", "a", "d"), parse_csd(local_scan_text), "t"
+        )
+        run_campaign(st, Campaign(space_id=rec.id, backend=BackendSpec(kind="mock"),
+                                  seed=1, limit=limit))
+        return [p.values for p in st.fetch_points(rec.id, ["latency", "lut", "ff"])]
 
 
 class TestSchemaV1:
@@ -689,19 +890,25 @@ class TestSchemaV1:
     def v1_store(self, tmp_path, local_scan_text):
         """A version-1 store whose campaign stopped after 100 results."""
         path = str(tmp_path / "v1.sqlite")
-        build_v1_store(path, parse_csd(local_scan_text))
+        csd = parse_csd(local_scan_text)
+        build_legacy_store(path, csd, 1, range(704))
+        index = build_index(csd)
         with Store(path) as st:
-            run_campaign(st, Campaign(space_id=1, backend=self.MOCK, jobs=4, limit=100))
+            for i in range(100):
+                st.record_result(i + 1, mock_synthesize(index.decode(i), csd, 0), INFO)
             (version,) = st.conn.execute("PRAGMA user_version").fetchone()
             assert version == 1
         return path
 
     def test_migrates_and_resumes(self, v1_store, tmp_path):
         with Store(v1_store) as st:
+            ids = st.conn.execute("SELECT id, space_id, idx FROM configuration").fetchall()
             st.init_schema()
             (version,) = st.conn.execute("PRAGMA user_version").fetchone()
-            assert version == 2
+            assert version == 3
+            assert columns(st.conn, "configuration") == ["id", "space_id", "idx"]
             before = st.configurations(1)
+            assert [dataclasses.astuple(c) for c in before] == ids
             assert len(before) == 704
             assert st.pending_configurations(1) == list(range(100, 704))
             log = tmp_path / "resume.jsonl"
@@ -720,27 +927,134 @@ class TestSchemaV1:
                 "SELECT COUNT(*), COUNT(DISTINCT configuration_id) FROM implementation"
             ).fetchone()
             assert n == distinct == 704
+            assert st.check_integrity() == []
 
-    def test_v1_payload_imports(self, v1_store):
-        with Store(v1_store) as st:
-            payload = st.export_jsonl(1)
-            points = sorted(p.values for p in st.fetch_points(1, ["latency", "lut"]))
-        header, body = payload.split(b"\n", 1)
+    def test_v1_payload_imports(self, local_scan_text):
+        """Versions 1 and 2 share one export layout, so the checked-in v2
+        export relabelled as version 1 is a version-1 payload."""
+        header, body = V2_EXPORT.read_bytes().split(b"\n", 1)
         assert json.loads(header) == {"table": "_meta", "schema_version": 2}
         v1_payload = json.dumps({"table": "_meta", "schema_version": 1}).encode()
         with Store(":memory:") as other:
             other.init_schema()
             counts = other.import_jsonl(v1_payload + b"\n" + body)
-            assert counts["configuration"] == 704
-            assert counts["implementation"] == 100
+            assert counts["configuration"] == 20
+            assert counts["implementation"] == 20
             (space_id,) = other.conn.execute(
                 "SELECT id FROM configuration_space"
             ).fetchone()
-            assert other.pending_configurations(space_id) == list(range(100, 704))
-            assert sorted(
-                p.values for p in other.fetch_points(space_id, ["latency", "lut"])
-            ) == points
+            assert other.pending_configurations(space_id) == list(range(20, 704))
+            assert [
+                p.values for p in other.fetch_points(space_id, ["latency", "lut", "ff"])
+            ] == fresh_campaign_points(local_scan_text, 20)
             assert other.check_integrity() == []
+
+
+class TestLegacyStores:
+    def test_v2_export_imports(self, store, local_scan_text):
+        counts = store.import_jsonl(V2_EXPORT.read_bytes())
+        assert counts == {
+            "benchmark": 1, "algorithm": 1, "design": 1, "configuration_space": 1,
+            "configuration": 20, "implementation": 20, "synthesis_info": 20,
+            "resource_usage": 20, "performance": 20,
+        }
+        assert [
+            p.values for p in store.fetch_points(1, ["latency", "lut", "ff"])
+        ] == fresh_campaign_points(local_scan_text, 20)
+        # and it exports as version 3: configuration rows are (id, space_id, idx)
+        lines = [json.loads(line) for line in store.export_jsonl(1).splitlines()]
+        assert lines[0] == {"table": "_meta", "schema_version": 3}
+        rows = [obj for obj in lines if obj["table"] == "configuration"]
+        assert rows == [
+            {"table": "configuration", "id": i + 1, "space_id": 1, "idx": i}
+            for i in range(20)
+        ]
+
+    @pytest.mark.parametrize("field", ["config_key", "key_text", "directive_values"])
+    def test_v2_field_disagreeing_with_idx(self, store, field):
+        """A legacy row whose stored key fields are not those its idx
+        decodes to is rejected, naming the record before it."""
+        lines = V2_EXPORT.read_text().splitlines()
+        k, k_next = [
+            n for n, line in enumerate(lines) if json.loads(line)["table"] == "configuration"
+        ][2:4]
+        row = json.loads(lines[k])
+        row[field] = json.loads(lines[k_next])[field]
+        lines[k] = json.dumps(row)
+        with pytest.raises(ImportError_, match=f"configuration idx 2: {field} does not") as exc:
+            store.import_jsonl(("\n".join(lines) + "\n").encode())
+        assert exc.value.last_good == k - 1
+        for t in TABLES:
+            assert store.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
+
+    def test_v2_store_upgrades_in_place(self, tmp_path, local_scan_text):
+        path = str(tmp_path / "v2.sqlite")
+        build_legacy_store(path, parse_csd(local_scan_text), 2, [5, 3, 700])
+        conn = sqlite3.connect(path)
+        # one ok result per tool on configuration 1
+        legacy_ok_result(conn, 1, 1)
+        legacy_ok_result(conn, 2, 1, tool="other")
+        conn.commit()
+        conn.close()
+        with Store(path) as st:
+            st.init_schema()
+            assert st.conn.execute("PRAGMA user_version").fetchone() == (3,)
+            assert columns(st.conn, "configuration") == ["id", "space_id", "idx"]
+            assert [dataclasses.astuple(c) for c in st.configurations(1)] == [
+                (2, 1, 3), (1, 1, 5), (3, 1, 700)
+            ]
+            assert st.check_integrity() == []
+            with pytest.raises(DuplicateImplementationError):
+                st.record_result(1, OK, INFO)
+            st.init_schema()
+            assert st.conn.execute("PRAGMA user_version").fetchone() == (3,)
+
+    def test_v2_store_with_duplicate_ok_pair_is_not_upgraded(self, tmp_path, local_scan_text):
+        path = str(tmp_path / "v2.sqlite")
+        build_legacy_store(path, parse_csd(local_scan_text), 2, range(3))
+        conn = sqlite3.connect(path)
+        for impl_id, configuration_id in ((1, 2), (2, 1), (3, 2)):
+            legacy_ok_result(conn, impl_id, configuration_id)
+        conn.commit()
+        conn.close()
+        with Store(path) as st:
+            with pytest.raises(
+                DuplicateImplementationError,
+                match="configuration 2 has 2 ok implementations for mock-hls 1.0 on mockpart",
+            ):
+                st.init_schema()
+            assert st.conn.execute("PRAGMA user_version").fetchone() == (2,)
+            assert columns(st.conn, "configuration") == LEGACY_CONFIG_COLUMNS
+            assert st.conn.execute(
+                "SELECT COUNT(*) FROM sqlite_master WHERE type='trigger'"
+            ).fetchone() == (0,)
+            assert st.conn.execute("PRAGMA foreign_keys").fetchone() == (1,)
+
+    def test_v2_store_with_orphan_is_not_upgraded(self, tmp_path, local_scan_text):
+        path = str(tmp_path / "v2.sqlite")
+        build_legacy_store(path, parse_csd(local_scan_text), 2, range(3))
+        conn = sqlite3.connect(path)
+        legacy_ok_result(conn, 1, 99)
+        conn.commit()
+        conn.close()
+        with Store(path) as st:
+            with pytest.raises(StoreError, match="1 orphan implementation row"):
+                st.init_schema()
+            assert st.conn.execute("PRAGMA user_version").fetchone() == (2,)
+            assert columns(st.conn, "configuration") == LEGACY_CONFIG_COLUMNS
+
+    def test_v2_store_with_idx_out_of_range_is_not_upgraded(self, tmp_path, local_scan_text):
+        path = str(tmp_path / "v2.sqlite")
+        build_legacy_store(path, parse_csd(local_scan_text), 2, range(3))
+        conn = sqlite3.connect(path)
+        conn.execute("UPDATE configuration SET idx = 1000000 WHERE id = 2")
+        conn.commit()
+        conn.close()
+        with Store(path) as st:
+            with pytest.raises(StoreError, match="configuration 2 has index 1000000 out"):
+                st.init_schema()
+            assert st.conn.execute("PRAGMA user_version").fetchone() == (2,)
+            assert columns(st.conn, "configuration") == LEGACY_CONFIG_COLUMNS
 
 
 def test_shipped_ddl_matches_embedded():
