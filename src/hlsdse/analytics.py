@@ -303,6 +303,8 @@ def evaluate_strategy(
     The reference front is the exact Pareto front of all stored ok points.
     A strategy exceeding its budget has its trace truncated and flagged.
     """
+    if budget < 1:
+        raise AnalyticsError(f"budget must be at least 1, got {budget}")
     all_points = store.fetch_points(space_id, objectives, area_weights)
     if not all_points:
         raise AnalyticsError(f"space {space_id} has no ok implementations")

@@ -153,7 +153,7 @@ def cmd_analyze(args) -> None:
             summary["hypervolume"] = analytics.hypervolume_2d(points, ref)
             summary["reference_point"] = list(ref.values)
         elif args.mode == "eval":
-            budget = args.budget or len(points)
+            budget = len(points) if args.budget is None else args.budget
             result = analytics.evaluate_strategy(
                 st, args.space, analytics.BUILTIN_STRATEGIES[args.strategy](args.seed),
                 budget, objectives, weights,

@@ -145,24 +145,37 @@ class DirectiveKind:
 
     ``takes_location`` controls whether the line carries function and target
     fields; ``fixed_params`` names the constant fields between the location
-    and the value sets; ``set_names`` fixes the value-set arity.
+    and the value sets; ``set_names`` fixes the value-set arity. ``tcl`` is
+    the kind's line of a directive script, a ``str.format`` template over
+    ``function``, ``target``, the fixed parameters and the set names.
+    ``tokens``, unless empty, is the closed vocabulary of the kind's values,
+    each with the text it puts into ``tcl``.
     """
 
     token: str
     takes_location: bool
     fixed_params: tuple[str, ...]
     set_names: tuple[str, ...]
+    tcl: str
+    tokens: tuple[tuple[str, str], ...] = ()
 
 
 DEFAULT_DIRECTIVES: dict[str, DirectiveKind] = {
     d.token: d
     for d in [
-        DirectiveKind("resource", True, (), ("core",)),
-        DirectiveKind("array_partition", True, ("dim",), ("type", "factor")),
-        DirectiveKind("unroll", True, (), ("factor",)),
-        DirectiveKind("pipeline", True, (), ("ii",)),
-        DirectiveKind("inline", True, (), ("mode",)),
-        DirectiveKind("clock", False, (), ("period",)),
+        DirectiveKind("resource", True, (), ("core",),
+                      'set_directive_resource -core {core} "{function}" {target}'),
+        DirectiveKind("array_partition", True, ("dim",), ("type", "factor"),
+                      "set_directive_array_partition -type {type} -factor {factor}"
+                      ' -dim {dim} "{function}" {target}'),
+        DirectiveKind("unroll", True, (), ("factor",),
+                      'set_directive_unroll -factor {factor} "{function}/{target}"'),
+        DirectiveKind("pipeline", True, (), ("ii",),
+                      'set_directive_pipeline -II {ii} "{function}/{target}"'),
+        DirectiveKind("inline", True, (), ("mode",), 'set_directive_inline{mode} "{function}"',
+                      (("on", ""), ("off", " -off"), ("recursive", " -recursive"),
+                       ("region", " -region"))),
+        DirectiveKind("clock", False, (), ("period",), "create_clock -period {period}"),
     ]
 }
 
@@ -185,6 +198,13 @@ class Knob:
         """The knob line's fields before its value sets; duplicates share it."""
         where = (self.function, self.target) if self.directive.takes_location else ()
         return (self.directive.token, *where, *self.fixed_params)
+
+    def tcl_line(self, values: tuple[Value, ...]) -> str:
+        """The kind's Tcl line for this knob set to ``values``, one per value set."""
+        kind, texts = self.directive, dict(self.directive.tokens)
+        sets = {n: texts[v.raw] if texts else v.render() for n, v in zip(kind.set_names, values)}
+        fixed = dict(zip(kind.fixed_params, self.fixed_params))
+        return kind.tcl.format(function=self.function, target=self.target, **fixed, **sets)
 
     def render(self) -> str:
         line = ";".join((*self.location, *(vs.render() for vs in self.value_sets)))
@@ -298,6 +318,9 @@ def _parse_line(line: str, lineno: int) -> Knob:
         raise CsdSyntaxError(
             f"{kind.token}: expected fixed parameters {kind.fixed_params}", lineno
         )
+    for name, val in zip(kind.fixed_params, fixed):
+        if not NUMBER_RE.fullmatch(val):
+            raise CsdSyntaxError(f"{kind.token}: {name} must be digits, got {val!r}", lineno)
     pos += len(kind.fixed_params)
     set_fields = fields[pos:]
     if len(set_fields) != len(kind.set_names):
@@ -331,6 +354,12 @@ def validate_csd(csd: CSD) -> list[Diagnostic]:
                 diags.append(
                     Diagnostic("CategoricalClock", i, "clock periods must be numbers")
                 )
+        tokens = dict(knob.directive.tokens)
+        unknown = tokens and {v.render() for vs in knob.value_sets
+                              for v in expand_value_set(vs)} - tokens.keys()
+        if unknown:
+            listed = ", ".join(sorted(unknown))
+            diags.append(Diagnostic("UnknownToken", i, f"{listed}: not one of {', '.join(tokens)}"))
         if knob.bind_tag is not None and not knob.value_sets[-1].is_numeric:
             diags.append(
                 Diagnostic("BindOnCategoricalSet", i, f"tag {knob.bind_tag!r}")

@@ -107,40 +107,14 @@ class CampaignReport:
 
 
 def generate_directive_script(config: Configuration, csd: CSD) -> str:
-    """Render the Tcl directive script for one configuration.
+    """Render the Tcl directive script for one configuration: each knob's
+    ``tcl_line`` in descriptor order.
 
     Deterministic: the same configuration always yields byte-identical text.
     """
-    lines = []
-    for knob, values in zip(csd.knobs, config.assignments):
-        kind = knob.directive.token
-        fn, tgt = knob.function, knob.target
-        if kind == "resource":
-            (core,) = values
-            lines.append(f'set_directive_resource -core {core.render()} "{fn}" {tgt}')
-        elif kind == "array_partition":
-            ptype, factor = values
-            dim = knob.fixed_params[0]
-            lines.append(
-                f"set_directive_array_partition -type {ptype.render()}"
-                f' -factor {factor.render()} -dim {dim} "{fn}" {tgt}'
-            )
-        elif kind == "unroll":
-            (factor,) = values
-            lines.append(f'set_directive_unroll -factor {factor.render()} "{fn}/{tgt}"')
-        elif kind == "pipeline":
-            (ii,) = values
-            lines.append(f'set_directive_pipeline -II {ii.render()} "{fn}/{tgt}"')
-        elif kind == "inline":
-            (mode,) = values
-            flag = " -off" if mode.render() == "off" else ""
-            lines.append(f'set_directive_inline{flag} "{fn}"')
-        elif kind == "clock":
-            (period,) = values
-            lines.append(f"create_clock -period {period.render()}")
-        else:
-            raise ValueError(f"no script renderer for directive {kind!r}")
-    return "\n".join(lines) + "\n"
+    return "".join(
+        knob.tcl_line(values) + "\n" for knob, values in zip(csd.knobs, config.assignments)
+    )
 
 
 # -- report parsing -------------------------------------------------------

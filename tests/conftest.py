@@ -74,13 +74,18 @@ def random_csds(draw, max_knobs=4, max_values=6):
     shared_set = draw(numeric_sets(max_values))
     for i in range(n):
         kind_token = draw(
-            st.sampled_from(["resource", "array_partition", "unroll", "pipeline"])
+            st.sampled_from(["resource", "array_partition", "unroll", "pipeline", "inline"])
         )
         kind = DEFAULT_DIRECTIVES[kind_token]
         target = f"t{i}"
         bindable = draw(st.booleans())
         if kind_token == "resource":
             sets = (draw(categorical_sets()),)
+            bindable = False
+        elif kind_token == "inline":
+            modes = draw(st.lists(st.sampled_from([t for t, _ in kind.tokens]),
+                                  min_size=1, unique=True))
+            sets = (ExplicitList(tuple(Value(m) for m in modes)),)
             bindable = False
         elif kind_token == "array_partition":
             last = shared_set if bindable else draw(numeric_sets(max_values))

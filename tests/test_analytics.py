@@ -360,6 +360,11 @@ class TestEvaluateStrategy:
         with pytest.raises(AnalyticsError):
             evaluate_strategy(st, rec.id, bad, budget=5)
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_rejected_before_any_read(self, budget):
+        with pytest.raises(AnalyticsError, match=f"budget must be at least 1, got {budget}"):
+            evaluate_strategy(None, 1, exhaustive_strategy, budget)
+
 
 class TestMixedTools:
     def test_evaluate_strategy_names_the_tools(self):

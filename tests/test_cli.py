@@ -222,6 +222,17 @@ class TestAnalyze:
         assert summary["queries"] == budget
         assert summary["adrs"] >= 0
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_eval_budget_below_one(self, capsys, populated, budget):
+        code, out, err = run(
+            capsys, "--db", populated, "analyze", "1",
+            "--mode", "eval", "--strategy", "random", "--budget", budget,
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert f"budget must be at least 1, got {budget}" in err
+
     def test_eval_exhaustive_zero(self, capsys, populated):
         code, out, _ = run(
             capsys, "--db", populated, "analyze", "1",

@@ -1,10 +1,13 @@
+import string
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hlsdse.dsl
 from hlsdse.dsl import (
+    DEFAULT_DIRECTIVES,
     MAX_DIV_HI,
     CsdSyntaxError,
     CsdValidationError,
@@ -58,11 +61,18 @@ class TestExpansion:
             d for d in range(lo, hi + 1) if hi % d == 0
         ]
 
-    def test_div_of_large_power_of_two(self):
-        start = time.perf_counter()
+    def test_div_of_large_power_of_two(self, monkeypatch):
+        """The divisor scan of {1->2**40,div} tries at most sqrt(2**40)
+        divisors: a spy on the module's ``range`` stops an O(hi) scan at once."""
+
+        def bounded_range(*args):
+            r = range(*args)
+            assert len(r) <= 2**20 + 1, f"a scan of {len(r)} trial divisors"
+            return r
+
+        monkeypatch.setattr(hlsdse.dsl, "range", bounded_range, raising=False)
         (knob, _) = parse_csd(f"unroll;f;l;{{1->{2**40},div}}\nclock;{{10}}").knobs
         values = [v.raw for v in expand_value_set(knob.value_sets[0])]
-        assert time.perf_counter() - start < 0.1
         assert values == [2**k for k in range(41)]
 
     def test_div_1_to_12(self):
@@ -181,6 +191,14 @@ class TestParse:
             parse_csd(f"clock;{{10}}\nunroll;f;l;{value_set}")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("dim", ["[exec touch pwned] 2", "x", "-1", "1 2", "\u0663", ""])
+    def test_fixed_parameter_is_ascii_digits(self, dim):
+        """A fixed parameter goes into the directive script as it is written,
+        so anything but digits, Tcl command substitution too, is refused."""
+        with pytest.raises(CsdSyntaxError, match="dim must be digits") as exc:
+            parse_csd(f"clock;{{10}}\narray_partition;f;a;{dim};{{cyclic}};{{1}}")
+        assert exc.value.line == 2
+
     def test_categorical_clock_rejected(self):
         with pytest.raises(CsdValidationError) as exc:
             parse_csd("unroll;f;l;{1,2}\nclock;{fast}")
@@ -219,6 +237,23 @@ class TestValidate:
         csd = parse_csd(text, validate=False)
         (diag,) = validate_csd(csd)
         assert diag.knob_index == 1
+
+    @pytest.mark.parametrize("modes", ["{on,always}", "{off,1}", "{1->4,pow_2}"])
+    def test_unknown_inline_mode(self, modes):
+        with pytest.raises(CsdValidationError, match="not one of on, off") as exc:
+            parse_csd(f"inline;f;g;{modes}\nclock;{{10}}")
+        assert [(d.code, d.knob_index) for d in exc.value.diagnostics] == [("UnknownToken", 0)]
+
+
+class TestDirectiveTable:
+    @pytest.mark.parametrize("kind", DEFAULT_DIRECTIVES.values(), ids=DEFAULT_DIRECTIVES)
+    def test_template_fields(self, kind):
+        """Each value set and fixed parameter is a field of the kind's Tcl
+        line, and the line names nothing else but the knob's location."""
+        fields = {name for _, name, _, _ in string.Formatter().parse(kind.tcl) if name}
+        named = {*kind.fixed_params, *kind.set_names}
+        assert named <= fields <= named | {"function", "target"}
+        assert ("function" in fields) == kind.takes_location
 
 
 class TestSerialize:

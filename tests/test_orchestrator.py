@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -6,6 +7,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from hlsdse.dsl import parse_csd
 from hlsdse.orchestrator import (
@@ -18,6 +20,8 @@ from hlsdse.orchestrator import (
 )
 from hlsdse.space import build_index, enumerate_space
 from hlsdse.store import Store
+
+from conftest import DATA, random_csds
 
 MOCK = BackendSpec(kind="mock")
 SAMPLE_REPORT = Path(__file__).parent / "data" / "sample_report.xml"
@@ -70,6 +74,49 @@ class TestDirectiveScript:
         csd = parse_csd(local_scan_text)
         cfg = build_index(csd).decode(17)
         assert generate_directive_script(cfg, csd) == generate_directive_script(cfg, csd)
+
+    @pytest.mark.parametrize(
+        "text, digest",
+        [
+            ((DATA / "last_step_scan.csd").read_text(),
+             "a1fdda6b670c3d811fb1adafc79e4118d44357352e693ce896315f4202654d17"),
+            ((DATA / "local_scan.csd").read_text(),
+             "08f24ff7be026a4f6f4d65ab8d5ffeee3f483b90ee5bc52600fbe698c85f9a1e"),
+            ("pipeline;f;l;{1,2,4}\n"
+             "inline;f;g;{on,off}\n"
+             "unroll;f;l;{1->8,pow_2}\n"
+             "resource;f;a;{RAM_1P_BRAM,RAM_2P_BRAM}\n"
+             "array_partition;f;b;2;{cyclic,block};{1->6,div}\n"
+             "clock;{5,10}\n",
+             "8e5c576d6c5b6e5d2028ebc7dd8fef18a9b1022339decbcccf71178c2ecfc260"),
+        ],
+        ids=["last_step_scan", "local_scan", "every-kind"],
+    )
+    def test_every_script_pinned(self, text, digest):
+        """The sha256 of all scripts of a space, in index order, as rendered
+        by the per-kind renderer that the directive table replaced."""
+        csd = parse_csd(text)
+        index = build_index(csd)
+        scripts = "".join(generate_directive_script(index.decode(i), csd)
+                          for i in range(index.total))
+        assert hashlib.sha256(scripts.encode()).hexdigest() == digest
+
+    def test_inline_modes_render_apart(self):
+        csd = parse_csd("inline;f;g;{off,on,recursive,region}\nclock;{10}")
+        assert [generate_directive_script(c, csd).splitlines()[0]
+                for c in enumerate_space(csd)] == [
+            'set_directive_inline -off "f"',
+            'set_directive_inline "f"',
+            'set_directive_inline -recursive "f"',
+            'set_directive_inline -region "f"',
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_csds(max_knobs=3, max_values=4))
+    def test_configurations_render_distinct_scripts(self, csd):
+        """Two points of a space are two different syntheses."""
+        scripts = [generate_directive_script(c, csd) for c in enumerate_space(csd)]
+        assert len(set(scripts)) == len(scripts)
 
 
 class TestParseReport:

@@ -643,8 +643,11 @@ class TestExportImport:
             ("cardinality", 2, "space cardinality 2 is not the size"),
             ("csd_text", "unroll;f;l1;{1,2,4}\n", "MissingClock"),
             ("csd_text", "unroll;f;l1;{1,2,4\nclock;{10}\n", "line 1"),
+            ("csd_text", "array_partition;f;l1;[exec touch pwned] 2;{cyclic};{1,2,4}\n"
+             "clock;{10}\n", "line 1: array_partition: dim must be digits"),
         ],
-        ids=["cardinality-too-large", "cardinality-too-small", "no-clock", "syntax"],
+        ids=["cardinality-too-large", "cardinality-too-small", "no-clock", "syntax",
+             "tcl-in-fixed-parameter"],
     )
     def test_space_must_match_its_descriptor(self, store, field, value, message):
         """The idx range check rests on the space's cardinality, so an
