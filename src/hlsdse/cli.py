@@ -120,7 +120,7 @@ def cmd_query(args) -> None:
             "cardinality": space_rec.cardinality,
             "implementations": st.count_implementations(args.space),
             "ok": st.count_implementations(args.space, "ok"),
-            "pending": len(st.pending_configurations(args.space)),
+            "pending": st.count_pending(args.space),
         }
     _emit(args, summary, *(f"{k}: {v}" for k, v in summary.items()))
 

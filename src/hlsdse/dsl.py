@@ -8,17 +8,23 @@ A ``@bind_<tag>`` decorator appended to a knob's last value set forces equal
 values across all knobs carrying the same tag.
 
 Blank lines and lines starting with ``#`` are ignored.
+
+A ``Knob`` checks its fields, and a ``CSD`` the invariants of
+``validate_csd``, whenever one is built, by ``parse_csd`` or in Python; a
+parsed knob's error carries its line. Two knobs of one kind may not agree on
+the location fields that the kind's Tcl line names (for inline, the function).
 """
 
 from __future__ import annotations
 
 import math
 import re
+import string
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 BIND_RE = re.compile(r"@bind_([A-Za-z_][A-Za-z0-9_]*)$")
 NUMBER_RE = re.compile(r"[0-9]+")
 RANGE_RE = re.compile(r"([0-9]+)\s*->\s*([0-9]+)\s*,\s*([A-Za-z_][A-Za-z0-9_]*)$")
@@ -45,7 +51,7 @@ class CsdSyntaxError(CsdError):
 
 
 class CsdValidationError(CsdError):
-    """Raised by parse_csd when the descriptor violates a structural invariant."""
+    """Raised when a CSD is built that violates a structural invariant."""
 
     def __init__(self, diagnostics: list["Diagnostic"]):
         self.diagnostics = diagnostics
@@ -159,6 +165,12 @@ class DirectiveKind:
     tcl: str
     tokens: tuple[tuple[str, str], ...] = ()
 
+    @property
+    def located_by(self) -> tuple[str, ...]:
+        """The location fields, of ``function`` and ``target``, that ``tcl`` names."""
+        named = {field for _, field, _, _ in string.Formatter().parse(self.tcl)}
+        return tuple(f for f in ("function", "target") if f in named)
+
 
 DEFAULT_DIRECTIVES: dict[str, DirectiveKind] = {
     d.token: d
@@ -188,6 +200,23 @@ class Knob:
     fixed_params: tuple[str, ...]
     value_sets: tuple[ValueSet, ...]
     bind_tag: Optional[str] = None
+
+    def __post_init__(self):
+        kind = self.directive
+        if kind.takes_location:
+            for name, val in (("function", self.function), ("target", self.target)):
+                if not (isinstance(val, str) and IDENT_RE.match(val)):
+                    raise ValueError(f"invalid {name} identifier {val!r}")
+        if len(self.fixed_params) != len(kind.fixed_params):
+            raise ValueError(f"{kind.token}: expected fixed parameters {kind.fixed_params}")
+        for name, val in zip(kind.fixed_params, self.fixed_params):
+            if not (isinstance(val, str) and NUMBER_RE.fullmatch(val)):
+                raise ValueError(f"{kind.token}: {name} must be digits, got {val!r}")
+        if len(self.value_sets) != len(kind.set_names):
+            raise ValueError(f"{kind.token}: expected {len(kind.set_names)} value set(s),"
+                             f" got {len(self.value_sets)}")
+        if self.bind_tag is not None and not IDENT_RE.match(self.bind_tag):
+            raise ValueError(f"invalid bind tag {self.bind_tag!r}")
 
     @property
     def is_clock(self) -> bool:
@@ -235,6 +264,11 @@ class CSD:
             if k.bind_tag:
                 groups.setdefault(k.bind_tag, []).append(i)
         return groups
+
+    def __post_init__(self):
+        diags = validate_csd(self)
+        if diags:
+            raise CsdValidationError(diags)
 
 
 def _parse_number(token: str, lineno: int) -> int:
@@ -309,28 +343,13 @@ def _parse_line(line: str, lineno: int) -> Knob:
         if len(fields) < 3:
             raise CsdSyntaxError(f"{kind.token}: missing function/target fields", lineno)
         function, target = fields[1], fields[2]
-        for name, val in (("function", function), ("target", target)):
-            if not IDENT_RE.match(val):
-                raise CsdSyntaxError(f"invalid {name} identifier {val!r}", lineno)
         pos = 3
-    fixed = tuple(fields[pos : pos + len(kind.fixed_params)])
-    if len(fixed) != len(kind.fixed_params):
-        raise CsdSyntaxError(
-            f"{kind.token}: expected fixed parameters {kind.fixed_params}", lineno
-        )
-    for name, val in zip(kind.fixed_params, fixed):
-        if not NUMBER_RE.fullmatch(val):
-            raise CsdSyntaxError(f"{kind.token}: {name} must be digits, got {val!r}", lineno)
-    pos += len(kind.fixed_params)
-    set_fields = fields[pos:]
-    if len(set_fields) != len(kind.set_names):
-        raise CsdSyntaxError(
-            f"{kind.token}: expected {len(kind.set_names)} value set(s), "
-            f"got {len(set_fields)}",
-            lineno,
-        )
-    value_sets = tuple(_parse_value_set(f, lineno) for f in set_fields)
-    return Knob(kind, function, target, fixed, value_sets, bind_tag)
+    end = pos + len(kind.fixed_params)
+    value_sets = tuple(_parse_value_set(f, lineno) for f in fields[end:])
+    try:
+        return Knob(kind, function, target, tuple(fields[pos:end]), value_sets, bind_tag)
+    except ValueError as e:
+        raise CsdSyntaxError(str(e), lineno) from None
 
 
 def validate_csd(csd: CSD) -> list[Diagnostic]:
@@ -339,7 +358,9 @@ def validate_csd(csd: CSD) -> list[Diagnostic]:
     seen: dict[tuple, int] = {}
     clock_indices = []
     for i, knob in enumerate(csd.knobs):
-        ident = knob.location
+        # two knobs that agree on what their Tcl lines name direct the same object
+        kind = knob.directive
+        ident = (kind.token, *(getattr(knob, f) for f in kind.located_by), *knob.fixed_params)
         if ident in seen:
             diags.append(
                 Diagnostic(
@@ -387,11 +408,11 @@ def validate_csd(csd: CSD) -> list[Diagnostic]:
     return diags
 
 
-def parse_csd(text: str, validate: bool = True) -> CSD:
+def parse_csd(text: str) -> CSD:
     """Parse descriptor text into a CSD.
 
-    Raises CsdSyntaxError on malformed lines and, unless ``validate`` is
-    False, CsdValidationError when structural invariants fail.
+    Raises CsdSyntaxError on malformed lines and CsdValidationError when
+    structural invariants fail.
     """
     if not text.strip():
         raise CsdSyntaxError("empty descriptor", 1)
@@ -401,12 +422,7 @@ def parse_csd(text: str, validate: bool = True) -> CSD:
         if not line or line.startswith("#"):
             continue
         knobs.append(_parse_line(line, lineno))
-    csd = CSD(tuple(knobs))
-    if validate:
-        diags = validate_csd(csd)
-        if diags:
-            raise CsdValidationError(diags)
-    return csd
+    return CSD(tuple(knobs))
 
 
 def serialize_csd(csd: CSD) -> str:

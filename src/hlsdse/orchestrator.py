@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Optional
 
 from .dsl import CSD
-from .space import Configuration, build_index
+from .space import Configuration
 from .store import ConfigRecord, Store, SynthesisInfo
 
 
@@ -349,8 +349,8 @@ def run_campaign(store: Store, campaign: Campaign) -> CampaignReport:
     freed slot, so an interrupted campaign can resume from the store alone.
     """
     backend = campaign.backend
-    csd = store.space_csd(campaign.space_id)
-    index = build_index(csd)
+    index = store.space_index(campaign.space_id)
+    csd = index.csd
     pending = store.pending_configurations(
         campaign.space_id, backend.tool_name, backend.tool_version, backend.fpga_part
     )

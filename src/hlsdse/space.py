@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .dsl import CSD, Value, expand_value_set, validate_csd
+from .dsl import CSD, Value, expand_value_set
 
 MAX_CARDINALITY = 2**63 - 1
 
@@ -108,11 +108,7 @@ class SpaceIndex:
 
 
 def build_index(csd: CSD) -> SpaceIndex:
-    """Factor a valid CSD into one axis per value set and bind group."""
-    diags = validate_csd(csd)
-    if diags:
-        raise SpaceError(f"invalid CSD: {diags[0]}")
-
+    """Factor a CSD into one axis per value set and bind group."""
     groups = csd.bind_groups()
     axes: list[Axis] = []
     for i, knob in enumerate(csd.knobs):

@@ -12,12 +12,19 @@ SCHEMA_DDL; its triggers make the database itself reject a configuration
 index outside [0, cardinality) and a second ok result for one configuration
 and (tool, version, part), whoever writes the row.
 
+Every reader of a stored space goes through ``Store.space_index``, which
+parses the descriptor and checks that its size is the row's cardinality, so
+a campaign on a space that fails the check writes nothing.
+
 Versions 1 and 2 stored the three derived fields in every configuration
 row (version 1 also held a row for every point, which stays valid: pending
 points are derived from the cardinality and the attempted rows). Opening
 such a store rebuilds its configuration table in place, keeping the ids;
-imports read exports of versions 1 to 3, checking a legacy row's three
-fields against its index before dropping them.
+imports read exports of versions 1 to 3. The upgrade checks what the import
+checks: each space's cardinality against its descriptor, and a legacy row's
+three fields against its index before they are dropped (the upgrade checks
+only rows with an attempt, as the others attribute nothing). It also refuses
+a store that the version-3 triggers would reject.
 """
 
 from __future__ import annotations
@@ -233,6 +240,15 @@ JOIN configuration_space s ON s.id = c.space_id
 WHERE NOT (typeof(c.idx) = 'integer' AND c.idx >= 0 AND c.idx < s.cardinality)
 ORDER BY c.id LIMIT 1
 """
+# the legacy configuration rows that have an implementation, whose fields
+# the upgrade checks against their idx; a version-1 store holds a row for
+# every point, most of them never attempted
+_ATTEMPTED_LEGACY_ROWS = f"""
+SELECT c.id, c.space_id, c.idx, {", ".join(f"c.{f}" for f in LEGACY_FIELDS)}
+FROM configuration c JOIN configuration_space s ON s.id = c.space_id
+WHERE EXISTS (SELECT 1 FROM implementation i WHERE i.configuration_id = c.id)
+ORDER BY c.id
+"""
 # SQLite's table-rebuild procedure, run with foreign keys off: the new table
 # takes the old ids, then the old name
 _REBUILD_CONFIGURATION = (
@@ -395,7 +411,8 @@ class Store:
     def _rebuild_configuration(self):
         """Drop a version-1 or version-2 configuration table's LEGACY_FIELDS
         in one transaction, keeping its ids. A store holding what the
-        version-3 triggers reject raises StoreError and is left as it was."""
+        version-3 triggers or the import reject raises StoreError and is
+        left as it was."""
         conn = self.conn
         # foreign keys can only be switched outside a transaction
         conn.commit()
@@ -416,6 +433,7 @@ class Store:
                         f"cannot upgrade store: configuration {bad[0]} has index"
                         f" {bad[1]!r} out of its space's range"
                     )
+                self._check_legacy_rows()
                 for statement in _REBUILD_CONFIGURATION:
                     conn.execute(statement)
                 problems = self.check_integrity()
@@ -423,6 +441,24 @@ class Store:
                     raise StoreError("cannot upgrade store: " + ", ".join(problems))
         finally:
             conn.execute("PRAGMA foreign_keys = ON")
+
+    def _check_legacy_rows(self):
+        """Check each space against its descriptor, and each attempted
+        configuration row's LEGACY_FIELDS against its idx, as import does;
+        raises StoreError naming the first space or row that fails."""
+        indexes = {}
+        for (space_id,) in self.conn.execute("SELECT id FROM configuration_space ORDER BY id"):
+            try:
+                indexes[space_id] = self.space_index(space_id)
+            except (StoreError, CsdError, SpaceError) as e:
+                raise StoreError(f"cannot upgrade store: space {space_id}: {e}") from None
+        for config_id, *values in self.conn.execute(_ATTEMPTED_LEGACY_ROWS):
+            row = dict(zip(("space_id", "idx", *LEGACY_FIELDS), values))
+            mismatch = _legacy_mismatch(indexes[row["space_id"]], row)
+            if mismatch:
+                raise StoreError(
+                    f"cannot upgrade store: {mismatch} (configuration id {config_id})"
+                )
 
     def table_names(self) -> list[str]:
         rows = self.conn.execute(
@@ -499,7 +535,7 @@ class Store:
                 raise StoreError(f"cannot register space for design {design_id}: {e}") from None
             raise StoreError(f"unknown design id {design_id}") from e
 
-    def _check_space(self, space_id: int) -> SpaceIndex:
+    def space_index(self, space_id: int) -> SpaceIndex:
         """The index of a space row's descriptor, whose size must be the
         row's cardinality, since configuration indices are checked against
         it; raises StoreError, CsdError or SpaceError."""
@@ -532,9 +568,6 @@ class Store:
             (design_id, csd_text),
         ).fetchone()
         return row[0] if row else None
-
-    def space_csd(self, space_id: int) -> CSD:
-        return parse_csd(self.get_space(space_id).csd_text)
 
     def configurations(self, space_id: int) -> list[ConfigRecord]:
         """The configuration rows written so far, in index order."""
@@ -614,6 +647,27 @@ class Store:
             ) from None
         return impl_id
 
+    def _attempted(self, select: str, space_id: int, tool_name=None, tool_version=None,
+                   fpga_part=None):
+        """Run ``SELECT <select>`` over the space's configuration rows that
+        have an attempt under the tool/part filter, joined as c, i and s."""
+        clauses, params = [], [space_id]
+        for col, val in (
+            ("tool_name", tool_name),
+            ("tool_version", tool_version),
+            ("fpga_part", fpga_part),
+        ):
+            if val is not None:
+                clauses.append(f" AND s.{col}=?")
+                params.append(val)
+        return self.conn.execute(
+            f"SELECT {select} FROM configuration c"
+            " JOIN implementation i ON i.configuration_id = c.id"
+            " JOIN synthesis_info s ON s.implementation_id = i.id"
+            " WHERE c.space_id=?" + "".join(clauses),
+            params,
+        )
+
     def pending_configurations(
         self,
         space_id: int,
@@ -625,26 +679,19 @@ class Store:
         tool/part filter, ascending. Derived from the space's cardinality
         and its attempted rows, so it does not depend on which rows exist."""
         cardinality = self.get_space(space_id).cardinality
-        clauses, params = [], []
-        for col, val in (
-            ("tool_name", tool_name),
-            ("tool_version", tool_version),
-            ("fpga_part", fpga_part),
-        ):
-            if val is not None:
-                clauses.append(f" AND s.{col}=?")
-                params.append(val)
         attempted = {
-            idx
-            for (idx,) in self.conn.execute(
-                "SELECT c.idx FROM configuration c"
-                " JOIN implementation i ON i.configuration_id = c.id"
-                " JOIN synthesis_info s ON s.implementation_id = i.id"
-                " WHERE c.space_id=?" + "".join(clauses),
-                [space_id] + params,
+            idx for (idx,) in self._attempted(
+                "c.idx", space_id, tool_name, tool_version, fpga_part
             )
         }
         return [i for i in range(cardinality) if i not in attempted]
+
+    def count_pending(self, space_id: int) -> int:
+        """``len(pending_configurations(space_id))``, counted in SQL without
+        building the list."""
+        cardinality = self.get_space(space_id).cardinality
+        ((attempted,),) = self._attempted("COUNT(DISTINCT c.idx)", space_id)
+        return cardinality - attempted
 
     def count_implementations(self, space_id: int, status: Optional[str] = None) -> int:
         q = (
@@ -879,7 +926,7 @@ class Store:
                         new_id = self._get_or_create(table, obj)
                     else:
                         new_id = self._insert_space([obj[c] for c in _EXPORT_COLS[table]])
-                        indexes[new_id] = self._check_space(new_id)
+                        indexes[new_id] = self.space_index(new_id)
                 except StoreError as e:
                     raise failure(str(e)) from None
                 except _REJECTED as e:

@@ -65,17 +65,20 @@ def categorical_sets(draw, max_values=4):
 
 @st.composite
 def random_csds(draw, max_knobs=4, max_values=6):
-    """A valid CSD with a clock knob, random sweep knobs, and optionally one
-    bind group sharing an identical numeric set."""
+    """A valid CSD with a clock knob, random sweep knobs on one function (at
+    most one of them inline), and optionally one bind group sharing an
+    identical numeric set."""
     n = draw(st.integers(1, max_knobs))
     fn = draw(idents)
     knobs = []
     bind_members = []
     shared_set = draw(numeric_sets(max_values))
+    kinds = ["resource", "array_partition", "unroll", "pipeline", "inline"]
     for i in range(n):
-        kind_token = draw(
-            st.sampled_from(["resource", "array_partition", "unroll", "pipeline", "inline"])
-        )
+        kind_token = draw(st.sampled_from(kinds))
+        if kind_token == "inline":
+            # an inline directive names the function alone, so one per function
+            kinds.remove("inline")
         kind = DEFAULT_DIRECTIVES[kind_token]
         target = f"t{i}"
         bindable = draw(st.booleans())

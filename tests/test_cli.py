@@ -416,6 +416,20 @@ class TestErrorPath:
                           "configuration", "implementation"):
                 assert st.conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone() == (0,)
 
+    def test_run_on_space_larger_than_its_descriptor_writes_no_rows(self, capsys, db):
+        """A space row whose cardinality is not its descriptor's size is
+        refused before any configuration row is written."""
+        csd = str(DATA / "local_scan.csd")
+        assert run(capsys, "--db", db, "run", csd, "--limit", "1")[0] == 0
+        with Store(db) as st:
+            with st.conn:
+                st.conn.execute("UPDATE configuration_space SET cardinality = 710")
+        code, out, err = run(capsys, "--db", db, "run", csd)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == "error: space cardinality 710 is not the size of its descriptor, 704\n"
+        with Store(db) as st:
+            assert st.conn.execute("SELECT COUNT(*) FROM configuration").fetchone() == (1,)
+
     def test_analyze_two_tools_fails(self, capsys, db, toy_csd):
         with Store(db) as st:
             st.init_schema()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import hlsdse.dsl
 from hlsdse.dsl import (
+    CSD,
     DEFAULT_DIRECTIVES,
     MAX_DIV_HI,
     CsdSyntaxError,
@@ -14,6 +15,7 @@ from hlsdse.dsl import (
     ExplicitList,
     GeneratedRange,
     GeneratorKind,
+    Knob,
     Value,
     expand_value_set,
     parse_csd,
@@ -215,27 +217,30 @@ class TestParse:
 
 class TestValidate:
     def test_reference_descriptor_clean(self, last_step_scan_text):
-        csd = parse_csd(last_step_scan_text, validate=False)
+        csd = parse_csd(last_step_scan_text)
         assert validate_csd(csd) == []
 
     def test_mismatched_bind_sets(self):
         text = "unroll;f;l1;{1,2,4}@bind_a\nunroll;f;l2;{1,2,8}@bind_a\nclock;{10}"
-        csd = parse_csd(text, validate=False)
-        diags = validate_csd(csd)
+        with pytest.raises(CsdValidationError) as exc:
+            parse_csd(text)
+        diags = exc.value.diagnostics
         assert [d.code for d in diags] == ["MismatchedBindSets"]
         assert diags[0].knob_index == 0
 
     def test_two_clock_lines(self):
-        csd = parse_csd("clock;{10}\nclock;{5}", validate=False)
-        diags = validate_csd(csd)
+        with pytest.raises(CsdValidationError) as exc:
+            parse_csd("clock;{10}\nclock;{5}")
+        diags = exc.value.diagnostics
         codes = [d.code for d in diags]
         assert "DuplicateClock" in codes
         assert all(d.knob_index == 1 for d in diags)
 
     def test_diagnostics_name_knob_index(self):
         text = "unroll;f;l1;{1,2}\nunroll;f;l1;{1,2}\nclock;{10}"
-        csd = parse_csd(text, validate=False)
-        (diag,) = validate_csd(csd)
+        with pytest.raises(CsdValidationError) as exc:
+            parse_csd(text)
+        (diag,) = exc.value.diagnostics
         assert diag.knob_index == 1
 
     @pytest.mark.parametrize("modes", ["{on,always}", "{off,1}", "{1->4,pow_2}"])
@@ -243,6 +248,70 @@ class TestValidate:
         with pytest.raises(CsdValidationError, match="not one of on, off") as exc:
             parse_csd(f"inline;f;g;{modes}\nclock;{{10}}")
         assert [(d.code, d.knob_index) for d in exc.value.diagnostics] == [("UnknownToken", 0)]
+
+
+ARRAY_PARTITION = DEFAULT_DIRECTIVES["array_partition"]
+UNROLL = DEFAULT_DIRECTIVES["unroll"]
+ONE = ExplicitList((Value(1),))
+CYCLIC = ExplicitList((Value("cyclic"),))
+CLOCK = Knob(DEFAULT_DIRECTIVES["clock"], None, None, (), (ExplicitList((Value(10),)),))
+
+
+class TestValidByConstruction:
+    """A Knob or CSD made in Python obeys the rules of a parsed line."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((ARRAY_PARTITION, "f", "t", ("1 [exec touch pwned]",), (CYCLIC, ONE)),
+             "array_partition: dim must be digits, got '1 \\[exec"),
+            ((ARRAY_PARTITION, "f", "t", (), (CYCLIC, ONE)),
+             "array_partition: expected fixed parameters \\('dim',\\)"),
+            ((ARRAY_PARTITION, "f", "t", (1,), (CYCLIC, ONE)), "dim must be digits, got 1"),
+            ((UNROLL, 'f"', "l", (), (ONE,)), "invalid function identifier 'f\""),
+            ((UNROLL, "f\n", "l", (), (ONE,)), "invalid function identifier"),
+            ((UNROLL, "f", None, (), (ONE,)), "invalid target identifier None"),
+            ((UNROLL, "f", "l", (), ()), "unroll: expected 1 value set\\(s\\), got 0"),
+            ((UNROLL, "f", "l", (), (ONE, ONE)), "unroll: expected 1 value set\\(s\\), got 2"),
+            ((UNROLL, "f", "l", (), (ONE,), "a b"), "invalid bind tag 'a b'"),
+        ],
+        ids=["tcl-in-fixed-parameter", "missing-fixed-parameter", "int-fixed-parameter",
+             "quote-in-function", "newline-in-function", "no-target", "no-value-set",
+             "two-value-sets", "bind-tag"],
+    )
+    def test_knob_checks_its_fields(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            Knob(*args)
+
+    def test_categorical_value_is_one_identifier(self):
+        with pytest.raises(ValueError, match="invalid categorical token"):
+            Value("cyclic\nexec")
+
+    def test_csd_without_clock(self):
+        with pytest.raises(CsdValidationError) as exc:
+            CSD((Knob(UNROLL, "f", "l", (), (ONE,)),))
+        assert [(d.code, d.knob_index) for d in exc.value.diagnostics] == [
+            ("MissingClock", None)
+        ]
+
+    def test_valid_knobs_build(self):
+        csd = CSD((Knob(ARRAY_PARTITION, "f", "t", ("1",), (CYCLIC, ONE)), CLOCK))
+        assert parse_csd(serialize_csd(csd)) == csd
+
+    def test_two_inline_knobs_on_one_function(self):
+        """An inline directive names the function alone, so a second inline
+        knob on it, whatever its target, would direct the same object."""
+        with pytest.raises(CsdValidationError) as exc:
+            parse_csd("inline;f;g;{on,off}\ninline;f;h;{on,off}\nclock;{10}")
+        assert [(d.code, d.knob_index) for d in exc.value.diagnostics] == [
+            ("DuplicateKnob", 1)
+        ]
+
+    def test_inline_knobs_on_two_functions(self):
+        csd = parse_csd("inline;f;g;{on,off}\ninline;k;g;{on,off}\nclock;{10}")
+        assert [k.location for k in csd.knobs] == [
+            ("inline", "f", "g"), ("inline", "k", "g"), ("clock",)
+        ]
 
 
 class TestDirectiveTable:

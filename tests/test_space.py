@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from hlsdse.dsl import expand_value_set, parse_csd
+from hlsdse.dsl import CsdValidationError, expand_value_set, parse_csd
 from hlsdse.space import (
     CardinalityOverflowError,
     SpaceError,
@@ -55,9 +55,9 @@ class TestCardinality:
         assert cardinality(parse_csd(local_scan_text)) == 704
 
     def test_invalid_csd_rejected(self):
-        csd = parse_csd("unroll;f;l;{1,2}", validate=False)
-        with pytest.raises(SpaceError):
-            cardinality(csd)
+        with pytest.raises(CsdValidationError) as exc:
+            parse_csd("unroll;f;l;{1,2}")
+        assert [d.code for d in exc.value.diagnostics] == ["MissingClock"]
 
     def test_overflow_found_before_materializing(self, monkeypatch):
         # ten 63-value knobs stay under the bound; the next knob's type and

@@ -360,6 +360,35 @@ class TestPending:
         with pytest.raises(StoreError):
             store.pending_configurations(999)
 
+    def test_count_pending_of_unknown_space(self, store):
+        with pytest.raises(StoreError, match="unknown space id 999"):
+            store.count_pending(999)
+
+    @pytest.mark.parametrize("state", ["fresh", "partial", "two-tool", "failed"])
+    def test_count_pending_is_length_of_pending(self, store, toy_space, state):
+        """count_pending counts in SQL what pending_configurations lists; a
+        point attempted twice, or under two tools, counts once."""
+        rec, csd = toy_space
+        configs = write_rows(store, rec, csd)
+        other = SynthesisInfo("t", "other-tool", "2.0", "otherpart", 10.0)
+        failed = ImplementationResult(status="synth_error")
+        if state == "partial":
+            for cfg in configs[:3]:
+                store.record_result(cfg.id, OK, INFO)
+        elif state == "two-tool":
+            for cfg in configs[:4]:
+                store.record_result(cfg.id, OK, INFO)
+            for cfg in configs[2:5]:
+                store.record_result(cfg.id, OK, other)
+        elif state == "failed":
+            for cfg in configs[:2]:
+                store.record_result(cfg.id, failed, INFO)
+                store.record_result(cfg.id, failed, INFO)
+            store.record_result(configs[1].id, OK, INFO)
+        expected = {"fresh": 6, "partial": 3, "two-tool": 1, "failed": 4}[state]
+        assert store.count_pending(rec.id) == len(store.pending_configurations(rec.id))
+        assert store.count_pending(rec.id) == expected
+
 
 class TestFetchPoints:
     def test_two_tools_fail_fast(self, store, toy_space):
@@ -823,6 +852,14 @@ LEGACY_CONFIG_COLUMNS = [
 ]
 
 
+def legacy_fields(index, i):
+    """config_key, key_text and directive_values of point ``i``, as
+    versions 1 and 2 stored them."""
+    c = index.decode(i)
+    return (c.config_key, c.key_text,
+            json.dumps([[v.raw for v in vals] for vals in c.assignments]))
+
+
 def build_legacy_store(path, csd, version, idxs):
     """A store as schema ``version`` (1 or 2) left it, holding the
     configuration rows of ``idxs`` with ids 1, 2, ... in that order."""
@@ -844,11 +881,7 @@ def build_legacy_store(path, csd, version, idxs):
         "INSERT INTO configuration"
         " (space_id, idx, config_key, key_text, directive_values)"
         " VALUES (1, ?, ?, ?, ?)",
-        (
-            (i, c.config_key, c.key_text,
-             json.dumps([[v.raw for v in vals] for vals in c.assignments]))
-            for i, c in ((i, index.decode(i)) for i in idxs)
-        ),
+        ((i, *legacy_fields(index, i)) for i in idxs),
     )
     conn.execute(f"PRAGMA user_version = {version}")
     conn.commit()
@@ -1055,6 +1088,86 @@ class TestLegacyStores:
         conn.close()
         with Store(path) as st:
             with pytest.raises(StoreError, match="configuration 2 has index 1000000 out"):
+                st.init_schema()
+            assert st.conn.execute("PRAGMA user_version").fetchone() == (2,)
+            assert columns(st.conn, "configuration") == LEGACY_CONFIG_COLUMNS
+
+    @pytest.mark.parametrize("field", ["config_key", "key_text", "directive_values"])
+    def test_v2_row_disagreeing_with_idx_is_not_upgraded(self, tmp_path, local_scan_text,
+                                                         field):
+        """The upgrade checks an attempted row's fields against its idx, as
+        the import of the same row does."""
+        path = str(tmp_path / "v2.sqlite")
+        csd = parse_csd(local_scan_text)
+        build_legacy_store(path, csd, 2, [0])
+        idx1 = dict(zip(LEGACY_CONFIG_COLUMNS[3:], legacy_fields(build_index(csd), 1)))
+        conn = sqlite3.connect(path)
+        conn.execute(f"UPDATE configuration SET {field} = ?", (idx1[field],))
+        legacy_ok_result(conn, 1, 1)
+        conn.commit()
+        conn.close()
+        with Store(path) as st:
+            with pytest.raises(
+                StoreError,
+                match=f"cannot upgrade store: configuration idx 0: {field} does not match"
+                rf" its index \(configuration id 1\)",
+            ):
+                st.init_schema()
+            assert st.conn.execute("PRAGMA user_version").fetchone() == (2,)
+            assert columns(st.conn, "configuration") == LEGACY_CONFIG_COLUMNS
+
+    def test_v2_row_with_foreign_key_text_is_not_upgraded(self, tmp_path, local_scan_text):
+        """An ok result on the idx-0 row that carries idx 1's key text and
+        config_key 'x' would be read as idx 0's synthesis."""
+        path = str(tmp_path / "v2.sqlite")
+        build_legacy_store(path, parse_csd(local_scan_text), 2, [0])
+        conn = sqlite3.connect(path)
+        key_text = build_index(parse_csd(local_scan_text)).decode(1).key_text
+        conn.execute("UPDATE configuration SET config_key = 'x', key_text = ?", (key_text,))
+        legacy_ok_result(conn, 1, 1)
+        conn.commit()
+        conn.close()
+        with Store(path) as st:
+            with pytest.raises(StoreError, match="configuration idx 0: config_key does not"):
+                st.init_schema()
+            assert columns(st.conn, "configuration") == LEGACY_CONFIG_COLUMNS
+
+    def test_v2_unattempted_row_is_not_checked(self, tmp_path, local_scan_text):
+        """A row without a result attributes nothing, so its stored fields
+        are dropped unread."""
+        path = str(tmp_path / "v2.sqlite")
+        build_legacy_store(path, parse_csd(local_scan_text), 2, range(3))
+        conn = sqlite3.connect(path)
+        conn.execute("UPDATE configuration SET config_key = 'x' WHERE idx = 2")
+        legacy_ok_result(conn, 1, 1)
+        conn.commit()
+        conn.close()
+        with Store(path) as st:
+            st.init_schema()
+            assert columns(st.conn, "configuration") == ["id", "space_id", "idx"]
+
+    @pytest.mark.parametrize(
+        "csd_text, cardinality, message",
+        [
+            (None, 710, "space 1: space cardinality 710 is not the size of its descriptor, 704"),
+            ("unroll;f;l1;{1,2}\n", 2, "space 1: MissingClock"),
+        ],
+        ids=["cardinality", "descriptor"],
+    )
+    def test_v2_space_disagreeing_with_descriptor_is_not_upgraded(
+        self, tmp_path, local_scan_text, csd_text, cardinality, message
+    ):
+        path = str(tmp_path / "v2.sqlite")
+        build_legacy_store(path, parse_csd(local_scan_text), 2, range(2))
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "UPDATE configuration_space SET cardinality = ?, csd_text = coalesce(?, csd_text)",
+            (cardinality, csd_text),
+        )
+        conn.commit()
+        conn.close()
+        with Store(path) as st:
+            with pytest.raises(StoreError, match=f"cannot upgrade store: {message}"):
                 st.init_schema()
             assert st.conn.execute("PRAGMA user_version").fetchone() == (2,)
             assert columns(st.conn, "configuration") == LEGACY_CONFIG_COLUMNS
