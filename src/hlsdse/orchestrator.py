@@ -355,7 +355,6 @@ def run_campaign(store: Store, campaign: Campaign) -> CampaignReport:
         campaign.space_id, backend.tool_name, backend.tool_version, backend.fpga_part
     )
     todo = pending[: campaign.limit]
-    clock_knob = next(i for i, knob in enumerate(csd.knobs) if knob.is_clock)
 
     report = CampaignReport()
     log = open(campaign.log_path, "a") if campaign.log_path else None
@@ -375,7 +374,7 @@ def run_campaign(store: Store, campaign: Campaign) -> CampaignReport:
                 tool_name=backend.tool_name,
                 tool_version=backend.tool_version,
                 fpga_part=backend.fpga_part,
-                clock_period_ns=float(config.assignments[clock_knob][0].raw),
+                clock_period_ns=config.clock_period_ns,
             )
             store.record_result(record.id, result, info)
             report.attempted += 1

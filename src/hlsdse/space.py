@@ -11,9 +11,8 @@ are then plain mixed-radix arithmetic over the axis sizes.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .dsl import CSD, Value, expand_value_set
@@ -44,29 +43,32 @@ class Axis:
 
 @dataclass(frozen=True)
 class Configuration:
-    """One point of a configuration space.
+    """One point of a configuration space, built by ``SpaceIndex.decode``.
 
     ``assignments`` holds one value tuple per knob (arity matching the knob's
-    value sets). ``key_text`` is the canonical rendering and ``config_key``
-    its hash, a stable identity across runs.
+    value sets). The rest is derived on each access: ``key_text``, the
+    canonical rendering; ``config_key``, its hash, a stable identity across
+    runs; and ``clock_period_ns``, the clock knob's value.
     """
 
+    csd: CSD = field(repr=False, compare=False)
     assignments: tuple[tuple[Value, ...], ...]
-    key_text: str
-    config_key: str
 
+    @property
+    def key_text(self) -> str:
+        return "|".join(
+            ";".join((*knob.location, ",".join(v.render() for v in values)))
+            for knob, values in zip(self.csd.knobs, self.assignments)
+        )
 
-def _render_key(csd: CSD, assignments) -> str:
-    return "|".join(
-        ";".join((*knob.location, ",".join(v.render() for v in values)))
-        for knob, values in zip(csd.knobs, assignments)
-    )
+    @property
+    def config_key(self) -> str:
+        return hashlib.sha256(self.key_text.encode()).hexdigest()
 
-
-def _make_configuration(csd: CSD, assignments) -> Configuration:
-    key_text = _render_key(csd, assignments)
-    digest = hashlib.sha256(key_text.encode()).hexdigest()
-    return Configuration(tuple(assignments), key_text, digest)
+    @property
+    def clock_period_ns(self) -> float:
+        clock = next(i for i, knob in enumerate(self.csd.knobs) if knob.is_clock)
+        return float(self.assignments[clock][0].raw)
 
 
 @dataclass(frozen=True)
@@ -82,21 +84,12 @@ class SpaceIndex:
         """Map an index in [0, total) to its configuration (bijective)."""
         if not (0 <= i < self.total):
             raise IndexError(f"configuration index {i} out of range [0, {self.total})")
-        digits = []
-        for radix in reversed(self.radices):
-            digits.append(i % radix)
-            i //= radix
-        digits.reverse()
-        return self._assemble(digits)
-
-    def _assemble(self, digits) -> Configuration:
-        slots: list[list[Optional[Value]]] = [
-            [None] * len(k.value_sets) for k in self.csd.knobs
-        ]
-        for axis, d in zip(self.axes, digits):
+        slots: list[list[Optional[Value]]] = [[None] * len(k.value_sets) for k in self.csd.knobs]
+        for axis, radix in zip(reversed(self.axes), reversed(self.radices)):
+            i, d = divmod(i, radix)
             for k, p in axis.slots:
                 slots[k][p] = axis.values[d]
-        return _make_configuration(self.csd, [tuple(row) for row in slots])
+        return Configuration(self.csd, tuple(map(tuple, slots)))
 
     def encode(self, config: Configuration) -> int:
         """Inverse of decode."""
@@ -142,8 +135,8 @@ def cardinality(csd: CSD) -> int:
 def enumerate_space(csd: CSD) -> Iterator[Configuration]:
     """Yield every configuration in index order; O(1) memory in the total."""
     index = build_index(csd)
-    for digits in itertools.product(*(range(r) for r in index.radices)):
-        yield index._assemble(list(digits))
+    for i in range(index.total):
+        yield index.decode(i)
 
 
 def sample(csd: CSD, n: int, seed: int) -> list[Configuration]:

@@ -5,6 +5,7 @@ import shlex
 import signal
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from hlsdse.orchestrator import (
     parse_report,
     run_campaign,
 )
+from hlsdse import space
 from hlsdse.space import build_index, enumerate_space
 from hlsdse.store import Store
 
@@ -372,6 +374,20 @@ class TestRunCampaign:
         for idx, period in rows:
             assert period == float(index.decode(idx).assignments[clock][0].raw)
 
+    def test_mock_campaign_derives_no_key(self, populated_store, monkeypatch):
+        # without an event log nothing reads a configuration's key, so
+        # decoding a point must not hash it
+        calls = []
+
+        def sha256(*args):
+            calls.append(args)
+            return hashlib.sha256(*args)
+
+        monkeypatch.setattr(space, "hashlib", SimpleNamespace(sha256=sha256))
+        st, rec = populated_store
+        report = run_campaign(st, Campaign(space_id=rec.id, backend=MOCK, jobs=2))
+        assert report.ok == 704
+        assert calls == []
 
     def test_bad_report_fails_the_attempt_not_the_campaign(self, tmp_path):
         nan_report = tmp_path / "nan_report.xml"

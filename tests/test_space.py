@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hlsdse.dsl import CsdValidationError, expand_value_set, parse_csd
 from hlsdse.space import (
     CardinalityOverflowError,
+    Configuration,
     SpaceError,
     build_index,
     cardinality,
@@ -121,6 +123,27 @@ class TestIndex:
         index = build_index(parse_csd(local_scan_text))
         for i in range(index.total):
             assert index.encode(index.decode(i)) == i
+
+
+class TestConfiguration:
+    def test_stores_only_descriptor_and_assignments(self):
+        assert [f.name for f in dataclasses.fields(Configuration)] == ["csd", "assignments"]
+        for name in ("key_text", "config_key", "clock_period_ns"):
+            assert isinstance(getattr(Configuration, name), property), name
+
+    def test_descriptor_left_out_of_repr_and_equality(self):
+        a = build_index(parse_csd("unroll;f;l1;{1,2}\nclock;{10}")).decode(0)
+        b = build_index(parse_csd("unroll;f;l1;{1,2,4}\nclock;{10}")).decode(0)
+        assert a.csd != b.csd
+        assert a == b and hash(a) == hash(b)
+        assert "csd" not in repr(a) and "assignments" in repr(a)
+
+    def test_derived_fields(self):
+        index = build_index(parse_csd("unroll;f;l1;{1,2}\nclock;{5,10}"))
+        config = index.decode(3)
+        assert config.key_text == "unroll;f;l1;2|clock;10"
+        assert config.config_key == hashlib.sha256(b"unroll;f;l1;2|clock;10").hexdigest()
+        assert [index.decode(i).clock_period_ns for i in range(4)] == [5.0, 10.0, 5.0, 10.0]
 
 
 class TestEnumerate:
