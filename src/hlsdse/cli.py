@@ -65,6 +65,8 @@ def cmd_count(args) -> None:
 
 
 def cmd_expand(args) -> None:
+    if args.limit is not None and args.limit < 0:
+        raise ValueError("limit must be >= 0")  # the message Campaign gives run
     csd = _read_csd(args)
     configs = list(itertools.islice(enumerate_space(csd), args.limit))
     if args.format == "json":

@@ -31,6 +31,9 @@ RANGE_RE = re.compile(r"([0-9]+)\s*->\s*([0-9]+)\s*,\s*([A-Za-z_][A-Za-z0-9_]*)$
 # the largest ``hi`` of a div range, which bounds its divisor scan at 2**20
 # trial divisions; HLS factor arguments are far smaller
 MAX_DIV_HI = 2**40
+# the largest clock period: up to it every integer is an exact float, the
+# type of the period's stored column
+MAX_CLOCK = 2**53
 
 
 class CsdError(Exception):
@@ -374,6 +377,10 @@ def validate_csd(csd: CSD) -> list[Diagnostic]:
             if not knob.value_sets[0].is_numeric:
                 diags.append(
                     Diagnostic("CategoricalClock", i, "clock periods must be numbers")
+                )
+            elif any(v.raw > MAX_CLOCK for v in expand_value_set(knob.value_sets[0])):
+                diags.append(
+                    Diagnostic("ClockOutOfRange", i, "clock periods must be <= 2**53")
                 )
         tokens = dict(knob.directive.tokens)
         unknown = tokens and {v.render() for vs in knob.value_sets

@@ -6,6 +6,10 @@ A bind group is one axis too: it holds the common value list, comes first
 among its first member knob's axes, and writes its value to the last set of
 every member knob, whose own set gets no axis. Cardinality and point decoding
 are then plain mixed-radix arithmetic over the axis sizes.
+
+``SpaceIndex.decode`` is the one constructor of a ``Configuration``, which
+holds its descriptor and assignments and derives its key, digest and clock
+period on each access; ``enumerate_space`` and ``sample`` decode indices.
 """
 
 from __future__ import annotations

@@ -25,12 +25,19 @@ checks: each space's cardinality against its descriptor, and a legacy row's
 three fields against its index before they are dropped (the upgrade checks
 only rows with an attempt, as the others attribute nothing). It also refuses
 a store that the version-3 triggers would reject.
+
+An import stores whole results and finite numbers only: each implementation
+it writes must have the rows ``record_result`` writes for its status (one
+synthesis_info row, and resource_usage and performance rows exactly when it
+is ok), and a NaN, an infinity or a float literal beyond the float range is
+a malformed record.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import sqlite3
 from collections import Counter
 from dataclasses import dataclass
@@ -220,9 +227,40 @@ _BATCHED = frozenset(
 # rows per executemany: long enough to amortize the call, short enough
 # that the parsed rows held in memory stay few
 _RUN_ROWS = 256
-# one coder for every line, rather than one built per json.dumps/loads call
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):  # a literal such as 1e999
+        raise ValueError(f"number {text} out of range")
+    return value
+
+
+# one coder for every line, rather than one built per json.dumps/loads call;
+# the decoder refuses NaN, Infinity, -Infinity and a float literal beyond the
+# float range, which SQLite stores but an SQL export cannot write
 _ENCODER = json.JSONEncoder(sort_keys=True)
-_DECODER = json.JSONDecoder()
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
+# the first implementation with id in [?, ?] whose rows are not those
+# record_result writes: one synthesis_info row, and resource_usage and
+# performance rows exactly when the status is ok; with the status, whether
+# it has each of the three rows
+_PARTIAL_RESULT = """
+SELECT i.id, i.status, s.implementation_id IS NOT NULL,
+    r.implementation_id IS NOT NULL, p.implementation_id IS NOT NULL
+FROM implementation i
+LEFT JOIN synthesis_info s ON s.implementation_id = i.id
+LEFT JOIN resource_usage r ON r.implementation_id = i.id
+LEFT JOIN performance p ON p.implementation_id = i.id
+WHERE i.id BETWEEN ? AND ? AND (s.implementation_id IS NULL
+    OR (r.implementation_id IS NULL) = (i.status = 'ok')
+    OR (p.implementation_id IS NULL) = (i.status = 'ok'))
+ORDER BY i.id LIMIT 1
+"""
 # what blocks the upgrade of a version-1 or version-2 store, because the
 # version-3 triggers reject it: the first configuration and (tool, version,
 # part) with more than one ok result, and the first configuration whose idx
@@ -734,8 +772,8 @@ class Store:
 
         Objective names: latency (cycles), latency_ns (cycles x achieved
         period), ff/lut/bram/dsp, and area (weighted resource sum using
-        ``area_weights`` in ff/lut/bram/dsp order: four non-negative values,
-        not all zero, else StoreError). A stored value that yields a
+        ``area_weights`` in ff/lut/bram/dsp order: four finite non-negative
+        values, not all zero, else StoreError). A stored value that yields a
         negative or non-finite objective raises AnalyticsError.
         """
         objectives = list(objectives)
@@ -746,8 +784,8 @@ class Store:
                 raise StoreError(f"unknown objective {name!r}")
         params: list = []
         if "area" in objectives:
-            if len(area_weights) != 4 or any(w < 0 for w in area_weights):
-                raise StoreError("area weights must be four non-negative values")
+            if len(area_weights) != 4 or not all(0 <= w < math.inf for w in area_weights):
+                raise StoreError("area weights must be four finite non-negative values")
             if all(w == 0 for w in area_weights):
                 raise StoreError("area weights must not be all zero")
             params = list(area_weights) * objectives.count("area")
@@ -825,12 +863,15 @@ class Store:
 
         A version-1 or version-2 configuration record also carries
         LEGACY_FIELDS; each must be what the record's idx decodes to in its
-        space, and is then dropped."""
+        space, and is then dropped. After the last record, each
+        implementation written must have the rows record_result writes for
+        its status, else the first that has not fails the import."""
         id_maps: dict[str, dict[int, int]] = {t: {} for t in TABLES}
         version = SCHEMA_VERSION
         indexes: dict[int, SpaceIndex] = {}  # imported space id -> its index
         next_id: dict[str, int] = {}
         counts: Counter = Counter()
+        impl_records: dict[int, int] = {}  # new implementation id -> record index
         last_good = -1
         run_table, run = None, []  # the pending run: (record index, values)
 
@@ -863,7 +904,7 @@ class Store:
                     continue
                 try:
                     obj = _DECODER.decode(line)
-                except json.JSONDecodeError as e:
+                except ValueError as e:  # JSONDecodeError or a non-finite number
                     raise failure(f"malformed record: {e}") from None
                 if not isinstance(obj, dict):
                     raise failure("malformed record: not a JSON object")
@@ -908,6 +949,8 @@ class Store:
                             next_id[table] = (top or 0) + 1
                         old_id, obj["id"] = obj["id"], next_id[table]
                         next_id[table] += 1
+                        if table == "implementation":
+                            impl_records[obj["id"]] = n
                         if old_id is not None:
                             try:
                                 id_maps[table][old_id] = obj["id"]
@@ -941,7 +984,32 @@ class Store:
                 counts[table] += 1
                 last_good = n
             flush()
+            self._check_results(impl_records)
         return dict(counts)
+
+    def _check_results(self, impl_records: dict[int, int]):
+        """Raise ImportError_ unless each implementation an import wrote,
+        ``impl_records`` mapping its id to its record index, has the rows
+        record_result writes for its status."""
+        if not impl_records:
+            return
+        bad = self.conn.execute(
+            _PARTIAL_RESULT, (min(impl_records), max(impl_records))
+        ).fetchone()
+        if bad:
+            impl_id, status, *has = bad
+            ok = status == "ok"
+            wrong = [
+                f"{'no' if want else 'a'} {table} row"
+                for table, found, want in zip(
+                    ("synthesis_info", "resource_usage", "performance"), has, (True, ok, ok)
+                )
+                if found != want
+            ]
+            n = impl_records[impl_id]
+            raise ImportError_(
+                f"{status} implementation record {n} has " + " and ".join(wrong), n - 1
+            )
 
     def check_integrity(self) -> list[str]:
         """Full-scan referential check; returns human-readable violations."""

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import pytest
@@ -287,6 +288,11 @@ class TestScalarizeArea:
     def test_negative_rejected(self):
         with pytest.raises(StoreError, match="non-negative"):
             area_values([(10, 20, 1, 0)], (-0.001, 1, 0, 0))
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_rejected(self, weight):
+        with pytest.raises(StoreError, match="finite non-negative"):
+            area_values([(10, 20, 1, 0)], (weight, 1, 0, 0))
 
     def test_normalization_changes_argmin(self):
         # witness: weighting flips which point has smaller area

@@ -10,7 +10,7 @@ import hlsdse
 from hlsdse.cli import EXIT_DOMAIN, EXIT_USAGE, build_parser, main
 from hlsdse.dsl import parse_csd
 from hlsdse.orchestrator import BackendSpec, Campaign, run_campaign
-from hlsdse.store import Store
+from hlsdse.store import TABLES, Store
 
 DATA = Path(__file__).parent / "data"
 REF = str(DATA / "last_step_scan.csd")
@@ -118,6 +118,11 @@ class TestExpand:
         data = json.loads(out)
         assert len(data) == 2
         assert all("knob" in obj and "values" in obj for obj in data[0])
+
+    def test_negative_limit_fails_as_run_does(self, capsys, db, toy_csd):
+        code, out, err = run(capsys, "expand", toy_csd, "--limit", "-1")
+        assert (code, out, err) == (EXIT_DOMAIN, "", "error: limit must be >= 0\n")
+        assert run(capsys, "--db", db, "run", toy_csd, "--limit", "-1") == (code, out, err)
 
 
 class TestInitDb:
@@ -415,6 +420,32 @@ class TestErrorPath:
             for table in ("benchmark", "algorithm", "design", "configuration_space",
                           "configuration", "implementation"):
                 assert st.conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone() == (0,)
+
+    def test_clock_beyond_exact_floats_fails_every_command(self, capsys, db, tmp_path, toy_csd):
+        """A clock period above 2**53 has no exact float, the type it is
+        stored as; run refuses it before it writes a row."""
+        p = tmp_path / "clock.csd"
+        p.write_text("unroll;f;l1;{1,2}\nclock;{1" + "0" * 400 + "}\n")
+        assert run(capsys, "--db", db, "run", toy_csd, "--limit", "5")[0] == 0
+
+        def counts():
+            with Store(db) as st:
+                return [st.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() for t in TABLES]
+
+        before = counts()
+        for argv in (["validate", str(p)], ["count", str(p)], ["--db", db, "run", str(p)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (EXIT_DOMAIN, "")
+            assert err == "error: ClockOutOfRange: knob 1: clock periods must be <= 2**53\n"
+        assert counts() == before
+
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_weight_names_the_weights(self, capsys, db, toy_csd, weight):
+        run(capsys, "--db", db, "run", toy_csd)
+        code, out, err = run(capsys, "--db", db, "analyze", "1", "--objectives",
+                             "latency,area", "--weights", weight, "1", "0", "0")
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == "error: area weights must be four finite non-negative values\n"
 
     def test_run_on_space_larger_than_its_descriptor_writes_no_rows(self, capsys, db):
         """A space row whose cardinality is not its descriptor's size is

@@ -22,6 +22,7 @@ from hlsdse.dsl import (
     serialize_csd,
     validate_csd,
 )
+from hlsdse.space import build_index
 
 from conftest import random_csds
 
@@ -207,6 +208,23 @@ class TestParse:
         assert [(d.code, d.knob_index) for d in exc.value.diagnostics] == [
             ("CategoricalClock", 1)
         ]
+
+    @pytest.mark.parametrize(
+        "clock",
+        ["{9007199254740993}", "{1->18014398509481984,pow_2}", "{10,1" + "0" * 400 + "}"],
+        ids=["2**53+1", "pow_2-range", "401-digits"],
+    )
+    def test_clock_beyond_exact_floats_rejected(self, clock):
+        # the period is stored as a float: above 2**53 an integer may have none
+        with pytest.raises(CsdValidationError) as exc:
+            parse_csd(f"unroll;f;l;{{1,2}}\nclock;{clock}")
+        assert [(d.code, d.knob_index) for d in exc.value.diagnostics] == [
+            ("ClockOutOfRange", 1)
+        ]
+
+    def test_clock_of_two_to_the_53_accepted(self):
+        csd = parse_csd("clock;{9007199254740992}")
+        assert build_index(csd).decode(0).clock_period_ns == 2.0**53
 
     def test_duplicate_knob_rejected(self):
         text = "unroll;f;l1;{1,2}\nunroll;f;l1;{1,2}\nclock;{10}"

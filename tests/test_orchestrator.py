@@ -27,6 +27,28 @@ from conftest import DATA, random_csds
 
 MOCK = BackendSpec(kind="mock")
 SAMPLE_REPORT = Path(__file__).parent / "data" / "sample_report.xml"
+# a tool that leaves a background child behind, writes both pids to its
+# sandbox, then outlives any short timeout
+LINGERING_TOOL = (
+    "sh -c 'sleep 30 & echo $$ $! > \"$0/pids\"; sleep 30'"
+    " {config_dir} {design_src} {script}"
+)
+needs_proc = pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+
+
+def live(pid=None, pgid=None):
+    """Processes, not zombies, with this pid or in this group."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            text = stat.read_text()
+        except OSError:
+            continue
+        state, _, pgrp = text[text.rindex(")") + 2 :].split()[:3]
+        p = int(stat.parent.name)
+        if state not in "ZX" and (p == pid or int(pgrp) == pgid):
+            found.append(p)
+    return found
 
 
 @pytest.fixture
@@ -389,6 +411,60 @@ class TestRunCampaign:
         assert report.ok == 704
         assert calls == []
 
+    @needs_proc
+    def test_timeouts_end_every_tool_group(self, tmp_path):
+        backend = BackendSpec(kind="external_tool", command=LINGERING_TOOL, timeout_s=0.3)
+        log = tmp_path / "events.jsonl"
+        with Store(":memory:") as st:
+            st.init_schema()
+            did = st.ensure_design("b", "a", "d")
+            rec = st.register_space(did, parse_csd("unroll;f;l1;{1,2,4,8}\nclock;{10}"), "t")
+            campaign = Campaign(
+                space_id=rec.id, backend=backend, jobs=2, work_dir=str(tmp_path),
+                log_path=str(log),
+            )
+            report = run_campaign(st, campaign)
+            groups = [
+                [int(p) for p in pids.read_text().split()]
+                for pids in (tmp_path / "sandboxes").glob("*/pids")
+            ]
+            try:
+                assert len(groups) == 4
+                assert [live(pid=child) + live(pgid=leader) for leader, child in groups] == [
+                    [], [], [], []
+                ]
+            finally:
+                for _, child in groups:
+                    for p in live(pid=child):
+                        os.kill(p, signal.SIGKILL)
+            assert (report.attempted, report.timeout, report.ok, report.failed) == (4, 4, 0, 0)
+            assert report.max_in_flight <= 2
+            assert st.count_implementations(rec.id, "timeout") == 4
+            assert run_campaign(st, campaign).attempted == 0
+        events = [json.loads(line)["event"] for line in log.read_text().splitlines()]
+        assert sorted(events) == ["start"] * 4 + ["timeout"] * 4
+
+    def test_tool_that_cannot_start_fails_each_attempt(self, tmp_path):
+        missing = tmp_path / "no-such-tool"
+        backend = BackendSpec(
+            kind="external_tool", command=f"{missing} {{config_dir}} {{design_src}} {{script}}"
+        )
+        log = tmp_path / "events.jsonl"
+        with Store(":memory:") as st:
+            st.init_schema()
+            did = st.ensure_design("b", "a", "d")
+            rec = st.register_space(did, parse_csd("unroll;f;l1;{1,2,4}\nclock;{10}"), "t")
+            report = run_campaign(st, Campaign(
+                space_id=rec.id, backend=backend, jobs=2, work_dir=str(tmp_path),
+                log_path=str(log),
+            ))
+            assert (report.attempted, report.failed, report.ok) == (3, 3, 0)
+            assert st.count_implementations(rec.id, "synth_error") == 3
+        fails = [json.loads(line) for line in log.read_text().splitlines()]
+        fails = [e for e in fails if e["event"] == "fail"]
+        assert len(fails) == 3
+        assert all(str(missing) in e["diagnostic"] for e in fails)
+
     def test_bad_report_fails_the_attempt_not_the_campaign(self, tmp_path):
         nan_report = tmp_path / "nan_report.xml"
         nan_report.write_bytes(_xml_report(EstimatedClockPeriod="nan"))
@@ -544,32 +620,13 @@ class TestExternalBackend:
         second = run("true {config_dir} {design_src} {script}")
         assert second.status == "synth_error"
 
-    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    @needs_proc
     def test_timeout_ends_process_group(self, tmp_path):
         from hlsdse.orchestrator import _run_external
 
-        def live(pid=None, pgid=None):
-            """Processes, not zombies, with this pid or in this group."""
-            found = []
-            for stat in Path("/proc").glob("[0-9]*/stat"):
-                try:
-                    text = stat.read_text()
-                except OSError:
-                    continue
-                state, _, pgrp = text[text.rindex(")") + 2 :].split()[:3]
-                p = int(stat.parent.name)
-                if state not in "ZX" and (p == pid or int(pgrp) == pgid):
-                    found.append(p)
-            return found
-
         csd = parse_csd("unroll;f;l1;{1,2}\nclock;{10}")
         cfg = build_index(csd).decode(0)
-        # a tool that leaves a background child behind, then outlives its timeout
-        command = (
-            "sh -c 'sleep 30 & echo $$ $! > \"$0/pids\"; sleep 30'"
-            " {config_dir} {design_src} {script}"
-        )
-        backend = BackendSpec(kind="external_tool", command=command, timeout_s=0.5)
+        backend = BackendSpec(kind="external_tool", command=LINGERING_TOOL, timeout_s=0.5)
         campaign = Campaign(
             space_id=1, backend=backend, design_src="design.c", work_dir=str(tmp_path)
         )

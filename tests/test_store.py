@@ -714,6 +714,87 @@ class TestExportImport:
             assert exc.value.last_good == k - 1
             assert other.conn.execute("SELECT COUNT(*) FROM configuration").fetchone() == (0,)
 
+    @staticmethod
+    def _result_lines(lines, table, impl_id):
+        """Indices of the ``lines`` of ``table`` for implementation ``impl_id``."""
+        key = "id" if table == "implementation" else "implementation_id"
+        return [n for n, line in enumerate(lines)
+                if json.loads(line)["table"] == table and json.loads(line)[key] == impl_id]
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ("resource_usage", "ok implementation record {k} has no resource_usage row"),
+            ("performance", "ok implementation record {k} has no performance row"),
+            ("synthesis_info", "ok implementation record {k} has no synthesis_info row"),
+        ],
+        ids=["no-resource_usage", "no-performance", "no-synthesis_info"],
+    )
+    def test_partial_result_rejected(self, store, table, message):
+        """An import stores whole results, as record_result writes them: a
+        result missing one of its rows would read as attempted but never
+        appear among the points."""
+        rec = self._populated(store, "unroll;f;l1;{1,2,4}\nclock;{10}")
+        lines = store.export_jsonl(rec.id).decode().splitlines()
+        impl_id = store.conn.execute("SELECT id FROM implementation").fetchall()[1][0]
+        (k,) = self._result_lines(lines, "implementation", impl_id)
+        (gone,) = self._result_lines(lines, table, impl_id)
+        del lines[gone]
+        with Store(":memory:") as other:
+            other.init_schema()
+            with pytest.raises(ImportError_, match=message.format(k=k)) as exc:
+                other.import_jsonl(("\n".join(lines) + "\n").encode())
+            assert exc.value.last_good == k - 1
+            for t in TABLES:
+                assert other.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
+
+    def test_metric_rows_of_failed_result_rejected(self, store):
+        rec = self._populated(store, "unroll;f;l1;{1,2,4}\nclock;{10}")
+        lines = store.export_jsonl(rec.id).decode().splitlines()
+        impl_id = store.conn.execute("SELECT id FROM implementation").fetchall()[1][0]
+        (k,) = self._result_lines(lines, "implementation", impl_id)
+        lines[k] = json.dumps({**json.loads(lines[k]), "status": "synth_error"})
+        with Store(":memory:") as other:
+            other.init_schema()
+            with pytest.raises(
+                ImportError_, match=f"synth_error implementation record {k} has a"
+                " resource_usage row and a performance row"
+            ) as exc:
+                other.import_jsonl(("\n".join(lines) + "\n").encode())
+            assert exc.value.last_good == k - 1
+            for t in TABLES:
+                assert other.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
+
+    def test_partial_result_of_legacy_payload_rejected(self, store):
+        lines = V2_EXPORT.read_bytes().decode().splitlines()
+        (gone,) = self._result_lines(lines, "performance", 3)
+        del lines[gone]
+        (k,) = self._result_lines(lines, "implementation", 3)
+        with pytest.raises(
+            ImportError_, match=f"ok implementation record {k} has no performance row"
+        ) as exc:
+            store.import_jsonl(("\n".join(lines) + "\n").encode())
+        assert exc.value.last_good == k - 1
+        assert store.conn.execute("SELECT COUNT(*) FROM implementation").fetchone() == (0,)
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_number_rejected(self, store, number):
+        """JSON's decoder reads these as floats, which SQLite stores but an
+        SQL export cannot write back."""
+        rec = self._populated(store, "unroll;f;l1;{1,2,4}\nclock;{10}")
+        lines = store.export_jsonl(rec.id).decode().splitlines()
+        k = [n for n, line in enumerate(lines)
+             if json.loads(line)["table"] == "performance"][1]
+        obj = {**json.loads(lines[k]), "achieved_period_ns": "@"}
+        lines[k] = json.dumps(obj).replace('"@"', number)
+        with Store(":memory:") as other:
+            other.init_schema()
+            with pytest.raises(ImportError_, match="malformed record") as exc:
+                other.import_jsonl(("\n".join(lines) + "\n").encode())
+            assert exc.value.last_good == k - 1
+            for t in TABLES:
+                assert other.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
+
     def test_list_taxonomy_id(self, store):
         with pytest.raises(ImportError_) as exc:
             store.import_jsonl(b'{"table": "benchmark", "id": [1], "name": "b"}\n')
