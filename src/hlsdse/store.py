@@ -242,13 +242,13 @@ def _finite_float(text: str) -> float:
 
 # one coder for every line, rather than one built per json.dumps/loads call;
 # the decoder refuses NaN, Infinity, -Infinity and a float literal beyond the
-# float range, which SQLite stores but an SQL export cannot write
+# float range, which no SQL export could write back
 _ENCODER = json.JSONEncoder(sort_keys=True)
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
 # the first implementation with id in [?, ?] whose rows are not those
-# record_result writes: one synthesis_info row, and resource_usage and
-# performance rows exactly when the status is ok; with the status, whether
-# it has each of the three rows
+# record_result writes (one synthesis_info row, and resource_usage and
+# performance rows exactly when the status is ok): its id, its status and
+# whether it has each of the three rows
 _PARTIAL_RESULT = """
 SELECT i.id, i.status, s.implementation_id IS NOT NULL,
     r.implementation_id IS NOT NULL, p.implementation_id IS NOT NULL

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings
 
+from hlsdse import space
 from hlsdse.dsl import parse_csd
 from hlsdse.orchestrator import (
     BackendSpec,
@@ -19,7 +20,6 @@ from hlsdse.orchestrator import (
     parse_report,
     run_campaign,
 )
-from hlsdse import space
 from hlsdse.space import build_index, enumerate_space
 from hlsdse.store import Store
 
