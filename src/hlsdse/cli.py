@@ -68,12 +68,19 @@ def cmd_expand(args) -> None:
     if args.limit is not None and args.limit < 0:
         raise ValueError("limit must be >= 0")  # the message Campaign gives run
     csd = _read_csd(args)
-    configs = list(itertools.islice(enumerate_space(csd), args.limit))
-    if args.format == "json":
-        print(json.dumps([configurations_json(csd, c) for c in configs]))
-    else:
+    configs = itertools.islice(enumerate_space(csd), args.limit)
+    if args.format != "json":
         for c in configs:
             print(c.key_text)
+        return
+    # each point is written as it is enumerated, in the bytes json.dumps
+    # gives the whole list; "[" waits for the first point, so a space that
+    # fails to index writes nothing
+    sep = "["
+    for c in configs:
+        sys.stdout.write(sep + json.dumps(configurations_json(csd, c)))
+        sep = ", "
+    print("[]" if sep == "[" else "]")
 
 
 def cmd_init_db(args) -> None:

@@ -31,6 +31,15 @@ it writes must have the rows ``record_result`` writes for its status (one
 synthesis_info row, and resource_usage and performance rows exactly when it
 is ok), and a NaN, an infinity or a float literal beyond the float range is
 a malformed record.
+
+SQLite renders the lines of a JSON-lines export: its json_quote writes the
+integers, text and NULLs, while REAL values come back to Python and are
+written by float repr, as json writes them, because json_quote keeps only
+15 significant digits. On ASCII text the lines are those of
+``json.dumps(..., sort_keys=True)``; characters at or above 0x7f are written
+as raw UTF-8 rather than ``\\u`` escapes, and import reads both. The SQL
+export keeps Python literals for the same reason: SQLite's quote() does not
+write every double back exactly.
 """
 
 from __future__ import annotations
@@ -195,31 +204,57 @@ _CONFIG_RECORDS = (
 )
 # the columns of a version-1 or version-2 configuration record
 _LEGACY_CONFIG_COLUMNS = _COLUMN_SETS["configuration"] | frozenset(LEGACY_FIELDS)
-# (table, query) per table, parents first: each query binds the space id
-# and reads that table's rows of the space, every column in DDL order
+# (table, alias, FROM ... WHERE ... ORDER BY) per table, parents first: each
+# clause binds the space id and reads that table's rows of the space, aliased
+# as ``alias``; both exports build their SELECT lists on these
 _OF_IMPLEMENTATIONS = (
     " x JOIN implementation i ON i.id=x.implementation_id JOIN configuration c"
     " ON c.id=i.configuration_id WHERE c.space_id=? ORDER BY x.implementation_id"
 )
 _EXPORT_QUERIES = [
-    ("benchmark",
-     "SELECT b.* FROM benchmark b JOIN algorithm a ON a.benchmark_id=b.id"
+    ("benchmark", "b",
+     "FROM benchmark b JOIN algorithm a ON a.benchmark_id=b.id"
      " JOIN design d ON d.algorithm_id=a.id"
      " JOIN configuration_space s ON s.design_id=d.id WHERE s.id=?"),
-    ("algorithm",
-     "SELECT a.* FROM algorithm a JOIN design d ON d.algorithm_id=a.id"
+    ("algorithm", "a",
+     "FROM algorithm a JOIN design d ON d.algorithm_id=a.id"
      " JOIN configuration_space s ON s.design_id=d.id WHERE s.id=?"),
-    ("design",
-     "SELECT d.* FROM design d"
-     " JOIN configuration_space s ON s.design_id=d.id WHERE s.id=?"),
-    ("configuration_space", "SELECT * FROM configuration_space WHERE id=?"),
-    ("configuration", "SELECT * FROM configuration WHERE space_id=? ORDER BY idx"),
-    ("implementation",
-     "SELECT i.* FROM implementation i JOIN configuration c"
+    ("design", "d",
+     "FROM design d JOIN configuration_space s ON s.design_id=d.id WHERE s.id=?"),
+    ("configuration_space", "s", "FROM configuration_space s WHERE s.id=?"),
+    ("configuration", "c", "FROM configuration c WHERE c.space_id=? ORDER BY c.idx"),
+    ("implementation", "i",
+     "FROM implementation i JOIN configuration c"
      " ON c.id=i.configuration_id WHERE c.space_id=? ORDER BY i.id"),
-    *((t, f"SELECT x.* FROM {t}{_OF_IMPLEMENTATIONS}")
+    *((t, "x", f"FROM {t}{_OF_IMPLEMENTATIONS}")
       for t in ("synthesis_info", "resource_usage", "performance")),
 ]
+
+
+def _export_line(table: str, alias: str, clause: str) -> tuple[str, str]:
+    """The query and the %-template of one table's JSON lines.
+
+    The template holds the keys in sorted order, "table" among them, as
+    ``json.dumps(..., sort_keys=True)`` writes them; the query selects one
+    value per %s in that order. SQLite's json_quote renders integers, text
+    and NULL; a REAL comes back as a Python float, which %s renders with
+    float.__repr__ as json does, since json_quote keeps only 15 digits.
+    """
+    keys = sorted([*_EXPORT_COLS[table], "table"])
+    template = "{" + ", ".join(
+        f"{json.dumps(k)}: " + (json.dumps(table) if k == "table" else "%s") for k in keys
+    ) + "}"
+    select = ", ".join(
+        f"CASE typeof({alias}.{c}) WHEN 'real' THEN {alias}.{c}"
+        f" ELSE json_quote({alias}.{c}) END"
+        for c in keys if c != "table"
+    )
+    return f"SELECT {select} {clause}", template
+
+
+# (query, line template) per table, in _EXPORT_QUERIES order
+_EXPORT_LINES = [_export_line(*q) for q in _EXPORT_QUERIES]
+_EXPORT_HEADER = json.dumps({"table": "_meta", "schema_version": SCHEMA_VERSION})
 # the rows import sends in runs, one executemany per run of one table
 _BATCHED = frozenset(
     ["configuration", "implementation", "synthesis_info", "resource_usage", "performance"]
@@ -240,10 +275,9 @@ def _finite_float(text: str) -> float:
     return value
 
 
-# one coder for every line, rather than one built per json.dumps/loads call;
-# the decoder refuses NaN, Infinity, -Infinity and a float literal beyond the
-# float range, which no SQL export could write back
-_ENCODER = json.JSONEncoder(sort_keys=True)
+# one decoder for every line, rather than one built per json.loads call; it
+# refuses NaN, Infinity, -Infinity and a float literal beyond the float
+# range, which no SQL export could write back
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
 # the first implementation with id in [?, ?] whose rows are not those
 # record_result writes (one synthesis_info row, and resource_usage and
@@ -330,7 +364,7 @@ class DuplicateImplementationError(StoreError):
     pass
 
 
-class ImportError_(StoreError):
+class ImportRejected(StoreError):
     """Import failure; carries the index of the last record applied cleanly."""
 
     def __init__(self, message: str, last_good: int):
@@ -370,10 +404,13 @@ def _now() -> str:
 
 
 def _rejection(table: str, e: Exception) -> str:
-    """The import diagnostic for a ``table`` row that SQLite rejected."""
+    """The import diagnostic for a ``table`` row that SQLite rejected: a
+    trigger's own message, a referential violation for a foreign key, else a
+    malformed record (a CHECK, NOT NULL or UNIQUE failure, or an unbindable
+    value)."""
     if str(e) in _TRIGGER_ABORTS:
         return str(e)
-    if isinstance(e, sqlite3.IntegrityError):
+    if str(e) == "FOREIGN KEY constraint failed":
         return f"referential violation: {e}"
     return f"malformed {table} record: {e}"
 
@@ -819,23 +856,25 @@ class Store:
 
     def _space_rows(self, space_id: int) -> Iterator[tuple[str, dict]]:
         self.get_space(space_id)
-        for table, query in _EXPORT_QUERIES:
+        for table, alias, clause in _EXPORT_QUERIES:
             cols = _EXPORT_COLS[table]
-            for row in self.conn.execute(query, (space_id,)):
+            for row in self.conn.execute(f"SELECT {alias}.* {clause}", (space_id,)):
                 yield table, dict(zip(cols, row))
 
     def export_jsonl(self, space_id: int) -> bytes:
         """JSON-lines dump of every row belonging to a space; each object
-        carries a "table" discriminator."""
-        lines = [
-            _ENCODER.encode({"table": table, **data})
-            for table, data in self._space_rows(space_id)
-        ]
-        header = json.dumps({"table": "_meta", "schema_version": SCHEMA_VERSION})
-        return ("\n".join([header] + lines) + "\n").encode()
+        carries a "table" discriminator. SQLite renders each line (see
+        _export_line), so text is written as raw UTF-8."""
+        self.get_space(space_id)
+        lines = [_EXPORT_HEADER]
+        for query, template in _EXPORT_LINES:
+            lines.extend(map(template.__mod__, self.conn.execute(query, (space_id,))))
+        return ("\n".join(lines) + "\n").encode()
 
     def export_sql(self, space_id: int) -> bytes:
-        """SQL dump (DDL plus INSERT statements) for one space."""
+        """SQL dump (DDL plus INSERT statements) for one space. Values are
+        Python literals: a REAL is written by repr, which reads back to the
+        same double, where SQLite's quote() may not."""
 
         def lit(v):
             if v is None:
@@ -887,16 +926,16 @@ class Store:
                 applied = self.conn.total_changes - before
                 if applied:
                     last_good = run[applied - 1][0]
-                raise ImportError_(_rejection(run_table, e), last_good) from None
+                raise ImportRejected(_rejection(run_table, e), last_good) from None
             counts[run_table] += len(run)
             last_good = run[-1][0]
             run = []
 
-        def failure(message: str) -> ImportError_:
+        def failure(message: str) -> ImportRejected:
             """The error for the current record, once the records before it
             are applied, so that an earlier failure is the one raised."""
             flush()
-            return ImportError_(message, last_good)
+            return ImportRejected(message, last_good)
 
         with self.conn:
             for n, line in enumerate(payload.decode().splitlines()):
@@ -988,7 +1027,7 @@ class Store:
         return dict(counts)
 
     def _check_results(self, impl_records: dict[int, int]):
-        """Raise ImportError_ unless each implementation an import wrote,
+        """Raise ImportRejected unless each implementation an import wrote,
         ``impl_records`` mapping its id to its record index, has the rows
         record_result writes for its status."""
         if not impl_records:
@@ -1007,7 +1046,7 @@ class Store:
                 if found != want
             ]
             n = impl_records[impl_id]
-            raise ImportError_(
+            raise ImportRejected(
                 f"{status} implementation record {n} has " + " and ".join(wrong), n - 1
             )
 

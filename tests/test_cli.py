@@ -1,3 +1,5 @@
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ import hlsdse
 from hlsdse.cli import EXIT_DOMAIN, EXIT_USAGE, build_parser, main
 from hlsdse.dsl import parse_csd
 from hlsdse.orchestrator import BackendSpec, Campaign, run_campaign
+from hlsdse.space import configurations_json, enumerate_space
 from hlsdse.store import TABLES, Store
 
 DATA = Path(__file__).parent / "data"
@@ -123,6 +126,48 @@ class TestExpand:
         code, out, err = run(capsys, "expand", toy_csd, "--limit", "-1")
         assert (code, out, err) == (EXIT_DOMAIN, "", "error: limit must be >= 0\n")
         assert run(capsys, "--db", db, "run", toy_csd, "--limit", "-1") == (code, out, err)
+
+    @pytest.mark.parametrize("limit", [None, 0, 1, 5, 100])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_output_is_that_of_the_whole_list(self, capsys, toy_csd, fmt, limit):
+        """The streamed output is byte for byte what printing the list of
+        every point at once gave."""
+        csd = parse_csd(TOY)
+        configs = list(itertools.islice(enumerate_space(csd), limit))
+        if fmt == "json":
+            expected = json.dumps([configurations_json(csd, c) for c in configs]) + "\n"
+        else:
+            expected = "".join(c.key_text + "\n" for c in configs)
+        limit_args = [] if limit is None else ["--limit", str(limit)]
+        assert run(capsys, "--format", fmt, "expand", toy_csd, *limit_args) == (0, expected, "")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_each_point_is_written_as_it_is_enumerated(self, monkeypatch, toy_csd, fmt):
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        written = []  # the output as each point is produced
+
+        def watched(csd):
+            for config in enumerate_space(csd):
+                written.append(out.getvalue())
+                yield config
+
+        monkeypatch.setattr(hlsdse.cli, "enumerate_space", watched)
+        assert main(["--format", fmt, "expand", toy_csd]) == 0
+        csd = parse_csd(TOY)
+        first = next(enumerate_space(csd))
+        if fmt == "json":
+            first_text = "[" + json.dumps(configurations_json(csd, first))
+        else:
+            first_text = first.key_text + "\n"
+        assert written[:2] == ["", first_text]
+
+    def test_json_of_unindexable_space_writes_nothing(self, capsys, tmp_path):
+        p = tmp_path / "overflow.csd"
+        p.write_text(OVERFLOW)
+        code, out, err = run(capsys, "--format", "json", "expand", str(p))
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("error: space size exceeds")
 
 
 class TestInitDb:

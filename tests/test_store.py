@@ -4,6 +4,7 @@ import math
 import os
 import random
 import sqlite3
+import struct
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import hlsdse
 from hlsdse.analytics import AnalyticsError, DesignPoint
@@ -27,7 +29,7 @@ from hlsdse.store import (
     TABLES,
     DuplicateImplementationError,
     DuplicateSpaceError,
-    ImportError_,
+    ImportRejected,
     Store,
     StoreError,
     SynthesisInfo,
@@ -531,7 +533,7 @@ class TestExportImport:
         truncated = payload[: int(len(payload) * 0.6)]
         with Store(":memory:") as other:
             other.init_schema()
-            with pytest.raises(ImportError_) as exc:
+            with pytest.raises(ImportRejected) as exc:
                 other.import_jsonl(truncated)
             assert exc.value.last_good >= 0
 
@@ -568,7 +570,7 @@ class TestExportImport:
 
         before = rows()
         with pytest.raises(
-            ImportError_, match=rf"space already registered for design 1 \(id {rec.id}\)"
+            ImportRejected, match=rf"space already registered for design 1 \(id {rec.id}\)"
         ):
             store.import_jsonl(payload)
         assert rows() == before
@@ -636,7 +638,7 @@ class TestExportImport:
         lines[k] = corrupt(json.loads(lines[k]))
         with Store(":memory:") as other:
             other.init_schema()
-            with pytest.raises(ImportError_) as exc:
+            with pytest.raises(ImportRejected) as exc:
                 other.import_jsonl(("\n".join(lines) + "\n").encode())
             assert exc.value.last_good == k - 1
             for t in TABLES:
@@ -657,7 +659,7 @@ class TestExportImport:
         lines = lines[:1] + [json.dumps(o) for t in TABLES for o in by_table[t]]
         with Store(":memory:") as other:
             other.init_schema()
-            with pytest.raises(ImportError_, match="duplicate ok implementation") as exc:
+            with pytest.raises(ImportRejected, match="duplicate ok implementation") as exc:
                 other.import_jsonl(("\n".join(lines) + "\n").encode())
             # the second ok result is rejected at its synthesis_info row
             k = lines.index(json.dumps(by_table["synthesis_info"][-1]))
@@ -688,7 +690,7 @@ class TestExportImport:
         lines[k] = json.dumps({**json.loads(lines[k]), field: value})
         with Store(":memory:") as other:
             other.init_schema()
-            with pytest.raises(ImportError_, match=message) as exc:
+            with pytest.raises(ImportRejected, match=message) as exc:
                 other.import_jsonl(("\n".join(lines) + "\n").encode())
             assert exc.value.last_good == k - 1
             for t in TABLES:
@@ -709,7 +711,7 @@ class TestExportImport:
         lines[k] = json.dumps({**json.loads(lines[k]), "idx": idx})
         with Store(":memory:") as other:
             other.init_schema()
-            with pytest.raises(ImportError_, match="configuration index out of range") as exc:
+            with pytest.raises(ImportRejected, match="configuration index out of range") as exc:
                 other.import_jsonl(("\n".join(lines) + "\n").encode())
             assert exc.value.last_good == k - 1
             assert other.conn.execute("SELECT COUNT(*) FROM configuration").fetchone() == (0,)
@@ -742,7 +744,7 @@ class TestExportImport:
         del lines[gone]
         with Store(":memory:") as other:
             other.init_schema()
-            with pytest.raises(ImportError_, match=message.format(k=k)) as exc:
+            with pytest.raises(ImportRejected, match=message.format(k=k)) as exc:
                 other.import_jsonl(("\n".join(lines) + "\n").encode())
             assert exc.value.last_good == k - 1
             for t in TABLES:
@@ -757,7 +759,7 @@ class TestExportImport:
         with Store(":memory:") as other:
             other.init_schema()
             with pytest.raises(
-                ImportError_, match=f"synth_error implementation record {k} has a"
+                ImportRejected, match=f"synth_error implementation record {k} has a"
                 " resource_usage row and a performance row"
             ) as exc:
                 other.import_jsonl(("\n".join(lines) + "\n").encode())
@@ -771,7 +773,7 @@ class TestExportImport:
         del lines[gone]
         (k,) = self._result_lines(lines, "implementation", 3)
         with pytest.raises(
-            ImportError_, match=f"ok implementation record {k} has no performance row"
+            ImportRejected, match=f"ok implementation record {k} has no performance row"
         ) as exc:
             store.import_jsonl(("\n".join(lines) + "\n").encode())
         assert exc.value.last_good == k - 1
@@ -789,14 +791,14 @@ class TestExportImport:
         lines[k] = json.dumps(obj).replace('"@"', number)
         with Store(":memory:") as other:
             other.init_schema()
-            with pytest.raises(ImportError_, match="malformed record") as exc:
+            with pytest.raises(ImportRejected, match="malformed record") as exc:
                 other.import_jsonl(("\n".join(lines) + "\n").encode())
             assert exc.value.last_good == k - 1
             for t in TABLES:
                 assert other.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
 
     def test_list_taxonomy_id(self, store):
-        with pytest.raises(ImportError_) as exc:
+        with pytest.raises(ImportRejected) as exc:
             store.import_jsonl(b'{"table": "benchmark", "id": [1], "name": "b"}\n')
         assert exc.value.last_good == -1
         assert store.conn.execute("SELECT COUNT(*) FROM benchmark").fetchone() == (0,)
@@ -811,7 +813,7 @@ class TestExportImport:
         ids=["list-name", "object-name", "int-beyond-64-bits"],
     )
     def test_unbindable_taxonomy_value(self, store, record):
-        with pytest.raises(ImportError_, match="malformed benchmark record") as exc:
+        with pytest.raises(ImportRejected, match="malformed benchmark record") as exc:
             store.import_jsonl(record)
         assert exc.value.last_good == -1
         assert store.conn.execute("SELECT COUNT(*) FROM benchmark").fetchone() == (0,)
@@ -824,14 +826,63 @@ class TestExportImport:
         lines[k] = json.dumps({**json.loads(lines[k]), "contributor": ["t"]})
         with Store(":memory:") as other:
             other.init_schema()
-            with pytest.raises(ImportError_, match="malformed configuration_space") as exc:
+            with pytest.raises(ImportRejected, match="malformed configuration_space") as exc:
                 other.import_jsonl(("\n".join(lines) + "\n").encode())
             assert exc.value.last_good == k - 1
 
     def test_version_mismatch_stream(self, store):
         bad = b'{"table": "_meta", "schema_version": 99}\n'
-        with pytest.raises(ImportError_):
+        with pytest.raises(ImportRejected):
             store.import_jsonl(bad)
+
+    @pytest.mark.parametrize(
+        "table, change, message",
+        [
+            ("resource_usage", {"ff": -1},
+             "malformed resource_usage record: CHECK constraint failed: ff >= 0"),
+            ("performance", {"achieved_period_ns": None},
+             "malformed performance record: NOT NULL constraint failed:"
+             " performance.achieved_period_ns"),
+            ("implementation", {"configuration_id": 999},
+             "implementation row references unknown configuration_id=999"),
+        ],
+        ids=["check", "not-null", "unknown-parent"],
+    )
+    def test_rejection_names_its_cause(self, store, table, change, message):
+        """Only a foreign key failure is a referential violation; a row that
+        fails a CHECK or NOT NULL constraint is malformed."""
+        rec = self._populated(store, "unroll;f;l1;{1,2,4,8,16}\nclock;{10}")
+        lines = store.export_jsonl(rec.id).decode().splitlines()
+        k = [n for n, line in enumerate(lines) if json.loads(line)["table"] == table][2]
+        lines[k] = json.dumps({**json.loads(lines[k]), **change})
+        with Store(":memory:") as other:
+            other.init_schema()
+            with pytest.raises(ImportRejected) as exc:
+                other.import_jsonl(("\n".join(lines) + "\n").encode())
+            assert str(exc.value) == f"{message} (last good record index: {k - 1})"
+            assert exc.value.last_good == k - 1
+            for t in TABLES:
+                assert other.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
+
+    def test_foreign_key_failure_is_referential_violation(self, store, monkeypatch):
+        """Import remaps every foreign key to a row it wrote, so SQLite's own
+        check fails only when a key is left as the payload has it: here the
+        implementation rows' configuration ids."""
+        rec = self._populated(store, "unroll;f;l1;{1,2,4,8,16}\nclock;{10}")
+        lines = store.export_jsonl(rec.id).decode().splitlines()
+        k = [n for n, line in enumerate(lines)
+             if json.loads(line)["table"] == "implementation"][2]
+        lines[k] = json.dumps({**json.loads(lines[k]), "configuration_id": 999})
+        monkeypatch.delitem(hlsdse.store._PARENT, "implementation")
+        with Store(":memory:") as other:
+            other.init_schema()
+            with pytest.raises(
+                ImportRejected, match="^referential violation: FOREIGN KEY constraint failed"
+            ) as exc:
+                other.import_jsonl(("\n".join(lines) + "\n").encode())
+            assert exc.value.last_good == k - 1
+            for t in TABLES:
+                assert other.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
 
     def test_sql_export_loads(self, store):
         rec = self._populated(store, "unroll;f;l1;{1,2}\nclock;{10}")
@@ -857,6 +908,118 @@ class TestExportImport:
             "2 orphan resource_usage row(s)",
             "2 orphan performance row(s)",
         ]
+
+
+# every ASCII character below DEL: quotes, backslash and all control characters
+ASCII = "".join(map(chr, range(0x7F)))
+
+
+def _text_store(store, text):
+    """A space whose taxonomy names, contributors and provenance hold
+    ``text``, with an ok and a failed result; returns the space id."""
+    did = store.ensure_design(f"b{text}", f"a{text}", f"d{text}", source_ref=None,
+                              function_name=text)
+    csd = parse_csd("unroll;f;l1;{1,2}\nclock;{10}")
+    rec = store.register_space(did, csd, f"c{text}")
+    info = SynthesisInfo(
+        contributor=text, tool_name=f"t{text}", tool_version=text, fpga_part=text,
+        clock_period_ns=10.0, timestamp=text,
+    )
+    ok, failed = write_rows(store, rec, csd)
+    store.record_result(ok.id, OK, info)
+    store.record_result(failed.id, ImplementationResult(status="synth_error"), info)
+    return rec.id
+
+
+def _stored_rows(store, space_id):
+    """Every row of the space but the ids, which import remaps, with each
+    float as its bit pattern."""
+    def bits(v):
+        return struct.pack("<d", v) if isinstance(v, float) else v
+
+    return [
+        (table, {k: bits(v) for k, v in row.items() if k != "id" and not k.endswith("_id")})
+        for table, row in store._space_rows(space_id)
+    ]
+
+
+class TestJsonLines:
+    """The lines SQLite renders are those json.dumps wrote."""
+
+    def test_ascii_lines_are_json_dumps(self, store):
+        space_id = _text_store(store, ASCII)
+        lines = store.export_jsonl(space_id).decode().split("\n")
+        assert lines[0] == json.dumps({"table": "_meta", "schema_version": 3})
+        assert lines[-1] == ""
+        assert lines[1:-1] == [
+            json.dumps({"table": table, **row}, sort_keys=True)
+            for table, row in store._space_rows(space_id)
+        ]
+
+    @pytest.mark.parametrize("text", ["\x7f", "é", "漢字", "\U0001f600", "a\x7fé\"\\\n"])
+    def test_non_ascii_text_round_trips(self, store, text):
+        """Characters at or above 0x7f are written as raw UTF-8, not \\u
+        escapes, and read back to the same values."""
+        space_id = _text_store(store, text)
+        payload = store.export_jsonl(space_id)
+        assert json.dumps(text, ensure_ascii=False).encode() in payload
+        rows = [(table, row) for table, row in store._space_rows(space_id)]
+        assert [json.loads(line) for line in payload.decode().splitlines()[1:]] == [
+            {"table": table, **row} for table, row in rows
+        ]
+        with Store(":memory:") as other:
+            other.init_schema()
+            other.import_jsonl(payload)
+            assert _stored_rows(other, 1) == _stored_rows(store, space_id)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        periods=hst.lists(
+            hst.tuples(hst.floats(allow_nan=False, allow_infinity=False),
+                       hst.floats(allow_nan=False, allow_infinity=False)),
+            min_size=1, max_size=4,
+        ),
+        counts=hst.lists(hst.integers(0, 2**63 - 1), min_size=5, max_size=5),
+    )
+    def test_numbers_round_trip_bit_equal(self, periods, counts):
+        """Every finite double and every integer up to 2**63 - 1 comes back
+        from an export and an import as the value stored."""
+        ff, lut, bram, dsp, latency = counts
+        with Store(":memory:") as src:
+            src.init_schema()
+            did = src.ensure_design("b", "a", "d")
+            values = ",".join(str(v) for v in range(len(periods)))
+            csd = parse_csd(f"unroll;f;l1;{{{values}}}\nclock;{{10}}")
+            rec = src.register_space(did, csd, "t")
+            for cfg, (clock, achieved) in zip(write_rows(src, rec, csd), periods):
+                result = dataclasses.replace(
+                    OK, ff=ff, lut=lut, bram=bram, dsp=dsp, latency_cycles=latency,
+                    achieved_period_ns=achieved,
+                )
+                src.record_result(
+                    cfg.id, result, dataclasses.replace(INFO, clock_period_ns=clock)
+                )
+            with Store(":memory:") as dst:
+                dst.init_schema()
+                dst.import_jsonl(src.export_jsonl(rec.id))
+                assert _stored_rows(dst, 1) == _stored_rows(src, rec.id)
+
+    def test_infinite_period_is_refused_on_import(self, store):
+        """An infinity, which only raw SQL can store, is written as Python
+        prints it, which is no JSON number."""
+        space_id = _text_store(store, "t")
+        with store.conn:
+            store.conn.execute("UPDATE performance SET achieved_period_ns = 9e999")
+        lines = store.export_jsonl(space_id).decode().splitlines()
+        (k,) = [n for n, line in enumerate(lines) if line.startswith('{"achieved_period_ns"')]
+        assert lines[k].startswith('{"achieved_period_ns": inf,')
+        with Store(":memory:") as other:
+            other.init_schema()
+            with pytest.raises(ImportRejected, match="malformed record") as exc:
+                other.import_jsonl(("\n".join(lines) + "\n").encode())
+            assert exc.value.last_good == k - 1
+            for t in TABLES:
+                assert other.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
 
 
 # The schema of versions 1 and 2, frozen: a configuration row also stored
@@ -1098,7 +1261,7 @@ class TestLegacyStores:
         row = json.loads(lines[k])
         row[field] = json.loads(lines[k_next])[field]
         lines[k] = json.dumps(row)
-        with pytest.raises(ImportError_, match=f"configuration idx 2: {field} does not") as exc:
+        with pytest.raises(ImportRejected, match=f"configuration idx 2: {field} does not") as exc:
             store.import_jsonl(("\n".join(lines) + "\n").encode())
         assert exc.value.last_good == k - 1
         for t in TABLES:
