@@ -963,9 +963,8 @@ class TestJsonLines:
         space_id = _text_store(store, text)
         payload = store.export_jsonl(space_id)
         assert json.dumps(text, ensure_ascii=False).encode() in payload
-        rows = [(table, row) for table, row in store._space_rows(space_id)]
         assert [json.loads(line) for line in payload.decode().splitlines()[1:]] == [
-            {"table": table, **row} for table, row in rows
+            {"table": table, **row} for table, row in store._space_rows(space_id)
         ]
         with Store(":memory:") as other:
             other.init_schema()
@@ -1005,8 +1004,8 @@ class TestJsonLines:
                 assert _stored_rows(dst, 1) == _stored_rows(src, rec.id)
 
     def test_infinite_period_is_refused_on_import(self, store):
-        """An infinity, which only raw SQL can store, is written as Python
-        prints it, which is no JSON number."""
+        """An infinity, which SQLite stores but JSON has no number for, is
+        written as Python prints it, and import refuses the line."""
         space_id = _text_store(store, "t")
         with store.conn:
             store.conn.execute("UPDATE performance SET achieved_period_ns = 9e999")
