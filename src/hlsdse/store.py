@@ -35,11 +35,15 @@ a malformed record.
 SQLite renders the lines of a JSON-lines export: its json_quote writes the
 integers, text and NULLs, while REAL values come back to Python and are
 written by float repr, as json writes them, because json_quote keeps only
-15 significant digits. On ASCII text the lines are those of
-``json.dumps(..., sort_keys=True)``; characters at or above 0x7f are written
-as raw UTF-8 rather than ``\\u`` escapes, and import reads both. The SQL
-export keeps Python literals for the same reason: SQLite's quote() does not
-write every double back exactly.
+15 significant digits. On ASCII text and finite REALs the lines are those
+of ``json.dumps(..., sort_keys=True)``. Characters at or above 0x7f are
+written as raw UTF-8 rather than ``\\u`` escapes, except U+0085, U+2028 and
+U+2029: str.splitlines breaks lines at them, so they stay escaped and
+earlier imports, which split that way, read every export. Import splits
+records at "\\n" only and reads both forms. A non-finite REAL, which no
+import accepts, is written as repr writes it (``inf``), not as json does
+(``Infinity``). The SQL export keeps Python literals for the same reason as
+the REALs above: SQLite's quote() does not write every double back exactly.
 """
 
 from __future__ import annotations
@@ -229,6 +233,13 @@ _EXPORT_QUERIES = [
     *((t, "x", f"FROM {t}{_OF_IMPLEMENTATIONS}")
       for t in ("synthesis_info", "resource_usage", "performance")),
 ]
+
+
+# the characters above 0x7f that str.splitlines breaks a line at, with the
+# escapes json.dumps writes for them. json_quote leaves them raw, so an
+# export escapes them, as json_quote escapes those below 0x20, and a reader
+# that splits with splitlines, as earlier imports did, reads each line whole.
+_LINE_BREAKS = {c: f"\\u{ord(c):04x}" for c in "\x85\u2028\u2029"}
 
 
 def _export_line(table: str, alias: str, clause: str) -> tuple[str, str]:
@@ -864,12 +875,18 @@ class Store:
     def export_jsonl(self, space_id: int) -> bytes:
         """JSON-lines dump of every row belonging to a space; each object
         carries a "table" discriminator. SQLite renders each line (see
-        _export_line), so text is written as raw UTF-8."""
+        _export_line), so text is written as raw UTF-8 but for the
+        characters in _LINE_BREAKS."""
         self.get_space(space_id)
         lines = [_EXPORT_HEADER]
         for query, template in _EXPORT_LINES:
             lines.extend(map(template.__mod__, self.conn.execute(query, (space_id,))))
-        return ("\n".join(lines) + "\n").encode()
+        text = "\n".join(lines) + "\n"
+        # they occur only in strings, where the escape reads back the same
+        for c, escape in _LINE_BREAKS.items():
+            if c in text:
+                text = text.replace(c, escape)
+        return text.encode()
 
     def export_sql(self, space_id: int) -> bytes:
         """SQL dump (DDL plus INSERT statements) for one space. Values are
@@ -938,7 +955,7 @@ class Store:
             return ImportRejected(message, last_good)
 
         with self.conn:
-            for n, line in enumerate(payload.decode().splitlines()):
+            for n, line in enumerate(payload.decode().split("\n")):
                 if not line.strip():
                     continue
                 try:

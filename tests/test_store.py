@@ -956,16 +956,46 @@ class TestJsonLines:
             for table, row in store._space_rows(space_id)
         ]
 
-    @pytest.mark.parametrize("text", ["\x7f", "é", "漢字", "\U0001f600", "a\x7fé\"\\\n"])
+    @pytest.mark.parametrize("text", [
+        "\x7f", "é", "漢字", "\U0001f600", "a\x7fé\"\\\n",
+        "\x85", "\u2028", "\u2029", "a\u2028é\x85b\u2029",
+    ])
     def test_non_ascii_text_round_trips(self, store, text):
         """Characters at or above 0x7f are written as raw UTF-8, not \\u
-        escapes, and read back to the same values."""
+        escapes, but for the three that str.splitlines breaks at, which are
+        escaped as json.dumps escapes them; all read back to the same values."""
         space_id = _text_store(store, text)
         payload = store.export_jsonl(space_id)
-        assert json.dumps(text, ensure_ascii=False).encode() in payload
-        assert [json.loads(line) for line in payload.decode().splitlines()[1:]] == [
+        written = json.dumps(text, ensure_ascii=False).translate(
+            {0x85: "\\u0085", 0x2028: "\\u2028", 0x2029: "\\u2029"}
+        )
+        assert written.encode() in payload
+        lines = payload.decode().split("\n")
+        assert lines[-1] == ""
+        # a reader that splits with splitlines, as earlier imports did, sees
+        # the same lines
+        assert payload.decode().splitlines() == lines[:-1]
+        assert [json.loads(line) for line in lines[1:-1]] == [
             {"table": table, **row} for table, row in store._space_rows(space_id)
         ]
+        with Store(":memory:") as other:
+            other.init_schema()
+            other.import_jsonl(payload)
+            assert _stored_rows(other, 1) == _stored_rows(store, space_id)
+
+    @pytest.mark.parametrize("text", ["\x85", "\u2028", "\u2029"])
+    def test_import_reads_raw_line_separators(self, store, text):
+        """A record is one "\\n"-terminated line: a raw U+0085, U+2028 or
+        U+2029 in a string, as json.dumps(..., ensure_ascii=False) writes
+        it, does not cut the record."""
+        space_id = _text_store(store, text)
+        payload = "".join(
+            json.dumps(obj, ensure_ascii=False) + "\n"
+            for obj in [{"table": "_meta", "schema_version": 3}] + [
+                {"table": table, **row} for table, row in store._space_rows(space_id)
+            ]
+        ).encode()
+        assert text.encode() in payload
         with Store(":memory:") as other:
             other.init_schema()
             other.import_jsonl(payload)
