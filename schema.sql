@@ -31,51 +31,55 @@ CREATE TABLE IF NOT EXISTS configuration (
     idx INTEGER NOT NULL,
     UNIQUE (space_id, idx)
 );
+CREATE TABLE IF NOT EXISTS tool (
+    id INTEGER PRIMARY KEY,
+    name TEXT NOT NULL,
+    version TEXT NOT NULL,
+    part TEXT NOT NULL,
+    UNIQUE (name, version, part)
+);
 CREATE TABLE IF NOT EXISTS implementation (
     id INTEGER PRIMARY KEY,
     configuration_id INTEGER NOT NULL REFERENCES configuration(id),
-    status TEXT NOT NULL CHECK (status IN ('ok','synth_error','timeout'))
-);
-CREATE TABLE IF NOT EXISTS synthesis_info (
-    implementation_id INTEGER PRIMARY KEY REFERENCES implementation(id),
+    tool_id INTEGER NOT NULL REFERENCES tool(id),
+    status TEXT NOT NULL CHECK (status IN ('ok','synth_error','timeout')),
     timestamp TEXT NOT NULL,
     contributor TEXT NOT NULL,
-    tool_name TEXT NOT NULL,
-    tool_version TEXT NOT NULL,
-    fpga_part TEXT NOT NULL,
     clock_period_ns REAL NOT NULL
-);
-CREATE TABLE IF NOT EXISTS resource_usage (
-    implementation_id INTEGER PRIMARY KEY REFERENCES implementation(id),
-    ff INTEGER NOT NULL CHECK (ff >= 0),
-    lut INTEGER NOT NULL CHECK (lut >= 0),
-    bram INTEGER NOT NULL CHECK (bram >= 0),
-    dsp INTEGER NOT NULL CHECK (dsp >= 0)
-);
-CREATE TABLE IF NOT EXISTS performance (
-    implementation_id INTEGER PRIMARY KEY REFERENCES implementation(id),
-    latency_cycles INTEGER NOT NULL CHECK (latency_cycles >= 0),
-    achieved_period_ns REAL NOT NULL
+        CHECK (clock_period_ns > 0 AND clock_period_ns < 9e999),
+    ff INTEGER CHECK (ff >= 0),
+    lut INTEGER CHECK (lut >= 0),
+    bram INTEGER CHECK (bram >= 0),
+    dsp INTEGER CHECK (dsp >= 0),
+    latency_cycles INTEGER CHECK (latency_cycles >= 0),
+    achieved_period_ns REAL
+        CHECK (achieved_period_ns > 0 AND achieved_period_ns < 9e999),
+    CONSTRAINT whole_result CHECK (CASE WHEN status = 'ok'
+        THEN ff IS NOT NULL AND lut IS NOT NULL AND bram IS NOT NULL
+            AND dsp IS NOT NULL AND latency_cycles IS NOT NULL
+            AND achieved_period_ns IS NOT NULL
+        ELSE coalesce(ff, lut, bram, dsp, latency_cycles, achieved_period_ns) IS NULL
+    END)
 );
 CREATE INDEX IF NOT EXISTS idx_implementation_config
     ON implementation(configuration_id);
+CREATE UNIQUE INDEX IF NOT EXISTS one_ok_result_per_tool
+    ON implementation(configuration_id, tool_id) WHERE status = 'ok';
+CREATE VIEW IF NOT EXISTS synthesis_info AS
+    SELECT i.id AS implementation_id, i.timestamp, i.contributor,
+        t.name AS tool_name, t.version AS tool_version, t.part AS fpga_part,
+        i.clock_period_ns
+    FROM implementation i JOIN tool t ON t.id = i.tool_id;
+CREATE VIEW IF NOT EXISTS resource_usage AS
+    SELECT id AS implementation_id, ff, lut, bram, dsp
+    FROM implementation WHERE status = 'ok';
+CREATE VIEW IF NOT EXISTS performance AS
+    SELECT id AS implementation_id, latency_cycles, achieved_period_ns
+    FROM implementation WHERE status = 'ok';
 CREATE TRIGGER IF NOT EXISTS configuration_idx_in_range
 BEFORE INSERT ON configuration
 WHEN NOT (typeof(NEW.idx) = 'integer' AND NEW.idx >= 0 AND NEW.idx <
     (SELECT cardinality FROM configuration_space WHERE id = NEW.space_id))
 BEGIN
     SELECT RAISE(ABORT, 'configuration index out of range');
-END;
-CREATE TRIGGER IF NOT EXISTS one_ok_result_per_tool
-BEFORE INSERT ON synthesis_info
-WHEN EXISTS (
-    SELECT 1 FROM implementation n
-    JOIN implementation i ON i.configuration_id = n.configuration_id
-    JOIN synthesis_info s ON s.implementation_id = i.id
-    WHERE n.id = NEW.implementation_id AND n.status = 'ok' AND i.status = 'ok'
-        AND s.tool_name = NEW.tool_name AND s.tool_version = NEW.tool_version
-        AND s.fpga_part = NEW.fpga_part
-)
-BEGIN
-    SELECT RAISE(ABORT, 'duplicate ok implementation');
 END;

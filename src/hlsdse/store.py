@@ -1,49 +1,47 @@
 """Embedded relational store for design spaces and synthesis results.
 
-Schema (nine tables): benchmark -> algorithm -> design form the design
-taxonomy; configuration_space rows hold the canonical descriptor text and
-its cardinality; a configuration row is (id, space_id, idx), written only
-when the point is about to be attempted: its key, key text and directive
-values are a pure function of the descriptor text and the index, derived by
-``SpaceIndex.decode`` and never stored. Each synthesis attempt is an
-implementation row with its synthesis_info provenance and, for successful
-runs, resource_usage and performance rows. The DDL is shipped verbatim in
-SCHEMA_DDL; its triggers make the database itself reject a configuration
-index outside [0, cardinality) and a second ok result for one configuration
-and (tool, version, part), whoever writes the row.
+Schema (seven tables, three views): benchmark -> algorithm -> design form
+the design taxonomy; configuration_space rows hold the canonical descriptor
+text and its cardinality; a configuration row is (id, space_id, idx),
+written only when the point is about to be attempted: its key, key text and
+directive values are a pure function of the descriptor text and the index,
+derived by ``SpaceIndex.decode`` and never stored. A tool row is one (name,
+version, part). Each synthesis attempt is one implementation row: its
+configuration, tool, status, provenance and clock period and, exactly when
+the status is ok, its resource counts, latency and achieved period. The
+read-only views synthesis_info, resource_usage and performance show them
+under the table and column names of versions 1 to 3. The DDL is shipped
+verbatim in SCHEMA_DDL; the database itself rejects a configuration index
+outside [0, cardinality) (a trigger), a partial result or a period that is
+not positive and finite (CHECK constraints), and a second ok result for one
+configuration and tool (a partial unique index), whoever writes the row.
 
 Every reader of a stored space goes through ``Store.space_index``, which
 parses the descriptor and checks that its size is the row's cardinality, so
 a campaign on a space that fails the check writes nothing.
 
-Versions 1 and 2 stored the three derived fields in every configuration
-row (version 1 also held a row for every point, which stays valid: pending
-points are derived from the cardinality and the attempted rows). Opening
-such a store rebuilds its configuration table in place, keeping the ids;
-imports read exports of versions 1 to 3. The upgrade checks what the import
-checks: each space's cardinality against its descriptor, and a legacy row's
-three fields against its index before they are dropped (the upgrade checks
-only rows with an attempt, as the others attribute nothing). It also refuses
-a store that the version-3 triggers would reject.
-
-An import stores whole results and finite numbers only: each implementation
-it writes must have the rows ``record_result`` writes for its status (one
-synthesis_info row, and resource_usage and performance rows exactly when it
-is ok), and a NaN, an infinity or a float literal beyond the float range is
-a malformed record.
+Versions 1 to 3 stored a result as an implementation row with its
+synthesis_info row and, when ok, its resource_usage and performance rows;
+versions 1 and 2 also stored the three derived fields in every configuration
+row. Opening such a store upgrades it in place (see ``Store._upgrade``).
+Imports read exports of versions 1 to 4: a legacy export's result records
+are merged into implementation rows by the upgrade's statement, _MERGE, so
+SCHEMA_DDL's constraints reject a partial result either way. An import
+refuses a NaN, an infinity or a float literal beyond the float range as a
+malformed record.
 
 SQLite renders the lines of a JSON-lines export: its json_quote writes the
 integers, text and NULLs, while REAL values come back to Python and are
 written by float repr, as json writes them, because json_quote keeps only
-15 significant digits. On ASCII text and finite REALs the lines are those
-of ``json.dumps(..., sort_keys=True)``. Characters at or above 0x7f are
+15 significant digits. On ASCII text the lines are those of
+``json.dumps(..., sort_keys=True)``. Characters at or above 0x7f are
 written as raw UTF-8 rather than ``\\u`` escapes, except U+0085, U+2028 and
 U+2029: str.splitlines breaks lines at them, so they stay escaped and
 earlier imports, which split that way, read every export. Import splits
-records at "\\n" only and reads both forms. A non-finite REAL, which no
-import accepts, is written as repr writes it (``inf``), not as json does
-(``Infinity``). The SQL export keeps Python literals for the same reason as
-the REALs above: SQLite's quote() does not write every double back exactly.
+records at "\\n" only and reads both forms. The SQL export writes each REAL
+as its integer significand scaled by powers of two, which SQLite evaluates
+exactly: its parser reads some decimal literals, repr's and its own quote()'s
+among them, as a neighbouring double.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ import contextlib
 import json
 import math
 import sqlite3
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Iterator, Optional, Sequence
@@ -61,10 +59,10 @@ from .analytics import DesignPoint
 from .dsl import CSD, CsdError, parse_csd, serialize_csd
 from .space import SpaceError, SpaceIndex, build_index
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 # export versions import_jsonl reads; a configuration row of version 1 or 2
 # also carries LEGACY_FIELDS
-IMPORT_VERSIONS = (1, 2, 3)
+IMPORT_VERSIONS = (1, 2, 3, 4)
 LEGACY_FIELDS = ("config_key", "key_text", "directive_values")
 
 SCHEMA_DDL = """
@@ -101,53 +99,57 @@ CREATE TABLE IF NOT EXISTS configuration (
     idx INTEGER NOT NULL,
     UNIQUE (space_id, idx)
 );
+CREATE TABLE IF NOT EXISTS tool (
+    id INTEGER PRIMARY KEY,
+    name TEXT NOT NULL,
+    version TEXT NOT NULL,
+    part TEXT NOT NULL,
+    UNIQUE (name, version, part)
+);
 CREATE TABLE IF NOT EXISTS implementation (
     id INTEGER PRIMARY KEY,
     configuration_id INTEGER NOT NULL REFERENCES configuration(id),
-    status TEXT NOT NULL CHECK (status IN ('ok','synth_error','timeout'))
-);
-CREATE TABLE IF NOT EXISTS synthesis_info (
-    implementation_id INTEGER PRIMARY KEY REFERENCES implementation(id),
+    tool_id INTEGER NOT NULL REFERENCES tool(id),
+    status TEXT NOT NULL CHECK (status IN ('ok','synth_error','timeout')),
     timestamp TEXT NOT NULL,
     contributor TEXT NOT NULL,
-    tool_name TEXT NOT NULL,
-    tool_version TEXT NOT NULL,
-    fpga_part TEXT NOT NULL,
     clock_period_ns REAL NOT NULL
-);
-CREATE TABLE IF NOT EXISTS resource_usage (
-    implementation_id INTEGER PRIMARY KEY REFERENCES implementation(id),
-    ff INTEGER NOT NULL CHECK (ff >= 0),
-    lut INTEGER NOT NULL CHECK (lut >= 0),
-    bram INTEGER NOT NULL CHECK (bram >= 0),
-    dsp INTEGER NOT NULL CHECK (dsp >= 0)
-);
-CREATE TABLE IF NOT EXISTS performance (
-    implementation_id INTEGER PRIMARY KEY REFERENCES implementation(id),
-    latency_cycles INTEGER NOT NULL CHECK (latency_cycles >= 0),
-    achieved_period_ns REAL NOT NULL
+        CHECK (clock_period_ns > 0 AND clock_period_ns < 9e999),
+    ff INTEGER CHECK (ff >= 0),
+    lut INTEGER CHECK (lut >= 0),
+    bram INTEGER CHECK (bram >= 0),
+    dsp INTEGER CHECK (dsp >= 0),
+    latency_cycles INTEGER CHECK (latency_cycles >= 0),
+    achieved_period_ns REAL
+        CHECK (achieved_period_ns > 0 AND achieved_period_ns < 9e999),
+    CONSTRAINT whole_result CHECK (CASE WHEN status = 'ok'
+        THEN ff IS NOT NULL AND lut IS NOT NULL AND bram IS NOT NULL
+            AND dsp IS NOT NULL AND latency_cycles IS NOT NULL
+            AND achieved_period_ns IS NOT NULL
+        ELSE coalesce(ff, lut, bram, dsp, latency_cycles, achieved_period_ns) IS NULL
+    END)
 );
 CREATE INDEX IF NOT EXISTS idx_implementation_config
     ON implementation(configuration_id);
+CREATE UNIQUE INDEX IF NOT EXISTS one_ok_result_per_tool
+    ON implementation(configuration_id, tool_id) WHERE status = 'ok';
+CREATE VIEW IF NOT EXISTS synthesis_info AS
+    SELECT i.id AS implementation_id, i.timestamp, i.contributor,
+        t.name AS tool_name, t.version AS tool_version, t.part AS fpga_part,
+        i.clock_period_ns
+    FROM implementation i JOIN tool t ON t.id = i.tool_id;
+CREATE VIEW IF NOT EXISTS resource_usage AS
+    SELECT id AS implementation_id, ff, lut, bram, dsp
+    FROM implementation WHERE status = 'ok';
+CREATE VIEW IF NOT EXISTS performance AS
+    SELECT id AS implementation_id, latency_cycles, achieved_period_ns
+    FROM implementation WHERE status = 'ok';
 CREATE TRIGGER IF NOT EXISTS configuration_idx_in_range
 BEFORE INSERT ON configuration
 WHEN NOT (typeof(NEW.idx) = 'integer' AND NEW.idx >= 0 AND NEW.idx <
     (SELECT cardinality FROM configuration_space WHERE id = NEW.space_id))
 BEGIN
     SELECT RAISE(ABORT, 'configuration index out of range');
-END;
-CREATE TRIGGER IF NOT EXISTS one_ok_result_per_tool
-BEFORE INSERT ON synthesis_info
-WHEN EXISTS (
-    SELECT 1 FROM implementation n
-    JOIN implementation i ON i.configuration_id = n.configuration_id
-    JOIN synthesis_info s ON s.implementation_id = i.id
-    WHERE n.id = NEW.implementation_id AND n.status = 'ok' AND i.status = 'ok'
-        AND s.tool_name = NEW.tool_name AND s.tool_version = NEW.tool_version
-        AND s.fpga_part = NEW.fpga_part
-)
-BEGIN
-    SELECT RAISE(ABORT, 'duplicate ok implementation');
 END;
 """
 
@@ -157,20 +159,37 @@ TABLES = [
     "design",
     "configuration_space",
     "configuration",
+    "tool",
     "implementation",
-    "synthesis_info",
-    "resource_usage",
-    "performance",
 ]
+
+# the result tables of versions 1 to 3, which the upgrade renames legacy_*
+# (with configuration, _LEGACY) and a legacy import creates as TEMP tables
+# with the columns and affinities of the views that keep their names
+_LEGACY_RESULTS = ("implementation", "synthesis_info", "resource_usage", "performance")
+_LEGACY = ("configuration", *_LEGACY_RESULTS)
+_LEGACY_DDL = [
+    "CREATE TEMP TABLE legacy_implementation AS"
+    " SELECT id, configuration_id, status FROM implementation LIMIT 0",
+    *(f"CREATE TEMP TABLE legacy_{t} AS SELECT * FROM {t} LIMIT 0" for t in _LEGACY_RESULTS[1:]),
+]
+# record table -> the table its rows go to, for an export of this version
+# and for one of versions 1 to 3
+_TARGETS = {t: t for t in TABLES}
+_LEGACY_TARGETS = {
+    **{t: t for t in TABLES if t not in ("tool", "implementation")},
+    **{t: f"legacy_{t}" for t in _LEGACY_RESULTS},
+}
 
 
 def _table_columns() -> dict[str, tuple[str, ...]]:
-    """Each table's columns in DDL order, read from SCHEMA_DDL itself."""
+    """Each table's columns in DDL order, read from SCHEMA_DDL and
+    _LEGACY_DDL themselves."""
     with contextlib.closing(sqlite3.connect(":memory:")) as conn:
-        conn.executescript(SCHEMA_DDL)
+        conn.executescript(SCHEMA_DDL + ";".join(_LEGACY_DDL))
         return {
             t: tuple(row[1] for row in conn.execute(f"PRAGMA table_info({t})"))
-            for t in TABLES
+            for t in (*_TARGETS.values(), *_LEGACY_TARGETS.values())
         }
 
 
@@ -183,23 +202,24 @@ _INSERT = {
     t: f"INSERT INTO {t} ({','.join(cols)}) VALUES ({','.join('?' * len(cols))})"
     for t, cols in _EXPORT_COLS.items()
 }
-# table -> (foreign key column, parent table), for the ids import remaps
+# table -> {foreign key column: the record table whose ids import remaps it by}
 _PARENT = {
-    "algorithm": ("benchmark_id", "benchmark"),
-    "design": ("algorithm_id", "algorithm"),
-    "configuration_space": ("design_id", "design"),
-    "configuration": ("space_id", "configuration_space"),
-    "implementation": ("configuration_id", "configuration"),
-    "synthesis_info": ("implementation_id", "implementation"),
-    "resource_usage": ("implementation_id", "implementation"),
-    "performance": ("implementation_id", "implementation"),
+    "algorithm": {"benchmark_id": "benchmark"},
+    "design": {"algorithm_id": "algorithm"},
+    "configuration_space": {"design_id": "design"},
+    "configuration": {"space_id": "configuration_space"},
+    "implementation": {"configuration_id": "configuration", "tool_id": "tool"},
+    "legacy_implementation": {"configuration_id": "configuration"},
+    **{f"legacy_{t}": {"implementation_id": "implementation"} for t in _LEGACY_RESULTS[1:]},
 }
-# taxonomy rows are got-or-created by their UNIQUE keys, by ensure_design
-# and import alike, so that spaces of one design share them
+# taxonomy and tool rows are got-or-created by their UNIQUE keys, by
+# ensure_design, record_result and import alike, so that spaces of one
+# design, and results of one tool, share them
 _TAXONOMY_KEY = {
     "benchmark": ("name",),
     "algorithm": ("benchmark_id", "name"),
     "design": ("algorithm_id", "name"),
+    "tool": ("name", "version", "part"),
 }
 # a space's configuration rows with idx in [lo, hi], as ConfigRecord fields
 _CONFIG_RECORDS = (
@@ -208,13 +228,14 @@ _CONFIG_RECORDS = (
 )
 # the columns of a version-1 or version-2 configuration record
 _LEGACY_CONFIG_COLUMNS = _COLUMN_SETS["configuration"] | frozenset(LEGACY_FIELDS)
+# the implementation rows of a space, joined as i and c
+_OF_SPACE = (
+    "FROM implementation i JOIN configuration c ON c.id=i.configuration_id"
+    " WHERE c.space_id=?"
+)
 # (table, alias, FROM ... WHERE ... ORDER BY) per table, parents first: each
 # clause binds the space id and reads that table's rows of the space, aliased
 # as ``alias``; both exports build their SELECT lists on these
-_OF_IMPLEMENTATIONS = (
-    " x JOIN implementation i ON i.id=x.implementation_id JOIN configuration c"
-    " ON c.id=i.configuration_id WHERE c.space_id=? ORDER BY x.implementation_id"
-)
 _EXPORT_QUERIES = [
     ("benchmark", "b",
      "FROM benchmark b JOIN algorithm a ON a.benchmark_id=b.id"
@@ -227,11 +248,9 @@ _EXPORT_QUERIES = [
      "FROM design d JOIN configuration_space s ON s.design_id=d.id WHERE s.id=?"),
     ("configuration_space", "s", "FROM configuration_space s WHERE s.id=?"),
     ("configuration", "c", "FROM configuration c WHERE c.space_id=? ORDER BY c.idx"),
-    ("implementation", "i",
-     "FROM implementation i JOIN configuration c"
-     " ON c.id=i.configuration_id WHERE c.space_id=? ORDER BY i.id"),
-    *((t, "x", f"FROM {t}{_OF_IMPLEMENTATIONS}")
-      for t in ("synthesis_info", "resource_usage", "performance")),
+    ("tool", "t",
+     f"FROM tool t WHERE t.id IN (SELECT i.tool_id {_OF_SPACE}) ORDER BY t.id"),
+    ("implementation", "i", f"{_OF_SPACE} ORDER BY i.id"),
 ]
 
 
@@ -266,13 +285,23 @@ def _export_line(table: str, alias: str, clause: str) -> tuple[str, str]:
 # (query, line template) per table, in _EXPORT_QUERIES order
 _EXPORT_LINES = [_export_line(*q) for q in _EXPORT_QUERIES]
 _EXPORT_HEADER = json.dumps({"table": "_meta", "schema_version": SCHEMA_VERSION})
-# the rows import sends in runs, one executemany per run of one table
-_BATCHED = frozenset(
-    ["configuration", "implementation", "synthesis_info", "resource_usage", "performance"]
-)
 # rows per executemany: long enough to amortize the call, short enough
 # that the parsed rows held in memory stay few
 _RUN_ROWS = 256
+
+
+def _sql_real(v: float) -> str:
+    """An SQL expression that SQLite evaluates to exactly ``v``, a finite
+    double: an integer of at most 53 bits, cast to REAL, then multiplied or
+    divided by powers of two of at most 2**62, each step exact."""
+    n, d = v.as_integer_ratio()
+    shift = d.bit_length() - 1  # v = n / 2**shift, n odd unless shift is 0
+    if not shift and n:
+        shift = 1 - (n & -n).bit_length()  # n = odd * 2**-shift
+        n >>= -shift
+    op = "/" if shift > 0 else "*"
+    steps = [62] * (abs(shift) // 62) + [abs(shift) % 62]
+    return f"CAST({n} AS REAL)" + "".join(f"{op}{1 << s}" for s in steps if s)
 
 
 def _reject_constant(name: str):
@@ -290,66 +319,37 @@ def _finite_float(text: str) -> float:
 # refuses NaN, Infinity, -Infinity and a float literal beyond the float
 # range, which no SQL export could write back
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
-# the first implementation with id in [?, ?] whose rows are not those
-# record_result writes (one synthesis_info row, and resource_usage and
-# performance rows exactly when the status is ok): its id, its status and
-# whether it has each of the three rows
-_PARTIAL_RESULT = """
-SELECT i.id, i.status, s.implementation_id IS NOT NULL,
-    r.implementation_id IS NOT NULL, p.implementation_id IS NOT NULL
-FROM implementation i
-LEFT JOIN synthesis_info s ON s.implementation_id = i.id
-LEFT JOIN resource_usage r ON r.implementation_id = i.id
-LEFT JOIN performance p ON p.implementation_id = i.id
-WHERE i.id BETWEEN ? AND ? AND (s.implementation_id IS NULL
-    OR (r.implementation_id IS NULL) = (i.status = 'ok')
-    OR (p.implementation_id IS NULL) = (i.status = 'ok'))
-ORDER BY i.id LIMIT 1
-"""
-# what blocks the upgrade of a version-1 or version-2 store, because the
-# version-3 triggers reject it: the first configuration and (tool, version,
-# part) with more than one ok result, and the first configuration whose idx
-# lies outside its space
-_DUPLICATE_OK = """
-SELECT i.configuration_id, s.tool_name, s.tool_version, s.fpga_part, COUNT(*)
-FROM implementation i
-JOIN synthesis_info s ON s.implementation_id = i.id
-WHERE i.status = 'ok'
-GROUP BY 1, 2, 3, 4 HAVING COUNT(*) > 1 ORDER BY 1, 2, 3, 4 LIMIT 1
-"""
-_OUT_OF_RANGE = """
-SELECT c.id, c.idx FROM configuration c
-JOIN configuration_space s ON s.id = c.space_id
-WHERE NOT (typeof(c.idx) = 'integer' AND c.idx >= 0 AND c.idx < s.cardinality)
-ORDER BY c.id LIMIT 1
-"""
 # the legacy configuration rows that have an implementation, whose fields
 # the upgrade checks against their idx; a version-1 store holds a row for
 # every point, most of them never attempted
 _ATTEMPTED_LEGACY_ROWS = f"""
 SELECT c.id, c.space_id, c.idx, {", ".join(f"c.{f}" for f in LEGACY_FIELDS)}
-FROM configuration c JOIN configuration_space s ON s.id = c.space_id
+FROM configuration c
 WHERE EXISTS (SELECT 1 FROM implementation i WHERE i.configuration_id = c.id)
 ORDER BY c.id
 """
-# SQLite's table-rebuild procedure, run with foreign keys off: the new table
-# takes the old ids, then the old name
-_REBUILD_CONFIGURATION = (
-    """CREATE TABLE configuration_v3 (
-    id INTEGER PRIMARY KEY,
-    space_id INTEGER NOT NULL REFERENCES configuration_space(id),
-    idx INTEGER NOT NULL,
-    UNIQUE (space_id, idx)
-)""",
-    "INSERT INTO configuration_v3 (id, space_id, idx)"
-    " SELECT id, space_id, idx FROM configuration",
-    "DROP TABLE configuration",
-    "ALTER TABLE configuration_v3 RENAME TO configuration",
+# the legacy_* tables' tools, then one implementation row per attempt in id
+# order, keeping the ids; an attempt without its synthesis_info row has no
+# tool_id, and a result without exactly the rows of its status fails the
+# whole_result CHECK
+_MERGE_TOOLS = (
+    "INSERT INTO tool (name, version, part) SELECT tool_name, tool_version, fpga_part"
+    " FROM legacy_synthesis_info WHERE true ON CONFLICT DO NOTHING"
 )
-# the messages of SCHEMA_DDL's triggers
-_TRIGGER_ABORTS = frozenset(
-    ["configuration index out of range", "duplicate ok implementation"]
-)
+_MERGE = """
+SELECT i.id, i.configuration_id, t.id, i.status, s.timestamp, s.contributor,
+    s.clock_period_ns, r.ff, r.lut, r.bram, r.dsp, p.latency_cycles,
+    p.achieved_period_ns
+FROM legacy_implementation i
+LEFT JOIN legacy_synthesis_info s ON s.implementation_id = i.id
+LEFT JOIN tool t
+    ON t.name = s.tool_name AND t.version = s.tool_version AND t.part = s.fpga_part
+LEFT JOIN legacy_resource_usage r ON r.implementation_id = i.id
+LEFT JOIN legacy_performance p ON p.implementation_id = i.id
+ORDER BY i.id
+"""
+# SQLite's message for a second ok result of one configuration and tool
+_DUPLICATE_OK = "UNIQUE constraint failed: implementation.configuration_id, implementation.tool_id"
 # what SQLite raises for a row it rejects: a constraint, or a value it
 # cannot bind (a JSON list or object, an integer beyond 64 bits); Python
 # 3.10 raises InterfaceError where later versions raise ProgrammingError
@@ -415,12 +415,14 @@ def _now() -> str:
 
 
 def _rejection(table: str, e: Exception) -> str:
-    """The import diagnostic for a ``table`` row that SQLite rejected: a
-    trigger's own message, a referential violation for a foreign key, else a
-    malformed record (a CHECK, NOT NULL or UNIQUE failure, or an unbindable
-    value)."""
-    if str(e) in _TRIGGER_ABORTS:
+    """The import diagnostic for a ``table`` row that SQLite rejected: the
+    trigger's own message, a duplicate ok implementation, a referential
+    violation for a foreign key, else a malformed record (a CHECK, NOT NULL
+    or UNIQUE failure, or an unbindable value)."""
+    if str(e) == "configuration index out of range":
         return str(e)
+    if str(e) == _DUPLICATE_OK:
+        return "duplicate ok implementation"
     if str(e) == "FOREIGN KEY constraint failed":
         return f"referential violation: {e}"
     return f"malformed {table} record: {e}"
@@ -485,48 +487,84 @@ class Store:
             raise VersionMismatchError(
                 f"store version {version} is newer than supported {SCHEMA_VERSION}"
             )
-        columns = self.conn.execute("PRAGMA table_info(configuration)").fetchall()
-        if any(row[1] in LEGACY_FIELDS for row in columns):
-            self._rebuild_configuration()
+        columns = {row[1] for row in self.conn.execute("PRAGMA table_info(implementation)")}
+        if columns and "tool_id" not in columns:
+            self._upgrade()
         # one transaction: a new store gets its whole schema or none of it
         with self.conn:
             self.conn.executescript(
                 f"BEGIN; {SCHEMA_DDL} PRAGMA user_version = {SCHEMA_VERSION}; COMMIT;"
             )
 
-    def _rebuild_configuration(self):
-        """Drop a version-1 or version-2 configuration table's LEGACY_FIELDS
-        in one transaction, keeping its ids. A store holding what the
-        version-3 triggers or the import reject raises StoreError and is
-        left as it was."""
+    def _upgrade(self):
+        """Upgrade a version-1 to -3 store in one transaction that keeps
+        every id: drop a version-1 or version-2 configuration table's
+        LEGACY_FIELDS and merge the result tables into one implementation row
+        per attempt. A store holding an orphan row, or what SCHEMA_DDL or the
+        import rejects, raises StoreError and is left as it was."""
         conn = self.conn
+        problems = self.check_integrity()
+        if problems:
+            raise StoreError("cannot upgrade store: " + ", ".join(problems))
+        columns = conn.execute("PRAGMA table_info(configuration)").fetchall()
+        if any(row[1] in LEGACY_FIELDS for row in columns):
+            self._check_legacy_rows()
         # foreign keys can only be switched outside a transaction
         conn.commit()
         conn.execute("PRAGMA foreign_keys = OFF")
         try:
             with conn:
-                conn.execute("BEGIN")
-                dup = conn.execute(_DUPLICATE_OK).fetchone()
-                if dup:
-                    cid, tool, version, part, n = dup
-                    raise DuplicateImplementationError(
-                        f"cannot upgrade store: configuration {cid} has {n} ok"
-                        f" implementations for {tool} {version} on {part}"
+                # the legacy tables make way for SCHEMA_DDL's, whose trigger
+                # then checks each configuration row's idx
+                conn.executescript(
+                    "BEGIN; DROP TRIGGER IF EXISTS one_ok_result_per_tool;"
+                    " DROP TRIGGER IF EXISTS configuration_idx_in_range;"
+                    " DROP INDEX IF EXISTS idx_implementation_config;"
+                    + "".join(f"ALTER TABLE {t} RENAME TO legacy_{t};" for t in _LEGACY)
+                    + SCHEMA_DDL
+                )
+                failed = self._copy(
+                    "configuration",
+                    "SELECT id, space_id, idx FROM legacy_configuration ORDER BY id",
+                ) or self._merge_legacy()
+                if failed:
+                    table, row_id, e = failed
+                    error = DuplicateImplementationError if str(e) == _DUPLICATE_OK else StoreError
+                    raise error(
+                        f"cannot upgrade store: {_rejection(table, e)} ({table} id {row_id})"
                     )
-                bad = conn.execute(_OUT_OF_RANGE).fetchone()
-                if bad:
-                    raise StoreError(
-                        f"cannot upgrade store: configuration {bad[0]} has index"
-                        f" {bad[1]!r} out of its space's range"
-                    )
-                self._check_legacy_rows()
-                for statement in _REBUILD_CONFIGURATION:
-                    conn.execute(statement)
-                problems = self.check_integrity()
-                if problems:
-                    raise StoreError("cannot upgrade store: " + ", ".join(problems))
+                conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
         finally:
             conn.execute("PRAGMA foreign_keys = ON")
+
+    def _copy(self, table: str, select: str) -> Optional[tuple[str, int, sqlite3.Error]]:
+        """Insert the rows ``select`` reads, their columns in _EXPORT_COLS
+        order and the first an id, into ``table``; returns the table, the id
+        of the first row that SCHEMA_DDL rejects and SQLite's error, or None."""
+        conn = self.conn
+        before = conn.total_changes
+        rows = conn.execute(select)
+        try:
+            conn.executemany(_INSERT[table], rows)
+        except sqlite3.IntegrityError as e:
+            # each row inserted before the failing one counts one change
+            (row_id, *_) = conn.execute(
+                f"{select} LIMIT 1 OFFSET ?", (conn.total_changes - before,)
+            ).fetchone()
+            return table, row_id, e
+        finally:
+            rows.close()
+        return None
+
+    def _merge_legacy(self) -> Optional[tuple[str, int, sqlite3.Error]]:
+        """Write the tool rows and one implementation row per attempt of the
+        legacy_* result tables, keeping the ids, and drop all legacy_* tables;
+        returns what _copy returns, and the caller rolls back on a failure."""
+        self.conn.execute(_MERGE_TOOLS)
+        failed = self._copy("implementation", _MERGE)
+        for t in _LEGACY:
+            self.conn.execute(f"DROP TABLE IF EXISTS legacy_{t}")
+        return failed
 
     def _check_legacy_rows(self):
         """Check each space against its descriptor, and each attempted
@@ -685,71 +723,53 @@ class Store:
     # -- results ----------------------------------------------------------
 
     def record_result(self, configuration_id: int, result, info: SynthesisInfo) -> int:
-        """Commit one synthesis outcome (implementation + provenance and, for
-        ok results, resources and performance) atomically; returns the
-        implementation id.
-
-        ``result`` is an orchestrator.ImplementationResult. A second ok
-        result for the configuration under the same tool, version and part
-        raises DuplicateImplementationError and writes nothing.
+        """Commit one synthesis outcome, an orchestrator.ImplementationResult
+        whose metrics are stored only when it is ok, as one implementation
+        row, getting or creating its tool row; returns the implementation id.
+        A second ok result for the configuration and tool raises
+        DuplicateImplementationError, a row that SCHEMA_DDL rejects (such as
+        a period that is not positive and finite) StoreError; neither writes.
         """
+        metrics = (result.ff, result.lut, result.bram, result.dsp,
+                   result.latency_cycles, result.achieved_period_ns)
         try:
             with self.conn:
-                impl_id = self.conn.execute(
-                    _INSERT["implementation"], (None, configuration_id, result.status)
-                ).lastrowid
-                self.conn.execute(
-                    _INSERT["synthesis_info"],
-                    (
-                        impl_id,
-                        info.timestamp or _now(),
-                        info.contributor,
-                        info.tool_name,
-                        info.tool_version,
-                        info.fpga_part,
-                        info.clock_period_ns,
-                    ),
-                )
-                if result.status == "ok":
-                    self.conn.execute(
-                        _INSERT["resource_usage"],
-                        (impl_id, result.ff, result.lut, result.bram, result.dsp),
-                    )
-                    self.conn.execute(
-                        _INSERT["performance"],
-                        (impl_id, result.latency_cycles, result.achieved_period_ns),
-                    )
+                tool_id = self._get_or_create("tool", {
+                    "name": info.tool_name, "version": info.tool_version,
+                    "part": info.fpga_part,
+                })
+                return self.conn.execute(_INSERT["implementation"], (
+                    None, configuration_id, tool_id, result.status,
+                    info.timestamp or _now(), info.contributor, info.clock_period_ns,
+                    *(metrics if result.status == "ok" else (None,) * len(metrics)),
+                )).lastrowid
         except sqlite3.IntegrityError as e:
-            if str(e) == "duplicate ok implementation":
+            if str(e) == _DUPLICATE_OK:
                 raise DuplicateImplementationError(
                     f"configuration {configuration_id} already has an ok"
                     f" implementation for {info.tool_name} {info.tool_version}"
                     f" on {info.fpga_part}"
                 ) from None
             # an unknown configuration id fails the foreign key, a negative
-            # resource count its CHECK
+            # resource count or an infinite period a CHECK, a NaN period
+            # (which SQLite binds as NULL) NOT NULL or whole_result
             raise StoreError(
                 f"cannot record configuration id {configuration_id}: {e}"
             ) from None
-        return impl_id
 
     def _attempted(self, select: str, space_id: int, tool_name=None, tool_version=None,
                    fpga_part=None):
         """Run ``SELECT <select>`` over the space's configuration rows that
-        have an attempt under the tool/part filter, joined as c, i and s."""
+        have an attempt under the tool/part filter, joined as c, i and t."""
         clauses, params = [], [space_id]
-        for col, val in (
-            ("tool_name", tool_name),
-            ("tool_version", tool_version),
-            ("fpga_part", fpga_part),
-        ):
+        for col, val in (("name", tool_name), ("version", tool_version), ("part", fpga_part)):
             if val is not None:
-                clauses.append(f" AND s.{col}=?")
+                clauses.append(f" AND t.{col}=?")
                 params.append(val)
         return self.conn.execute(
             f"SELECT {select} FROM configuration c"
             " JOIN implementation i ON i.configuration_id = c.id"
-            " JOIN synthesis_info s ON s.implementation_id = i.id"
+            " JOIN tool t ON t.id = i.tool_id"
             " WHERE c.space_id=?" + "".join(clauses),
             params,
         )
@@ -780,11 +800,7 @@ class Store:
         return cardinality - attempted
 
     def count_implementations(self, space_id: int, status: Optional[str] = None) -> int:
-        q = (
-            "SELECT COUNT(*) FROM implementation i"
-            " JOIN configuration c ON c.id = i.configuration_id"
-            " WHERE c.space_id=?"
-        )
+        q = f"SELECT COUNT(*) {_OF_SPACE}"
         params: list = [space_id]
         if status:
             q += " AND i.status=?"
@@ -792,19 +808,19 @@ class Store:
         (n,) = self.conn.execute(q, params).fetchone()
         return n
 
-    # objective name -> SQL expression over one ok implementation's
-    # performance (p) and resource_usage (r) rows; "area" binds the four
-    # weights. SQLite evaluates these with the same IEEE operations, in the
-    # same order, as float(latency) * period and w0*ff + w1*lut + w2*bram +
-    # w3*dsp in Python, and keeps integer weights integer.
+    # objective name -> SQL expression over one ok implementation row (i);
+    # "area" binds the four weights. SQLite evaluates these with the same
+    # IEEE operations, in the same order, as float(latency) * period and
+    # w0*ff + w1*lut + w2*bram + w3*dsp in Python, and keeps integer weights
+    # integer.
     OBJECTIVES = {
-        "latency": "CAST(p.latency_cycles AS REAL)",
-        "latency_ns": "p.latency_cycles * p.achieved_period_ns",
-        "ff": "CAST(r.ff AS REAL)",
-        "lut": "CAST(r.lut AS REAL)",
-        "bram": "CAST(r.bram AS REAL)",
-        "dsp": "CAST(r.dsp AS REAL)",
-        "area": "? * r.ff + ? * r.lut + ? * r.bram + ? * r.dsp",
+        "latency": "CAST(i.latency_cycles AS REAL)",
+        "latency_ns": "i.latency_cycles * i.achieved_period_ns",
+        "ff": "CAST(i.ff AS REAL)",
+        "lut": "CAST(i.lut AS REAL)",
+        "bram": "CAST(i.bram AS REAL)",
+        "dsp": "CAST(i.dsp AS REAL)",
+        "area": "? * i.ff + ? * i.lut + ? * i.bram + ? * i.dsp",
     }
 
     def fetch_points(
@@ -841,20 +857,14 @@ class Store:
         rows = self.conn.execute(
             "SELECT " + ", ".join(self.OBJECTIVES[o] for o in objectives)
             + ", i.configuration_id"
-            " FROM implementation i"
-            " JOIN configuration c ON c.id = i.configuration_id"
-            " JOIN resource_usage r ON r.implementation_id = i.id"
-            " JOIN performance p ON p.implementation_id = i.id"
-            " WHERE c.space_id=? AND i.status='ok' ORDER BY i.configuration_id",
+            f" {_OF_SPACE} AND i.status='ok' ORDER BY i.configuration_id",
             params + [space_id],
         )
         points = [DesignPoint(row[:-1], row[-1]) for row in rows]
         if len({p.configuration_id for p in points}) < len(points):
             tools = self.conn.execute(
-                "SELECT DISTINCT s.tool_name, s.tool_version, s.fpga_part"
-                " FROM synthesis_info s JOIN implementation i ON i.id = s.implementation_id"
-                " JOIN configuration c ON c.id = i.configuration_id"
-                " WHERE c.space_id=? AND i.status='ok' ORDER BY 1, 2, 3",
+                "SELECT name, version, part FROM tool WHERE id IN"
+                f" (SELECT i.tool_id {_OF_SPACE} AND i.status='ok') ORDER BY 1, 2, 3",
                 (space_id,),
             )
             raise StoreError(
@@ -889,14 +899,15 @@ class Store:
         return text.encode()
 
     def export_sql(self, space_id: int) -> bytes:
-        """SQL dump (DDL plus INSERT statements) for one space. Values are
-        Python literals: a REAL is written by repr, which reads back to the
-        same double, where SQLite's quote() may not."""
+        """SQL dump (DDL plus INSERT statements) for one space, which
+        SQLite loads back to the same values (see _sql_real)."""
 
         def lit(v):
             if v is None:
                 return "NULL"
-            if isinstance(v, (int, float)):
+            if isinstance(v, float):
+                return _sql_real(v)
+            if isinstance(v, int):
                 return repr(v)
             return "'" + str(v).replace("'", "''") + "'"
 
@@ -908,22 +919,21 @@ class Store:
         return ("\n".join(out) + "\n").encode()
 
     def import_jsonl(self, payload: bytes) -> dict[str, int]:
-        """Load a JSON-lines export into this store; returns per-table row
-        counts. Ids are remapped; nothing is committed on failure.
-
-        Taxonomy and space rows are written one at a time; each run of up
-        to _RUN_ROWS consecutive rows of one other table goes in one
-        executemany. Configuration and implementation rows carry the ids
-        SQLite would pick, one past the table's largest, so children can be
-        remapped before their parents are written.
+        """Load a JSON-lines export into this store; returns the number of
+        records applied per table. Ids are remapped; nothing is committed on
+        failure. Taxonomy, tool and space rows are written one at a time;
+        each run of up to _RUN_ROWS consecutive rows of one other table goes
+        in one executemany. Configuration and implementation rows carry the
+        ids SQLite would pick, one past the table's largest, so children can
+        be remapped before their parents are written.
 
         A version-1 or version-2 configuration record also carries
-        LEGACY_FIELDS; each must be what the record's idx decodes to in its
-        space, and is then dropped. After the last record, each
-        implementation written must have the rows record_result writes for
-        its status, else the first that has not fails the import."""
-        id_maps: dict[str, dict[int, int]] = {t: {} for t in TABLES}
-        version = SCHEMA_VERSION
+        LEGACY_FIELDS, which must be what its idx decodes to. The result
+        records of a version-1 to -3 export go to TEMP tables, merged after
+        the last record as the upgrade merges a store's own; an implementation
+        the merge rejects is named by its record index."""
+        id_maps: dict[str, dict] = defaultdict(dict)  # record table -> old id -> new id
+        version, targets, legacy = SCHEMA_VERSION, _TARGETS, False
         indexes: dict[int, SpaceIndex] = {}  # imported space id -> its index
         next_id: dict[str, int] = {}
         counts: Counter = Counter()
@@ -937,7 +947,7 @@ class Store:
                 return
             before = self.conn.total_changes
             try:
-                self.conn.executemany(_INSERT[run_table], (v for _, v in run))
+                self.conn.executemany(_INSERT[targets[run_table]], (v for _, v in run))
             except _REJECTED as e:
                 # each row inserted before the failing one counts one change
                 applied = self.conn.total_changes - before
@@ -955,6 +965,8 @@ class Store:
             return ImportRejected(message, last_good)
 
         with self.conn:
+            # the TEMP tables of a legacy import are rolled back with its rows
+            self.conn.execute("BEGIN")
             for n, line in enumerate(payload.decode().split("\n")):
                 if not line.strip():
                     continue
@@ -970,30 +982,39 @@ class Store:
                     if version not in IMPORT_VERSIONS:
                         raise failure(f"schema version mismatch: {version}")
                     flush()
+                    if version != SCHEMA_VERSION and not legacy:
+                        for statement in _LEGACY_DDL:
+                            self.conn.execute(statement)
+                        legacy = True
+                    targets = _TARGETS if version == SCHEMA_VERSION else _LEGACY_TARGETS
                     last_good = n
                     continue
-                # a table name, id or foreign key that is a JSON list or
-                # object cannot key a dict, which raises TypeError below
+                # a table name or foreign key that is a JSON list or object
+                # cannot key a dict, which raises TypeError below
                 try:
-                    columns = _COLUMN_SETS[table]
+                    target = targets[table]
                 except (KeyError, TypeError):
                     raise failure(f"unknown table {table!r}") from None
-                legacy = table == "configuration" and version != SCHEMA_VERSION
-                if obj.keys() != (_LEGACY_CONFIG_COLUMNS if legacy else columns):
+                legacy_config = table == "configuration" and version < 3
+                if obj.keys() != (
+                    _LEGACY_CONFIG_COLUMNS if legacy_config else _COLUMN_SETS[target]
+                ):
                     raise failure(f"bad columns for table {table}")
-                if table in _PARENT:
-                    fk, parent = _PARENT[table]
+                old_id = obj.get("id")
+                if isinstance(old_id, (list, dict)):  # cannot key id_maps
+                    raise failure(f"malformed {table} id {old_id!r}")
+                for fk, parent in _PARENT.get(target, {}).items():
                     try:
                         obj[fk] = id_maps[parent][obj[fk]]
                     except (KeyError, TypeError):
                         raise failure(
                             f"{table} row references unknown {fk}={obj[fk]}"
                         ) from None
-                if legacy:
+                if legacy_config:
                     mismatch = _legacy_mismatch(indexes[obj["space_id"]], obj)
                     if mismatch:
                         raise failure(mismatch)
-                if table in _BATCHED:
+                if target not in _TAXONOMY_KEY and target != "configuration_space":
                     if table != run_table:
                         flush()
                         run_table = table
@@ -1003,23 +1024,20 @@ class Store:
                                 f"SELECT MAX(id) FROM {table}"
                             ).fetchone()
                             next_id[table] = (top or 0) + 1
-                        old_id, obj["id"] = obj["id"], next_id[table]
+                        obj["id"] = next_id[table]
                         next_id[table] += 1
                         if table == "implementation":
                             impl_records[obj["id"]] = n
                         if old_id is not None:
-                            try:
-                                id_maps[table][old_id] = obj["id"]
-                            except TypeError:
-                                raise failure(f"malformed {table} id {old_id!r}") from None
-                    run.append((n, [obj[c] for c in _EXPORT_COLS[table]]))
+                            id_maps[table][old_id] = obj["id"]
+                    run.append((n, [obj[c] for c in _EXPORT_COLS[target]]))
                     if len(run) == _RUN_ROWS:
                         flush()
                     continue
-                # the taxonomy and space rows, written as ensure_design and
-                # register_space write them
+                # the taxonomy, tool and space rows, written as ensure_design,
+                # record_result and register_space write them
                 flush()
-                old_id, obj["id"] = obj["id"], None
+                obj["id"] = None
                 try:
                     if table in _TAXONOMY_KEY:
                         new_id = self._get_or_create(table, obj)
@@ -1033,43 +1051,22 @@ class Store:
                 except (CsdError, SpaceError) as e:
                     raise failure(f"configuration_space descriptor: {e}") from None
                 if old_id is not None:
-                    try:
-                        id_maps[table][old_id] = new_id
-                    except TypeError:
-                        raise failure(f"malformed {table} id {old_id!r}") from None
+                    id_maps[table][old_id] = new_id
                 counts[table] += 1
                 last_good = n
             flush()
-            self._check_results(impl_records)
-        return dict(counts)
-
-    def _check_results(self, impl_records: dict[int, int]):
-        """Raise ImportRejected unless each implementation an import wrote,
-        ``impl_records`` mapping its id to its record index, has the rows
-        record_result writes for its status."""
-        if not impl_records:
-            return
-        bad = self.conn.execute(
-            _PARTIAL_RESULT, (min(impl_records), max(impl_records))
-        ).fetchone()
-        if bad:
-            impl_id, status, *has = bad
-            ok = status == "ok"
-            wrong = [
-                f"{'no' if want else 'a'} {table} row"
-                for table, found, want in zip(
-                    ("synthesis_info", "resource_usage", "performance"), has, (True, ok, ok)
+            failed = legacy and self._merge_legacy()
+            if failed:
+                _, impl_id, e = failed
+                n = impl_records[impl_id]
+                raise ImportRejected(
+                    f"{_rejection('implementation', e)} (implementation record {n})", n - 1
                 )
-                if found != want
-            ]
-            n = impl_records[impl_id]
-            raise ImportRejected(
-                f"{status} implementation record {n} has " + " and ".join(wrong), n - 1
-            )
+        return dict(counts)
 
     def check_integrity(self) -> list[str]:
         """Full-scan referential check; returns human-readable violations."""
         orphans = Counter(
             table for table, *_ in self.conn.execute("PRAGMA foreign_key_check")
         )
-        return [f"{orphans[t]} orphan {t} row(s)" for t in TABLES if orphans[t]]
+        return [f"{n} orphan {t} row(s)" for t, n in orphans.items()]

@@ -174,7 +174,7 @@ class TestInitDb:
     def test_creates_tables(self, capsys, db):
         code, out, _ = run(capsys, "--db", db, "--format", "json", "init-db")
         assert code == 0
-        assert len(json.loads(out)["tables"]) == 9
+        assert len(json.loads(out)["tables"]) == len(TABLES) == 7
 
 
 class TestRun:
@@ -323,7 +323,8 @@ class TestAnalyze:
             (cfg,) = st.add_configurations(rec.id, [0])
             st.record_result(
                 cfg.id,
-                ImplementationResult(status="ok", latency_cycles=100, achieved_period_ns=-1.0),
+                # a latency_ns of 2**62 cycles x 1e300 ns overflows to inf
+                ImplementationResult(status="ok", latency_cycles=2**62, achieved_period_ns=1e300),
                 SynthesisInfo("t", "mock-hls", "1.0", "mockpart", 10.0),
             )
         code, out, err = run(capsys, "--db", db, "analyze", "1", "--objectives", "latency_ns")

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import math
@@ -52,8 +53,9 @@ OK = ImplementationResult(
 )
 
 # a 20-result seed-1 mock campaign on local_scan.csd, exported by schema
-# version 2
+# versions 2 and 3
 V2_EXPORT = Path(__file__).parent / "data" / "v2_export.jsonl"
+V3_EXPORT = Path(__file__).parent / "data" / "v3_export.jsonl"
 
 
 @pytest.fixture
@@ -76,9 +78,18 @@ def toy_space(store):
 
 
 class TestSchema:
-    def test_nine_tables(self, store):
+    def test_tables_and_views(self, store):
+        """Results are stored only in implementation; the three result tables
+        of earlier versions are views, which refuse an insert."""
         assert store.table_names() == sorted(TABLES)
-        assert len(store.table_names()) == 9
+        assert len(store.table_names()) == 7
+        views = [r[0] for r in store.conn.execute(
+            "SELECT name FROM sqlite_master WHERE type='view' ORDER BY name"
+        )]
+        assert views == ["performance", "resource_usage", "synthesis_info"]
+        for view in views:
+            with pytest.raises(sqlite3.OperationalError, match="because it is a view"):
+                store.conn.execute(f"INSERT INTO {view} (implementation_id) VALUES (1)")
 
     def test_idempotent_init(self, store):
         before = store.table_names()
@@ -101,7 +112,7 @@ class TestSchema:
         named = [r[0] for r in store.conn.execute(
             "SELECT name FROM sqlite_master WHERE type='index' AND sql IS NOT NULL"
         )]
-        assert named == ["idx_implementation_config"]
+        assert named == ["idx_implementation_config", "one_ok_result_per_tool"]
         plan = " ".join(r[-1] for r in store.conn.execute(
             "EXPLAIN QUERY PLAN SELECT idx FROM configuration WHERE space_id=?", (rec.id,)
         ))
@@ -289,17 +300,29 @@ class TestRecordResult:
 
     def test_database_rejects_duplicate_ok(self, store, toy_space):
         """The one-ok-result-per-tool rule holds for any writer, not only
-        record_result."""
+        record_result: it is a unique index over the ok rows alone."""
         rec, csd = toy_space
         cfg = write_rows(store, rec, csd)[0]
         store.record_result(cfg.id, OK, INFO)
+        # a copy of the first row with another status and result columns
+        copy = (
+            "INSERT INTO implementation SELECT NULL, configuration_id, tool_id, {},"
+            " timestamp, contributor, clock_period_ns, {} FROM implementation LIMIT 1"
+        )
         with store.conn:
-            store.conn.execute("INSERT INTO implementation VALUES (2, ?, 'ok')", (cfg.id,))
-            with pytest.raises(sqlite3.IntegrityError, match="^duplicate ok implementation$"):
-                store.conn.execute(
-                    "INSERT INTO synthesis_info SELECT 2, timestamp, contributor, tool_name,"
-                    " tool_version, fpga_part, clock_period_ns FROM synthesis_info"
-                )
+            store.conn.execute(copy.format("'timeout'", ", ".join(["NULL"] * 6)))
+            with pytest.raises(
+                sqlite3.IntegrityError,
+                match="^UNIQUE constraint failed: implementation.configuration_id,"
+                " implementation.tool_id$",
+            ):
+                store.conn.execute(copy.format(
+                    "status", "ff, lut, bram, dsp, latency_cycles, achieved_period_ns"
+                ))
+        assert store.count_implementations(rec.id) == 2
+        assert store.conn.execute(
+            "SELECT type FROM sqlite_master WHERE name = 'one_ok_result_per_tool'"
+        ).fetchone() == ("index",)
 
     def test_other_tool_allowed(self, store, toy_space):
         rec, csd = toy_space
@@ -311,6 +334,23 @@ class TestRecordResult:
     def test_unknown_configuration(self, store):
         with pytest.raises(StoreError):
             store.record_result(12345, OK, INFO)
+
+    @pytest.mark.parametrize("field", ["achieved_period_ns", "clock_period_ns"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0])
+    def test_period_must_be_positive_and_finite(self, store, toy_space, field, value):
+        """No export could write an infinite or NaN period back, and no
+        synthesis achieves a period that is not positive."""
+        rec, csd = toy_space
+        cfg = write_rows(store, rec, csd)[0]
+        result, info = OK, INFO
+        if field == "achieved_period_ns":
+            result = dataclasses.replace(OK, achieved_period_ns=value)
+        else:
+            info = dataclasses.replace(INFO, clock_period_ns=value)
+        with pytest.raises(StoreError, match=f"cannot record configuration id {cfg.id}"):
+            store.record_result(cfg.id, result, info)
+        assert store.count_implementations(rec.id) == 0
+        assert store.conn.execute("SELECT COUNT(*) FROM tool").fetchone() == (0,)
 
 
 class TestPending:
@@ -465,9 +505,12 @@ class TestFetchPoints:
 
     @pytest.mark.parametrize("latency,period", [(100, -9.5), (0, math.inf)])
     def test_invalid_objective_is_analytics_error(self, store, toy_space, latency, period):
+        """fetch_points checks what it reads, also in a store written with
+        its CHECK constraints off."""
         rec, csd = toy_space
         cfg = write_rows(store, rec, csd)[0]
         bad = dataclasses.replace(OK, latency_cycles=latency, achieved_period_ns=period)
+        store.conn.execute("PRAGMA ignore_check_constraints = ON")
         store.record_result(cfg.id, bad, INFO)
         assert store.fetch_points(rec.id, ["latency"])[0].values == (float(latency),)
         with pytest.raises(AnalyticsError):
@@ -613,18 +656,18 @@ class TestExportImport:
     @pytest.mark.parametrize(
         "table, corrupt",
         [
-            ("resource_usage", lambda obj: json.dumps({**obj, "ff": -1})),
+            ("implementation", lambda obj: json.dumps({**obj, "ff": -1})),
             ("implementation", lambda obj: json.dumps({**obj, "configuration_id": 999})),
             ("configuration", lambda obj: json.dumps({**obj, "extra": 1})),
-            ("synthesis_info", lambda obj: json.dumps(obj)[:-5]),
-            ("performance", lambda obj: json.dumps({**obj, "table": [obj["table"]]})),
+            ("implementation", lambda obj: json.dumps(obj)[:-5]),
+            ("implementation", lambda obj: json.dumps({**obj, "table": [obj["table"]]})),
             ("configuration", lambda obj: json.dumps({**obj, "id": [obj["id"]]})),
             (
                 "implementation",
                 lambda obj: json.dumps({**obj, "configuration_id": {"id": 1}}),
             ),
             ("configuration", lambda obj: json.dumps({**obj, "idx": [1]})),
-            ("resource_usage", lambda obj: json.dumps({**obj, "lut": 2**70})),
+            ("implementation", lambda obj: json.dumps({**obj, "lut": 2**70})),
         ],
         ids=[
             "check-violation", "unknown-foreign-key", "bad-columns", "malformed-json",
@@ -650,20 +693,14 @@ class TestExportImport:
         rec = self._populated(store, "unroll;f;l1;{1,2,4}\nclock;{10}")
         lines = store.export_jsonl(rec.id).decode().splitlines()
         objs = [json.loads(line) for line in lines[1:]]
-        by_table = {t: [o for o in objs if o["table"] == t] for t in TABLES}
+        impls = [o for o in objs if o["table"] == "implementation"]
         # a second ok result for the first configuration, same tool
-        new_id = 1 + max(o["id"] for o in by_table["implementation"])
-        for t in ("implementation", "synthesis_info", "resource_usage", "performance"):
-            key = "id" if t == "implementation" else "implementation_id"
-            by_table[t].append({**by_table[t][0], key: new_id})
-        lines = lines[:1] + [json.dumps(o) for t in TABLES for o in by_table[t]]
+        lines.append(json.dumps({**impls[0], "id": 1 + max(o["id"] for o in impls)}))
         with Store(":memory:") as other:
             other.init_schema()
-            with pytest.raises(ImportRejected, match="duplicate ok implementation") as exc:
+            with pytest.raises(ImportRejected, match="^duplicate ok implementation ") as exc:
                 other.import_jsonl(("\n".join(lines) + "\n").encode())
-            # the second ok result is rejected at its synthesis_info row
-            k = lines.index(json.dumps(by_table["synthesis_info"][-1]))
-            assert exc.value.last_good == k - 1
+            assert exc.value.last_good == len(lines) - 2
             for t in TABLES:
                 assert other.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
 
@@ -726,46 +763,43 @@ class TestExportImport:
     @pytest.mark.parametrize(
         "table, message",
         [
-            ("resource_usage", "ok implementation record {k} has no resource_usage row"),
-            ("performance", "ok implementation record {k} has no performance row"),
-            ("synthesis_info", "ok implementation record {k} has no synthesis_info row"),
+            ("resource_usage", "CHECK constraint failed: whole_result"),
+            ("performance", "CHECK constraint failed: whole_result"),
+            ("synthesis_info", "NOT NULL constraint failed: implementation.tool_id"),
         ],
         ids=["no-resource_usage", "no-performance", "no-synthesis_info"],
     )
     def test_partial_result_rejected(self, store, table, message):
         """An import stores whole results, as record_result writes them: a
-        result missing one of its rows would read as attempted but never
-        appear among the points."""
-        rec = self._populated(store, "unroll;f;l1;{1,2,4}\nclock;{10}")
-        lines = store.export_jsonl(rec.id).decode().splitlines()
-        impl_id = store.conn.execute("SELECT id FROM implementation").fetchall()[1][0]
-        (k,) = self._result_lines(lines, "implementation", impl_id)
-        (gone,) = self._result_lines(lines, table, impl_id)
+        legacy result missing one of its rows would read as attempted but
+        never appear among the points."""
+        lines = V3_EXPORT.read_text().splitlines()
+        (gone,) = self._result_lines(lines, table, 2)
         del lines[gone]
-        with Store(":memory:") as other:
-            other.init_schema()
-            with pytest.raises(ImportRejected, match=message.format(k=k)) as exc:
-                other.import_jsonl(("\n".join(lines) + "\n").encode())
-            assert exc.value.last_good == k - 1
-            for t in TABLES:
-                assert other.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
+        (k,) = self._result_lines(lines, "implementation", 2)
+        with pytest.raises(ImportRejected) as exc:
+            store.import_jsonl(("\n".join(lines) + "\n").encode())
+        assert str(exc.value) == (
+            f"malformed implementation record: {message} (implementation record {k})"
+            f" (last good record index: {k - 1})"
+        )
+        assert exc.value.last_good == k - 1
+        for t in TABLES:
+            assert store.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
+        assert store.conn.execute("SELECT COUNT(*) FROM temp.sqlite_master").fetchone() == (0,)
 
     def test_metric_rows_of_failed_result_rejected(self, store):
-        rec = self._populated(store, "unroll;f;l1;{1,2,4}\nclock;{10}")
-        lines = store.export_jsonl(rec.id).decode().splitlines()
-        impl_id = store.conn.execute("SELECT id FROM implementation").fetchall()[1][0]
-        (k,) = self._result_lines(lines, "implementation", impl_id)
+        lines = V3_EXPORT.read_text().splitlines()
+        (k,) = self._result_lines(lines, "implementation", 2)
         lines[k] = json.dumps({**json.loads(lines[k]), "status": "synth_error"})
-        with Store(":memory:") as other:
-            other.init_schema()
-            with pytest.raises(
-                ImportRejected, match=f"synth_error implementation record {k} has a"
-                " resource_usage row and a performance row"
-            ) as exc:
-                other.import_jsonl(("\n".join(lines) + "\n").encode())
-            assert exc.value.last_good == k - 1
-            for t in TABLES:
-                assert other.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
+        with pytest.raises(
+            ImportRejected, match="^malformed implementation record: CHECK constraint"
+            rf" failed: whole_result \(implementation record {k}\)"
+        ) as exc:
+            store.import_jsonl(("\n".join(lines) + "\n").encode())
+        assert exc.value.last_good == k - 1
+        for t in TABLES:
+            assert store.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
 
     def test_partial_result_of_legacy_payload_rejected(self, store):
         lines = V2_EXPORT.read_bytes().decode().splitlines()
@@ -773,7 +807,7 @@ class TestExportImport:
         del lines[gone]
         (k,) = self._result_lines(lines, "implementation", 3)
         with pytest.raises(
-            ImportRejected, match=f"ok implementation record {k} has no performance row"
+            ImportRejected, match=rf"whole_result \(implementation record {k}\)"
         ) as exc:
             store.import_jsonl(("\n".join(lines) + "\n").encode())
         assert exc.value.last_good == k - 1
@@ -783,19 +817,16 @@ class TestExportImport:
     def test_non_finite_number_rejected(self, store, number):
         """JSON's decoder reads these as floats, which SQLite stores but an
         SQL export cannot write back."""
-        rec = self._populated(store, "unroll;f;l1;{1,2,4}\nclock;{10}")
-        lines = store.export_jsonl(rec.id).decode().splitlines()
+        lines = V3_EXPORT.read_text().splitlines()
         k = [n for n, line in enumerate(lines)
              if json.loads(line)["table"] == "performance"][1]
         obj = {**json.loads(lines[k]), "achieved_period_ns": "@"}
         lines[k] = json.dumps(obj).replace('"@"', number)
-        with Store(":memory:") as other:
-            other.init_schema()
-            with pytest.raises(ImportRejected, match="malformed record") as exc:
-                other.import_jsonl(("\n".join(lines) + "\n").encode())
-            assert exc.value.last_good == k - 1
-            for t in TABLES:
-                assert other.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
+        with pytest.raises(ImportRejected, match="malformed record") as exc:
+            store.import_jsonl(("\n".join(lines) + "\n").encode())
+        assert exc.value.last_good == k - 1
+        for t in TABLES:
+            assert store.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
 
     def test_list_taxonomy_id(self, store):
         with pytest.raises(ImportRejected) as exc:
@@ -838,11 +869,11 @@ class TestExportImport:
     @pytest.mark.parametrize(
         "table, change, message",
         [
-            ("resource_usage", {"ff": -1},
-             "malformed resource_usage record: CHECK constraint failed: ff >= 0"),
-            ("performance", {"achieved_period_ns": None},
-             "malformed performance record: NOT NULL constraint failed:"
-             " performance.achieved_period_ns"),
+            ("implementation", {"ff": -1},
+             "malformed implementation record: CHECK constraint failed: ff >= 0"),
+            ("implementation", {"timestamp": None},
+             "malformed implementation record: NOT NULL constraint failed:"
+             " implementation.timestamp"),
             ("implementation", {"configuration_id": 999},
              "implementation row references unknown configuration_id=999"),
         ],
@@ -892,6 +923,20 @@ class TestExportImport:
             (n,) = other.conn.execute("SELECT COUNT(*) FROM configuration").fetchone()
             assert n == 2
 
+    @pytest.mark.parametrize("period", [943680.456409765, 2.003663162736718e-299, 9.5])
+    def test_sql_export_writes_doubles_exactly(self, store, toy_space, period):
+        """SQLite 3.40 reads repr(943680.456409765) as 943680.4564097649; the
+        SQL export writes each REAL so that it reads back bit for bit."""
+        rec, csd = toy_space
+        cfg = write_rows(store, rec, csd)[0]
+        store.record_result(cfg.id, dataclasses.replace(OK, achieved_period_ns=period), INFO)
+        with Store(":memory:") as other:
+            other.conn.executescript(store.export_sql(rec.id).decode())
+            (value,) = other.conn.execute(
+                "SELECT achieved_period_ns FROM implementation"
+            ).fetchone()
+            assert struct.pack("<d", value) == struct.pack("<d", period)
+
     def test_integrity_check_clean(self, store):
         rec = self._populated(store, "unroll;f;l1;{1,2}\nclock;{10}")
         assert store.check_integrity() == []
@@ -900,13 +945,11 @@ class TestExportImport:
         self._populated(store, "unroll;f;l1;{1,2}\nclock;{10}")
         store.conn.execute("PRAGMA foreign_keys = OFF")
         with store.conn:
-            store.conn.execute("DELETE FROM implementation")
+            store.conn.execute("DELETE FROM tool")
             store.conn.execute("DELETE FROM configuration_space")
         assert store.check_integrity() == [
             "2 orphan configuration row(s)",
-            "2 orphan synthesis_info row(s)",
-            "2 orphan resource_usage row(s)",
-            "2 orphan performance row(s)",
+            "2 orphan implementation row(s)",
         ]
 
 
@@ -949,7 +992,7 @@ class TestJsonLines:
     def test_ascii_lines_are_json_dumps(self, store):
         space_id = _text_store(store, ASCII)
         lines = store.export_jsonl(space_id).decode().split("\n")
-        assert lines[0] == json.dumps({"table": "_meta", "schema_version": 3})
+        assert lines[0] == json.dumps({"table": "_meta", "schema_version": 4})
         assert lines[-1] == ""
         assert lines[1:-1] == [
             json.dumps({"table": table, **row}, sort_keys=True)
@@ -991,7 +1034,7 @@ class TestJsonLines:
         space_id = _text_store(store, text)
         payload = "".join(
             json.dumps(obj, ensure_ascii=False) + "\n"
-            for obj in [{"table": "_meta", "schema_version": 3}] + [
+            for obj in [{"table": "_meta", "schema_version": 4}] + [
                 {"table": table, **row} for table, row in store._space_rows(space_id)
             ]
         ).encode()
@@ -1003,16 +1046,13 @@ class TestJsonLines:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        periods=hst.lists(
-            hst.tuples(hst.floats(allow_nan=False, allow_infinity=False),
-                       hst.floats(allow_nan=False, allow_infinity=False)),
-            min_size=1, max_size=4,
-        ),
+        periods=hst.lists(hst.tuples(hst.floats(), hst.floats()), min_size=1, max_size=4),
         counts=hst.lists(hst.integers(0, 2**63 - 1), min_size=5, max_size=5),
     )
     def test_numbers_round_trip_bit_equal(self, periods, counts):
-        """Every finite double and every integer up to 2**63 - 1 comes back
-        from an export and an import as the value stored."""
+        """Every result that record_result stores, with any double for a
+        period and any integer up to 2**63 - 1 for a count, comes back from
+        both exports as the value stored; it refuses the others."""
         ff, lut, bram, dsp, latency = counts
         with Store(":memory:") as src:
             src.init_schema()
@@ -1025,22 +1065,28 @@ class TestJsonLines:
                     OK, ff=ff, lut=lut, bram=bram, dsp=dsp, latency_cycles=latency,
                     achieved_period_ns=achieved,
                 )
-                src.record_result(
-                    cfg.id, result, dataclasses.replace(INFO, clock_period_ns=clock)
-                )
+                info = dataclasses.replace(INFO, clock_period_ns=clock)
+                if 0 < clock < math.inf and 0 < achieved < math.inf:
+                    src.record_result(cfg.id, result, info)
+                else:
+                    with pytest.raises(StoreError):
+                        src.record_result(cfg.id, result, info)
             with Store(":memory:") as dst:
                 dst.init_schema()
                 dst.import_jsonl(src.export_jsonl(rec.id))
                 assert _stored_rows(dst, 1) == _stored_rows(src, rec.id)
+            with Store(":memory:") as dst:
+                dst.conn.executescript(src.export_sql(rec.id).decode())
+                assert _stored_rows(dst, rec.id) == _stored_rows(src, rec.id)
 
     def test_infinite_period_is_refused_on_import(self, store):
-        """An infinity, which SQLite stores but JSON has no number for, is
-        written as Python prints it, and import refuses the line."""
+        """JSON has no number for an infinity, which SQLite would store but
+        no export could write back: import refuses a line that holds one."""
         space_id = _text_store(store, "t")
-        with store.conn:
-            store.conn.execute("UPDATE performance SET achieved_period_ns = 9e999")
         lines = store.export_jsonl(space_id).decode().splitlines()
-        (k,) = [n for n, line in enumerate(lines) if line.startswith('{"achieved_period_ns"')]
+        (k,) = [n for n, line in enumerate(lines)
+                if line.startswith('{"achieved_period_ns": 9.5,')]
+        lines[k] = lines[k].replace("9.5", "inf", 1)
         assert lines[k].startswith('{"achieved_period_ns": inf,')
         with Store(":memory:") as other:
             other.init_schema()
@@ -1124,6 +1170,93 @@ LEGACY_CONFIG_COLUMNS = [
     "id", "space_id", "idx", "config_key", "key_text", "directive_values"
 ]
 
+# The schema of version 3, frozen: a result was an implementation row with
+# its synthesis_info, resource_usage and performance rows, and a trigger
+# refused a second ok result per tool.
+V3_DDL = """
+CREATE TABLE IF NOT EXISTS benchmark (
+    id INTEGER PRIMARY KEY,
+    name TEXT NOT NULL UNIQUE
+);
+CREATE TABLE IF NOT EXISTS algorithm (
+    id INTEGER PRIMARY KEY,
+    benchmark_id INTEGER NOT NULL REFERENCES benchmark(id),
+    name TEXT NOT NULL,
+    UNIQUE (benchmark_id, name)
+);
+CREATE TABLE IF NOT EXISTS design (
+    id INTEGER PRIMARY KEY,
+    algorithm_id INTEGER NOT NULL REFERENCES algorithm(id),
+    name TEXT NOT NULL,
+    source_ref TEXT,
+    function_name TEXT,
+    UNIQUE (algorithm_id, name)
+);
+CREATE TABLE IF NOT EXISTS configuration_space (
+    id INTEGER PRIMARY KEY,
+    design_id INTEGER NOT NULL REFERENCES design(id),
+    csd_text TEXT NOT NULL,
+    cardinality INTEGER NOT NULL,
+    contributor TEXT NOT NULL,
+    created_at TEXT NOT NULL,
+    UNIQUE (design_id, csd_text)
+);
+CREATE TABLE IF NOT EXISTS configuration (
+    id INTEGER PRIMARY KEY,
+    space_id INTEGER NOT NULL REFERENCES configuration_space(id),
+    idx INTEGER NOT NULL,
+    UNIQUE (space_id, idx)
+);
+CREATE TABLE IF NOT EXISTS implementation (
+    id INTEGER PRIMARY KEY,
+    configuration_id INTEGER NOT NULL REFERENCES configuration(id),
+    status TEXT NOT NULL CHECK (status IN ('ok','synth_error','timeout'))
+);
+CREATE TABLE IF NOT EXISTS synthesis_info (
+    implementation_id INTEGER PRIMARY KEY REFERENCES implementation(id),
+    timestamp TEXT NOT NULL,
+    contributor TEXT NOT NULL,
+    tool_name TEXT NOT NULL,
+    tool_version TEXT NOT NULL,
+    fpga_part TEXT NOT NULL,
+    clock_period_ns REAL NOT NULL
+);
+CREATE TABLE IF NOT EXISTS resource_usage (
+    implementation_id INTEGER PRIMARY KEY REFERENCES implementation(id),
+    ff INTEGER NOT NULL CHECK (ff >= 0),
+    lut INTEGER NOT NULL CHECK (lut >= 0),
+    bram INTEGER NOT NULL CHECK (bram >= 0),
+    dsp INTEGER NOT NULL CHECK (dsp >= 0)
+);
+CREATE TABLE IF NOT EXISTS performance (
+    implementation_id INTEGER PRIMARY KEY REFERENCES implementation(id),
+    latency_cycles INTEGER NOT NULL CHECK (latency_cycles >= 0),
+    achieved_period_ns REAL NOT NULL
+);
+CREATE INDEX IF NOT EXISTS idx_implementation_config
+    ON implementation(configuration_id);
+CREATE TRIGGER IF NOT EXISTS configuration_idx_in_range
+BEFORE INSERT ON configuration
+WHEN NOT (typeof(NEW.idx) = 'integer' AND NEW.idx >= 0 AND NEW.idx <
+    (SELECT cardinality FROM configuration_space WHERE id = NEW.space_id))
+BEGIN
+    SELECT RAISE(ABORT, 'configuration index out of range');
+END;
+CREATE TRIGGER IF NOT EXISTS one_ok_result_per_tool
+BEFORE INSERT ON synthesis_info
+WHEN EXISTS (
+    SELECT 1 FROM implementation n
+    JOIN implementation i ON i.configuration_id = n.configuration_id
+    JOIN synthesis_info s ON s.implementation_id = i.id
+    WHERE n.id = NEW.implementation_id AND n.status = 'ok' AND i.status = 'ok'
+        AND s.tool_name = NEW.tool_name AND s.tool_version = NEW.tool_version
+        AND s.fpga_part = NEW.fpga_part
+)
+BEGIN
+    SELECT RAISE(ABORT, 'duplicate ok implementation');
+END;
+"""
+
 
 def legacy_fields(index, i):
     """config_key, key_text and directive_values of point ``i``, as
@@ -1161,7 +1294,7 @@ def build_legacy_store(path, csd, version, idxs):
     conn.close()
 
 
-def legacy_ok_result(conn, impl_id, configuration_id, tool="mock-hls"):
+def legacy_ok_result(conn, impl_id, configuration_id, tool="mock-hls", result=OK):
     """Write one ok result as a legacy store holds it, with raw SQL."""
     conn.execute(
         "INSERT INTO implementation VALUES (?, ?, 'ok')", (impl_id, configuration_id)
@@ -1171,8 +1304,35 @@ def legacy_ok_result(conn, impl_id, configuration_id, tool="mock-hls"):
         " ?, '1.0', 'mockpart', 10.0)",
         (impl_id, tool),
     )
-    conn.execute("INSERT INTO resource_usage VALUES (?, 10, 20, 1, 0)", (impl_id,))
-    conn.execute("INSERT INTO performance VALUES (?, 100, 9.5)", (impl_id,))
+    conn.execute(
+        "INSERT INTO resource_usage VALUES (?, ?, ?, ?, ?)",
+        (impl_id, result.ff, result.lut, result.bram, result.dsp),
+    )
+    conn.execute(
+        "INSERT INTO performance VALUES (?, ?, ?)",
+        (impl_id, result.latency_cycles, result.achieved_period_ns),
+    )
+
+
+def build_v3_store(path, lines):
+    """A store as schema version 3 left it, holding the rows of the export
+    ``lines`` with their ids."""
+    with contextlib.closing(sqlite3.connect(path)) as conn:
+        conn.executescript(V3_DDL)
+        for line in lines[1:]:
+            row = json.loads(line)
+            table = row.pop("table")
+            conn.execute(
+                f"INSERT INTO {table} ({','.join(row)}) VALUES ({','.join('?' * len(row))})",
+                list(row.values()),
+            )
+        conn.execute("PRAGMA user_version = 3")
+        conn.commit()
+
+
+def dump(path):
+    with contextlib.closing(sqlite3.connect(path)) as conn:
+        return list(conn.iterdump()), conn.execute("PRAGMA user_version").fetchone()
 
 
 def columns(conn, table):
@@ -1202,11 +1362,11 @@ class TestSchemaV1:
         csd = parse_csd(local_scan_text)
         build_legacy_store(path, csd, 1, range(704))
         index = build_index(csd)
-        with Store(path) as st:
+        with contextlib.closing(sqlite3.connect(path)) as conn:
             for i in range(100):
-                st.record_result(i + 1, mock_synthesize(index.decode(i), csd, 0), INFO)
-            (version,) = st.conn.execute("PRAGMA user_version").fetchone()
-            assert version == 1
+                legacy_ok_result(conn, i + 1, i + 1,
+                                 result=mock_synthesize(index.decode(i), csd, 0))
+            conn.commit()
         return path
 
     def test_migrates_and_resumes(self, v1_store, tmp_path):
@@ -1214,7 +1374,7 @@ class TestSchemaV1:
             ids = st.conn.execute("SELECT id, space_id, idx FROM configuration").fetchall()
             st.init_schema()
             (version,) = st.conn.execute("PRAGMA user_version").fetchone()
-            assert version == 3
+            assert version == 4
             assert columns(st.conn, "configuration") == ["id", "space_id", "idx"]
             before = st.configurations(1)
             assert [dataclasses.astuple(c) for c in before] == ids
@@ -1270,9 +1430,9 @@ class TestLegacyStores:
         assert [
             p.values for p in store.fetch_points(1, ["latency", "lut", "ff"])
         ] == fresh_campaign_points(local_scan_text, 20)
-        # and it exports as version 3: configuration rows are (id, space_id, idx)
+        # and it exports as version 4: configuration rows are (id, space_id, idx)
         lines = [json.loads(line) for line in store.export_jsonl(1).splitlines()]
-        assert lines[0] == {"table": "_meta", "schema_version": 3}
+        assert lines[0] == {"table": "_meta", "schema_version": 4}
         rows = [obj for obj in lines if obj["table"] == "configuration"]
         assert rows == [
             {"table": "configuration", "id": i + 1, "space_id": 1, "idx": i}
@@ -1307,7 +1467,7 @@ class TestLegacyStores:
         conn.close()
         with Store(path) as st:
             st.init_schema()
-            assert st.conn.execute("PRAGMA user_version").fetchone() == (3,)
+            assert st.conn.execute("PRAGMA user_version").fetchone() == (4,)
             assert columns(st.conn, "configuration") == ["id", "space_id", "idx"]
             assert [dataclasses.astuple(c) for c in st.configurations(1)] == [
                 (2, 1, 3), (1, 1, 5), (3, 1, 700)
@@ -1316,7 +1476,7 @@ class TestLegacyStores:
             with pytest.raises(DuplicateImplementationError):
                 st.record_result(1, OK, INFO)
             st.init_schema()
-            assert st.conn.execute("PRAGMA user_version").fetchone() == (3,)
+            assert st.conn.execute("PRAGMA user_version").fetchone() == (4,)
 
     def test_v2_store_with_duplicate_ok_pair_is_not_upgraded(self, tmp_path, local_scan_text):
         path = str(tmp_path / "v2.sqlite")
@@ -1329,7 +1489,7 @@ class TestLegacyStores:
         with Store(path) as st:
             with pytest.raises(
                 DuplicateImplementationError,
-                match="configuration 2 has 2 ok implementations for mock-hls 1.0 on mockpart",
+                match=r"^cannot upgrade store: duplicate ok implementation \(implementation id 3\)$",
             ):
                 st.init_schema()
             assert st.conn.execute("PRAGMA user_version").fetchone() == (2,)
@@ -1360,7 +1520,10 @@ class TestLegacyStores:
         conn.commit()
         conn.close()
         with Store(path) as st:
-            with pytest.raises(StoreError, match="configuration 2 has index 1000000 out"):
+            with pytest.raises(
+                StoreError, match=r"^cannot upgrade store: configuration index out of range"
+                r" \(configuration id 2\)$"
+            ):
                 st.init_schema()
             assert st.conn.execute("PRAGMA user_version").fetchone() == (2,)
             assert columns(st.conn, "configuration") == LEGACY_CONFIG_COLUMNS
@@ -1444,6 +1607,70 @@ class TestLegacyStores:
                 st.init_schema()
             assert st.conn.execute("PRAGMA user_version").fetchone() == (2,)
             assert columns(st.conn, "configuration") == LEGACY_CONFIG_COLUMNS
+
+
+class TestSchemaV3:
+    # every result of a store, through the version-3 tables or the views
+    # that keep their names
+    RESULTS = """
+        SELECT i.id, i.configuration_id, i.status, s.*, r.*, p.*
+        FROM implementation i JOIN synthesis_info s ON s.implementation_id = i.id
+        LEFT JOIN resource_usage r ON r.implementation_id = i.id
+        LEFT JOIN performance p ON p.implementation_id = i.id ORDER BY i.id
+    """
+
+    def test_v3_export_imports(self, store, local_scan_text):
+        counts = store.import_jsonl(V3_EXPORT.read_bytes())
+        assert counts == {
+            "benchmark": 1, "algorithm": 1, "design": 1, "configuration_space": 1,
+            "configuration": 20, "implementation": 20, "synthesis_info": 20,
+            "resource_usage": 20, "performance": 20,
+        }
+        assert [
+            p.values for p in store.fetch_points(1, ["latency", "lut", "ff"])
+        ] == fresh_campaign_points(local_scan_text, 20)
+        assert store.conn.execute("SELECT name, version, part FROM tool").fetchall() == [
+            ("mock-hls", "1.0", "mockpart")
+        ]
+        assert store.check_integrity() == []
+
+    def test_v3_store_upgrades_in_place(self, tmp_path, store, local_scan_text):
+        path = str(tmp_path / "v3.sqlite")
+        build_v3_store(path, V3_EXPORT.read_text().splitlines())
+        with contextlib.closing(sqlite3.connect(path)) as conn:
+            before = conn.execute(self.RESULTS).fetchall()
+        store.import_jsonl(V3_EXPORT.read_bytes())
+        objectives = ["latency", "latency_ns", "lut", "ff", "bram", "dsp"]
+        with Store(path) as st:
+            st.init_schema()
+            assert st.conn.execute("PRAGMA user_version").fetchone() == (4,)
+            assert st.table_names() == sorted(TABLES)
+            assert st.conn.execute(self.RESULTS).fetchall() == before
+            assert st.fetch_points(1, objectives) == store.fetch_points(1, objectives)
+            assert [p.values for p in st.fetch_points(1, ["latency", "lut", "ff"])] == (
+                fresh_campaign_points(local_scan_text, 20)
+            )
+            assert st.check_integrity() == []
+            with pytest.raises(DuplicateImplementationError):
+                st.record_result(1, OK, INFO)
+
+    def test_v3_store_with_partial_result_is_not_upgraded(self, tmp_path):
+        """An ok implementation without its performance row is named, and
+        the store is left as it was."""
+        lines = V3_EXPORT.read_text().splitlines()
+        (gone,) = TestExportImport._result_lines(lines, "performance", 7)
+        del lines[gone]
+        path = str(tmp_path / "v3.sqlite")
+        build_v3_store(path, lines)
+        before = dump(path)
+        with Store(path) as st:
+            with pytest.raises(
+                StoreError, match=r"^cannot upgrade store: malformed implementation record:"
+                r" CHECK constraint failed: whole_result \(implementation id 7\)$"
+            ):
+                st.init_schema()
+            assert st.conn.execute("PRAGMA foreign_keys").fetchone() == (1,)
+        assert dump(path) == before
 
 
 def test_shipped_ddl_matches_embedded():
