@@ -42,7 +42,7 @@ CREATE TABLE IF NOT EXISTS implementation (
     id INTEGER PRIMARY KEY,
     configuration_id INTEGER NOT NULL REFERENCES configuration(id),
     tool_id INTEGER NOT NULL REFERENCES tool(id),
-    status TEXT NOT NULL CHECK (status IN ('ok','synth_error','timeout')),
+    status TEXT NOT NULL CHECK (status = 'ok' OR status = 'synth_error' OR status = 'timeout'),
     timestamp TEXT NOT NULL,
     contributor TEXT NOT NULL,
     clock_period_ns REAL NOT NULL
@@ -55,9 +55,9 @@ CREATE TABLE IF NOT EXISTS implementation (
     achieved_period_ns REAL
         CHECK (achieved_period_ns > 0 AND achieved_period_ns < 9e999),
     CONSTRAINT whole_result CHECK (CASE WHEN status = 'ok'
-        THEN ff IS NOT NULL AND lut IS NOT NULL AND bram IS NOT NULL
-            AND dsp IS NOT NULL AND latency_cycles IS NOT NULL
-            AND achieved_period_ns IS NOT NULL
+        THEN typeof(ff) = 'integer' AND typeof(lut) = 'integer' AND typeof(bram) = 'integer'
+            AND typeof(dsp) = 'integer' AND typeof(latency_cycles) = 'integer'
+            AND typeof(achieved_period_ns) = 'real'
         ELSE coalesce(ff, lut, bram, dsp, latency_cycles, achieved_period_ns) IS NULL
     END)
 );

@@ -12,9 +12,14 @@ the status is ok, its resource counts, latency and achieved period. The
 read-only views synthesis_info, resource_usage and performance show them
 under the table and column names of versions 1 to 3. The DDL is shipped
 verbatim in SCHEMA_DDL; the database itself rejects a configuration index
-outside [0, cardinality) (a trigger), a partial result or a period that is
-not positive and finite (CHECK constraints), and a second ok result for one
-configuration and tool (a partial unique index), whoever writes the row.
+outside [0, cardinality) (a trigger), a partial result, a count that is not
+an integer, or a period that is not a positive and finite REAL (CHECK
+constraints), and a second ok result for one configuration and tool (a
+partial unique index), whoever writes the row. The CHECKs test types with
+typeof, after column affinity has converted numeric text, because SQLite
+finds text such as 'abc' >= 0. The status CHECK is an OR of equalities:
+SQLite compiles an IN list into a temporary B-tree that it fills for every
+row inserted, which cost more than every other CHECK together.
 
 Every reader of a stored space goes through ``Store.space_index``, which
 parses the descriptor and checks that its size is the row's cardinality, so
@@ -24,11 +29,15 @@ Versions 1 to 3 stored a result as an implementation row with its
 synthesis_info row and, when ok, its resource_usage and performance rows;
 versions 1 and 2 also stored the three derived fields in every configuration
 row. Opening such a store upgrades it in place (see ``Store._upgrade``).
-Imports read exports of versions 1 to 4: a legacy export's result records
-are merged into implementation rows by the upgrade's statement, _MERGE, so
-SCHEMA_DDL's constraints reject a partial result either way. An import
-refuses a NaN, an infinity or a float literal beyond the float range as a
-malformed record.
+Version 4 differed only in the implementation table's CHECKs: opening a
+store whose implementation table is not SCHEMA_DDL's, as a version-4 store
+or one loaded from a version-4 SQL export holds, copies that table's rows
+through SCHEMA_DDL's, keeping the ids. Imports read exports of versions 1
+to 5; a version-4 export has this version's layout. A legacy export's
+result records are merged into implementation rows by the upgrade's
+statement, _MERGE, so SCHEMA_DDL's constraints reject a partial result
+either way. An import refuses a NaN, an infinity or a float literal beyond
+the float range as a malformed record.
 
 SQLite renders the lines of a JSON-lines export: its json_quote writes the
 integers, text and NULLs, while REAL values come back to Python and are
@@ -53,16 +62,18 @@ import sqlite3
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Iterator, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .analytics import DesignPoint
 from .dsl import CSD, CsdError, parse_csd, serialize_csd
 from .space import SpaceError, SpaceIndex, build_index
 
-SCHEMA_VERSION = 4
-# export versions import_jsonl reads; a configuration row of version 1 or 2
-# also carries LEGACY_FIELDS
-IMPORT_VERSIONS = (1, 2, 3, 4)
+SCHEMA_VERSION = 5
+# export versions import_jsonl reads: a version-4 export has the layout of
+# this version's, and a configuration row of version 1 or 2 also carries
+# LEGACY_FIELDS
+IMPORT_VERSIONS = (1, 2, 3, 4, 5)
 LEGACY_FIELDS = ("config_key", "key_text", "directive_values")
 
 SCHEMA_DDL = """
@@ -110,7 +121,7 @@ CREATE TABLE IF NOT EXISTS implementation (
     id INTEGER PRIMARY KEY,
     configuration_id INTEGER NOT NULL REFERENCES configuration(id),
     tool_id INTEGER NOT NULL REFERENCES tool(id),
-    status TEXT NOT NULL CHECK (status IN ('ok','synth_error','timeout')),
+    status TEXT NOT NULL CHECK (status = 'ok' OR status = 'synth_error' OR status = 'timeout'),
     timestamp TEXT NOT NULL,
     contributor TEXT NOT NULL,
     clock_period_ns REAL NOT NULL
@@ -123,9 +134,9 @@ CREATE TABLE IF NOT EXISTS implementation (
     achieved_period_ns REAL
         CHECK (achieved_period_ns > 0 AND achieved_period_ns < 9e999),
     CONSTRAINT whole_result CHECK (CASE WHEN status = 'ok'
-        THEN ff IS NOT NULL AND lut IS NOT NULL AND bram IS NOT NULL
-            AND dsp IS NOT NULL AND latency_cycles IS NOT NULL
-            AND achieved_period_ns IS NOT NULL
+        THEN typeof(ff) = 'integer' AND typeof(lut) = 'integer' AND typeof(bram) = 'integer'
+            AND typeof(dsp) = 'integer' AND typeof(latency_cycles) = 'integer'
+            AND typeof(achieved_period_ns) = 'real'
         ELSE coalesce(ff, lut, bram, dsp, latency_cycles, achieved_period_ns) IS NULL
     END)
 );
@@ -182,20 +193,29 @@ _LEGACY_TARGETS = {
 }
 
 
-def _table_columns() -> dict[str, tuple[str, ...]]:
+def _implementation_sql(conn: sqlite3.Connection) -> Optional[str]:
+    """The implementation table's CREATE statement as sqlite_schema holds it."""
+    row = conn.execute(
+        "SELECT sql FROM main.sqlite_master WHERE type = 'table' AND name = 'implementation'"
+    ).fetchone()
+    return row and row[0]
+
+
+def _schema() -> tuple[dict[str, tuple[str, ...]], Optional[str]]:
     """Each table's columns in DDL order, read from SCHEMA_DDL and
-    _LEGACY_DDL themselves."""
+    _LEGACY_DDL themselves, and SCHEMA_DDL's implementation table as
+    sqlite_schema holds it."""
     with contextlib.closing(sqlite3.connect(":memory:")) as conn:
         conn.executescript(SCHEMA_DDL + ";".join(_LEGACY_DDL))
         return {
             t: tuple(row[1] for row in conn.execute(f"PRAGMA table_info({t})"))
             for t in (*_TARGETS.values(), *_LEGACY_TARGETS.values())
-        }
+        }, _implementation_sql(conn)
 
 
-# the columns export writes and import requires, per table
-_EXPORT_COLS = _table_columns()
-_COLUMN_SETS = {t: frozenset(cols) for t, cols in _EXPORT_COLS.items()}
+# the columns export writes and import requires, per table, and the
+# implementation table that init_schema rebuilds any other into
+_EXPORT_COLS, _IMPLEMENTATION_SQL = _schema()
 # every column is listed, so an imported row's id is either chosen by the
 # import or NULL, which lets SQLite pick it
 _INSERT = {
@@ -226,8 +246,8 @@ _CONFIG_RECORDS = (
     "SELECT id, space_id, idx FROM configuration"
     " WHERE space_id=? AND idx BETWEEN ? AND ? ORDER BY idx"
 )
-# the columns of a version-1 or version-2 configuration record
-_LEGACY_CONFIG_COLUMNS = _COLUMN_SETS["configuration"] | frozenset(LEGACY_FIELDS)
+# the keys of a version-1 or version-2 configuration record
+_LEGACY_CONFIG_KEYS = frozenset(("table", *_EXPORT_COLS["configuration"], *LEGACY_FIELDS))
 # the implementation rows of a space, joined as i and c
 _OF_SPACE = (
     "FROM implementation i JOIN configuration c ON c.id=i.configuration_id"
@@ -348,6 +368,15 @@ LEFT JOIN legacy_resource_usage r ON r.implementation_id = i.id
 LEFT JOIN legacy_performance p ON p.implementation_id = i.id
 ORDER BY i.id
 """
+# what a version-4 implementation table is rebuilt through: the views and
+# its indexes go, and the table is set aside as v4_implementation, whose rows
+# are copied into SCHEMA_DDL's table. Version 5 changed only that table's
+# CHECKs (see SCHEMA_DDL).
+_V4_ASIDE = (
+    "DROP VIEW synthesis_info; DROP VIEW resource_usage; DROP VIEW performance;"
+    " DROP INDEX idx_implementation_config; DROP INDEX one_ok_result_per_tool;"
+    " ALTER TABLE implementation RENAME TO v4_implementation;"
+)
 # SQLite's message for a second ok result of one configuration and tool
 _DUPLICATE_OK = "UNIQUE constraint failed: implementation.configuration_id, implementation.tool_id"
 # what SQLite raises for a row it rejects: a constraint, or a value it
@@ -464,6 +493,9 @@ class Store:
     def __init__(self, path: str = ":memory:"):
         self.path = path
         self.conn = sqlite3.connect(path)
+        # (name, version, part) -> id of the tool row that record_result
+        # read or created, once that transaction has committed
+        self._tool_ids: dict[tuple[str, str, str], int] = {}
         self.conn.execute("PRAGMA foreign_keys = ON")
         self.conn.execute("PRAGMA journal_mode = WAL")
         self.conn.execute("PRAGMA synchronous = NORMAL")
@@ -490,6 +522,10 @@ class Store:
         columns = {row[1] for row in self.conn.execute("PRAGMA table_info(implementation)")}
         if columns and "tool_id" not in columns:
             self._upgrade()
+        elif columns and _implementation_sql(self.conn) != _IMPLEMENTATION_SQL:
+            # version 4's, or one that its SQL export created, which sets no
+            # user_version
+            self._rebuild(_V4_ASIDE, self._copy_v4_implementation)
         # one transaction: a new store gets its whole schema or none of it
         with self.conn:
             self.conn.executescript(
@@ -513,29 +549,41 @@ class Store:
         conn.commit()
         conn.execute("PRAGMA foreign_keys = OFF")
         try:
-            with conn:
-                # the legacy tables make way for SCHEMA_DDL's, whose trigger
-                # then checks each configuration row's idx
-                conn.executescript(
-                    "BEGIN; DROP TRIGGER IF EXISTS one_ok_result_per_tool;"
-                    " DROP TRIGGER IF EXISTS configuration_idx_in_range;"
-                    " DROP INDEX IF EXISTS idx_implementation_config;"
-                    + "".join(f"ALTER TABLE {t} RENAME TO legacy_{t};" for t in _LEGACY)
-                    + SCHEMA_DDL
-                )
-                failed = self._copy(
+            # the legacy tables make way for SCHEMA_DDL's, whose trigger then
+            # checks each configuration row's idx
+            self._rebuild(
+                "DROP TRIGGER IF EXISTS one_ok_result_per_tool;"
+                " DROP TRIGGER IF EXISTS configuration_idx_in_range;"
+                " DROP INDEX IF EXISTS idx_implementation_config;"
+                + "".join(f"ALTER TABLE {t} RENAME TO legacy_{t};" for t in _LEGACY),
+                lambda: self._copy(
                     "configuration",
                     "SELECT id, space_id, idx FROM legacy_configuration ORDER BY id",
-                ) or self._merge_legacy()
-                if failed:
-                    table, row_id, e = failed
-                    error = DuplicateImplementationError if str(e) == _DUPLICATE_OK else StoreError
-                    raise error(
-                        f"cannot upgrade store: {_rejection(table, e)} ({table} id {row_id})"
-                    )
-                conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+                ) or self._merge_legacy(),
+            )
         finally:
             conn.execute("PRAGMA foreign_keys = ON")
+
+    def _rebuild(
+        self, aside: str, copy: Callable[[], Optional[tuple[str, int, sqlite3.Error]]]
+    ):
+        """In one transaction, run the script ``aside``, which moves old
+        tables out of SCHEMA_DDL's way, create SCHEMA_DDL, then ``copy()``
+        the rows into it, which returns what _copy returns, and set the
+        version. A row that SCHEMA_DDL rejects raises StoreError naming it
+        (DuplicateImplementationError for a second ok result) and rolls
+        everything back."""
+        conn = self.conn
+        with conn:
+            conn.executescript(f"BEGIN; {aside} {SCHEMA_DDL}")
+            failed = copy()
+            if failed:
+                table, row_id, e = failed
+                error = DuplicateImplementationError if str(e) == _DUPLICATE_OK else StoreError
+                raise error(
+                    f"cannot upgrade store: {_rejection(table, e)} ({table} id {row_id})"
+                )
+            conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
 
     def _copy(self, table: str, select: str) -> Optional[tuple[str, int, sqlite3.Error]]:
         """Insert the rows ``select`` reads, their columns in _EXPORT_COLS
@@ -564,6 +612,18 @@ class Store:
         failed = self._copy("implementation", _MERGE)
         for t in _LEGACY:
             self.conn.execute(f"DROP TABLE IF EXISTS legacy_{t}")
+        return failed
+
+    def _copy_v4_implementation(self) -> Optional[tuple[str, int, sqlite3.Error]]:
+        """Copy a version-4 store's implementation rows, set aside by
+        _V4_ASIDE, through SCHEMA_DDL's CHECKs, keeping the ids, and drop the
+        old table; returns what _copy returns."""
+        failed = self._copy(
+            "implementation",
+            f"SELECT {','.join(_EXPORT_COLS['implementation'])}"
+            " FROM v4_implementation ORDER BY id",
+        )
+        self.conn.execute("DROP TABLE v4_implementation")
         return failed
 
     def _check_legacy_rows(self):
@@ -732,13 +792,16 @@ class Store:
         """
         metrics = (result.ff, result.lut, result.bram, result.dsp,
                    result.latency_cycles, result.achieved_period_ns)
+        tool = (info.tool_name, info.tool_version, info.fpga_part)
+        tool_id = self._tool_ids.get(tool)
         try:
             with self.conn:
-                tool_id = self._get_or_create("tool", {
-                    "name": info.tool_name, "version": info.tool_version,
-                    "part": info.fpga_part,
-                })
-                return self.conn.execute(_INSERT["implementation"], (
+                if tool_id is None:
+                    tool_id = self._get_or_create("tool", {
+                        "name": info.tool_name, "version": info.tool_version,
+                        "part": info.fpga_part,
+                    })
+                row_id = self.conn.execute(_INSERT["implementation"], (
                     None, configuration_id, tool_id, result.status,
                     info.timestamp or _now(), info.contributor, info.clock_period_ns,
                     *(metrics if result.status == "ok" else (None,) * len(metrics)),
@@ -756,6 +819,9 @@ class Store:
             raise StoreError(
                 f"cannot record configuration id {configuration_id}: {e}"
             ) from None
+        # committed, so the tool row stays: no writer updates or deletes one
+        self._tool_ids[tool] = tool_id
+        return row_id
 
     def _attempted(self, select: str, space_id: int, tool_name=None, tool_version=None,
                    fpga_part=None):
@@ -937,9 +1003,23 @@ class Store:
         indexes: dict[int, SpaceIndex] = {}  # imported space id -> its index
         next_id: dict[str, int] = {}
         counts: Counter = Counter()
-        impl_records: dict[int, int] = {}  # new implementation id -> record index
+        impl_records: dict[int, int] = {}  # new legacy implementation id -> record index
         last_good = -1
         run_table, run = None, []  # the pending run: (record index, values)
+        # target table -> (the keys of its records, a getter of a record's
+        # values in column order, the position of its id column or None,
+        # (position, column, parent record table) per foreign key, and whether
+        # its rows go in runs); built here, from _EXPORT_COLS and _PARENT as
+        # they are when the import runs
+        plans = {
+            t: (
+                frozenset((*cols, "table")), itemgetter(*cols),
+                cols.index("id") if "id" in cols else None,
+                [(cols.index(fk), fk, parent) for fk, parent in _PARENT.get(t, {}).items()],
+                t not in _TAXONOMY_KEY and t != "configuration_space",
+            )
+            for t, cols in _EXPORT_COLS.items()
+        }
 
         def flush():
             nonlocal last_good, run
@@ -970,23 +1050,32 @@ class Store:
             for n, line in enumerate(payload.decode().split("\n")):
                 if not line.strip():
                     continue
+                # raw_decode reads a line without whitespace around its value,
+                # as exports write it, without the two whitespace scans of
+                # decode, which reads any other line and words every error
                 try:
-                    obj = _DECODER.decode(line)
-                except ValueError as e:  # JSONDecodeError or a non-finite number
-                    raise failure(f"malformed record: {e}") from None
+                    obj, end = _DECODER.raw_decode(line)
+                except ValueError:
+                    end = None
+                if end != len(line):
+                    try:
+                        obj = _DECODER.decode(line)
+                    except ValueError as e:  # JSONDecodeError or a non-finite number
+                        raise failure(f"malformed record: {e}") from None
                 if not isinstance(obj, dict):
                     raise failure("malformed record: not a JSON object")
-                table = obj.pop("table", None)
+                table = obj.get("table")
                 if table == "_meta":
                     version = obj.get("schema_version")
-                    if version not in IMPORT_VERSIONS:
+                    # True == 1 and 3.0 == 3, but neither is a version
+                    if type(version) is not int or version not in IMPORT_VERSIONS:
                         raise failure(f"schema version mismatch: {version}")
                     flush()
-                    if version != SCHEMA_VERSION and not legacy:
+                    if version < 4 and not legacy:
                         for statement in _LEGACY_DDL:
                             self.conn.execute(statement)
                         legacy = True
-                    targets = _TARGETS if version == SCHEMA_VERSION else _LEGACY_TARGETS
+                    targets = _LEGACY_TARGETS if version < 4 else _TARGETS
                     last_good = n
                     continue
                 # a table name or foreign key that is a JSON list or object
@@ -995,54 +1084,57 @@ class Store:
                     target = targets[table]
                 except (KeyError, TypeError):
                     raise failure(f"unknown table {table!r}") from None
+                keys, get, id_pos, fks, runs = plans[target]
                 legacy_config = table == "configuration" and version < 3
-                if obj.keys() != (
-                    _LEGACY_CONFIG_COLUMNS if legacy_config else _COLUMN_SETS[target]
-                ):
+                if obj.keys() != (_LEGACY_CONFIG_KEYS if legacy_config else keys):
                     raise failure(f"bad columns for table {table}")
                 old_id = obj.get("id")
                 if isinstance(old_id, (list, dict)):  # cannot key id_maps
                     raise failure(f"malformed {table} id {old_id!r}")
-                for fk, parent in _PARENT.get(target, {}).items():
+                values = list(get(obj))
+                for pos, fk, parent in fks:
                     try:
-                        obj[fk] = id_maps[parent][obj[fk]]
+                        values[pos] = id_maps[parent][values[pos]]
                     except (KeyError, TypeError):
                         raise failure(
-                            f"{table} row references unknown {fk}={obj[fk]}"
+                            f"{table} row references unknown {fk}={values[pos]}"
                         ) from None
                 if legacy_config:
-                    mismatch = _legacy_mismatch(indexes[obj["space_id"]], obj)
+                    space_id = id_maps["configuration_space"][obj["space_id"]]
+                    mismatch = _legacy_mismatch(indexes[space_id], obj)
                     if mismatch:
                         raise failure(mismatch)
-                if target not in _TAXONOMY_KEY and target != "configuration_space":
+                if runs:
                     if table != run_table:
                         flush()
                         run_table = table
-                    if "id" in obj:
+                    if id_pos is not None:
                         if table not in next_id:
                             (top,) = self.conn.execute(
                                 f"SELECT MAX(id) FROM {table}"
                             ).fetchone()
                             next_id[table] = (top or 0) + 1
-                        obj["id"] = next_id[table]
+                        new_id = values[id_pos] = next_id[table]
                         next_id[table] += 1
-                        if table == "implementation":
-                            impl_records[obj["id"]] = n
+                        if target == "legacy_implementation":
+                            impl_records[new_id] = n
                         if old_id is not None:
-                            id_maps[table][old_id] = obj["id"]
-                    run.append((n, [obj[c] for c in _EXPORT_COLS[target]]))
+                            id_maps[table][old_id] = new_id
+                    run.append((n, values))
                     if len(run) == _RUN_ROWS:
                         flush()
                     continue
                 # the taxonomy, tool and space rows, written as ensure_design,
                 # record_result and register_space write them
                 flush()
-                obj["id"] = None
+                values[id_pos] = None
                 try:
                     if table in _TAXONOMY_KEY:
-                        new_id = self._get_or_create(table, obj)
+                        new_id = self._get_or_create(
+                            table, dict(zip(_EXPORT_COLS[table], values))
+                        )
                     else:
-                        new_id = self._insert_space([obj[c] for c in _EXPORT_COLS[table]])
+                        new_id = self._insert_space(values)
                         indexes[new_id] = self.space_index(new_id)
                 except StoreError as e:
                     raise failure(str(e)) from None

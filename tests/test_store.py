@@ -118,6 +118,26 @@ class TestSchema:
         ))
         assert "sqlite_autoindex_configuration_1" in plan
 
+    @pytest.mark.parametrize("table", ["implementation", "configuration"])
+    def test_inserts_build_no_ephemeral_table(self, store, table):
+        """A CHECK of the form ``x IN (...)`` compiles to a temporary B-tree
+        filled for every inserted row; an OR of equalities compiles to
+        comparisons."""
+        n = len(hlsdse.store._EXPORT_COLS[table])
+        program = store.conn.execute(
+            "EXPLAIN " + hlsdse.store._INSERT[table], [None] * n
+        ).fetchall()
+        assert "Insert" in {row[1] for row in program}
+        assert "OpenEphemeral" not in {row[1] for row in program}
+
+    def test_schema_fits_two_pages(self, store):
+        """The DDL text, which sqlite_schema stores, fills two pages: a new
+        store is one page per table and index plus those two."""
+        (trees,) = store.conn.execute(
+            "SELECT COUNT(*) FROM sqlite_master WHERE rootpage > 0"
+        ).fetchone()
+        assert store.conn.execute("PRAGMA page_count").fetchone() == (trees + 2,)
+
 
 # A mock campaign on space 1 of the store named by argv[1], logging to
 # argv[2]; each synthesis is slowed so that the campaign can be killed midway.
@@ -351,6 +371,73 @@ class TestRecordResult:
             store.record_result(cfg.id, result, info)
         assert store.count_implementations(rec.id) == 0
         assert store.conn.execute("SELECT COUNT(*) FROM tool").fetchone() == (0,)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lut", "abc"), ("latency_cycles", "12x"), ("ff", 3.5), ("dsp", b"\x01"),
+         ("bram", "")],
+    )
+    def test_result_counts_must_be_integers(self, store, toy_space, field, value):
+        """SQLite holds text or a blob that is not a number, and a float that
+        is not integral, as it is in an INTEGER column, and finds it >= 0;
+        fetch_points would read "abc" as 0.0."""
+        rec, csd = toy_space
+        cfg = write_rows(store, rec, csd)[0]
+        with pytest.raises(
+            StoreError, match=f"cannot record configuration id {cfg.id}: CHECK constraint"
+            " failed: whole_result"
+        ):
+            store.record_result(cfg.id, dataclasses.replace(OK, **{field: value}), INFO)
+        assert store.count_implementations(rec.id) == 0
+
+    def test_numeric_text_is_stored_as_a_number(self, store, toy_space):
+        """Column affinity converts text that reads as a number, and an
+        integral float in a count, before the CHECKs see them."""
+        rec, csd = toy_space
+        cfg = write_rows(store, rec, csd)[0]
+        store.record_result(cfg.id, dataclasses.replace(
+            OK, lut="171", ff=3.0, latency_cycles=" 12 ", achieved_period_ns="9.5"
+        ), INFO)
+        assert store.conn.execute(
+            "SELECT typeof(lut), lut, typeof(ff), ff, latency_cycles,"
+            " typeof(achieved_period_ns), achieved_period_ns FROM implementation"
+        ).fetchone() == ("integer", 171, "integer", 3, 12, "real", 9.5)
+        assert store.fetch_points(rec.id, ["lut", "latency"])[0].values == (171.0, 12.0)
+
+    def test_tool_row_is_resolved_once(self, store, toy_space):
+        """After a tool's first result, a result is three statements: BEGIN,
+        the implementation INSERT and COMMIT."""
+        rec, csd = toy_space
+        configs = write_rows(store, rec, csd)
+
+        def statements(cfg, info):
+            seen = []
+            store.conn.set_trace_callback(seen.append)
+            try:
+                store.record_result(cfg.id, OK, info)
+            finally:
+                store.conn.set_trace_callback(None)
+            return seen
+
+        other = dataclasses.replace(INFO, tool_name="other-tool")
+        counts = [len(statements(cfg, info)) for cfg, info in zip(
+            configs, [INFO, INFO, INFO, other, other, INFO]
+        )]
+        assert counts == [5, 3, 3, 5, 3, 3]
+        assert store.conn.execute("SELECT COUNT(*) FROM tool").fetchone() == (2,)
+
+    def test_tool_of_a_refused_result_is_not_remembered(self, store, toy_space):
+        """A refused result rolls back the tool row it created, so the next
+        result of that tool creates it again rather than naming a row that
+        does not exist."""
+        rec, csd = toy_space
+        first, second = write_rows(store, rec, csd)[:2]
+        with pytest.raises(StoreError):
+            store.record_result(first.id, dataclasses.replace(OK, lut="abc"), INFO)
+        assert store.conn.execute("SELECT COUNT(*) FROM tool").fetchone() == (0,)
+        store.record_result(second.id, OK, INFO)
+        assert store.conn.execute("SELECT name FROM tool").fetchall() == [("mock-hls",)]
+        assert store.check_integrity() == []
 
 
 class TestPending:
@@ -867,6 +954,22 @@ class TestExportImport:
             store.import_jsonl(bad)
 
     @pytest.mark.parametrize(
+        "export, version", [(V2_EXPORT, "true"), (V3_EXPORT, "3.0")], ids=["v2-true", "v3-float"]
+    )
+    def test_schema_version_must_be_an_integer(self, store, export, version):
+        """True == 1 and 3.0 == 3 in Python, but neither names a version."""
+        header, body = export.read_bytes().split(b"\n", 1)
+        meta = header.decode().replace(str(json.loads(header)["schema_version"]), version)
+        assert json.loads(meta)["schema_version"] == json.loads(version)
+        with pytest.raises(
+            ImportRejected, match=f"^schema version mismatch: {json.loads(version)}"
+        ) as exc:
+            store.import_jsonl(meta.encode() + b"\n" + body)
+        assert exc.value.last_good == -1
+        for t in TABLES:
+            assert store.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
+
+    @pytest.mark.parametrize(
         "table, change, message",
         [
             ("implementation", {"ff": -1},
@@ -876,8 +979,15 @@ class TestExportImport:
              " implementation.timestamp"),
             ("implementation", {"configuration_id": 999},
              "implementation row references unknown configuration_id=999"),
+            ("implementation", {"lut": "abc"},
+             "malformed implementation record: CHECK constraint failed: whole_result"),
+            ("implementation", {"latency_cycles": "12x"},
+             "malformed implementation record: CHECK constraint failed: whole_result"),
+            ("implementation", {"ff": 3.5},
+             "malformed implementation record: CHECK constraint failed: whole_result"),
         ],
-        ids=["check", "not-null", "unknown-parent"],
+        ids=["check", "not-null", "unknown-parent", "text-count", "text-latency",
+             "fractional-count"],
     )
     def test_rejection_names_its_cause(self, store, table, change, message):
         """Only a foreign key failure is a referential violation; a row that
@@ -992,7 +1102,7 @@ class TestJsonLines:
     def test_ascii_lines_are_json_dumps(self, store):
         space_id = _text_store(store, ASCII)
         lines = store.export_jsonl(space_id).decode().split("\n")
-        assert lines[0] == json.dumps({"table": "_meta", "schema_version": 4})
+        assert lines[0] == json.dumps({"table": "_meta", "schema_version": 5})
         assert lines[-1] == ""
         assert lines[1:-1] == [
             json.dumps({"table": table, **row}, sort_keys=True)
@@ -1314,11 +1424,11 @@ def legacy_ok_result(conn, impl_id, configuration_id, tool="mock-hls", result=OK
     )
 
 
-def build_v3_store(path, lines):
-    """A store as schema version 3 left it, holding the rows of the export
-    ``lines`` with their ids."""
+def build_store(path, lines, ddl=V3_DDL, version=3):
+    """A store as schema ``version``, whose DDL is ``ddl``, left it, holding
+    the rows of the export ``lines`` with their ids."""
     with contextlib.closing(sqlite3.connect(path)) as conn:
-        conn.executescript(V3_DDL)
+        conn.executescript(ddl)
         for line in lines[1:]:
             row = json.loads(line)
             table = row.pop("table")
@@ -1326,7 +1436,7 @@ def build_v3_store(path, lines):
                 f"INSERT INTO {table} ({','.join(row)}) VALUES ({','.join('?' * len(row))})",
                 list(row.values()),
             )
-        conn.execute("PRAGMA user_version = 3")
+        conn.execute(f"PRAGMA user_version = {version}")
         conn.commit()
 
 
@@ -1374,7 +1484,7 @@ class TestSchemaV1:
             ids = st.conn.execute("SELECT id, space_id, idx FROM configuration").fetchall()
             st.init_schema()
             (version,) = st.conn.execute("PRAGMA user_version").fetchone()
-            assert version == 4
+            assert version == 5
             assert columns(st.conn, "configuration") == ["id", "space_id", "idx"]
             before = st.configurations(1)
             assert [dataclasses.astuple(c) for c in before] == ids
@@ -1430,9 +1540,9 @@ class TestLegacyStores:
         assert [
             p.values for p in store.fetch_points(1, ["latency", "lut", "ff"])
         ] == fresh_campaign_points(local_scan_text, 20)
-        # and it exports as version 4: configuration rows are (id, space_id, idx)
+        # and it exports as version 5: configuration rows are (id, space_id, idx)
         lines = [json.loads(line) for line in store.export_jsonl(1).splitlines()]
-        assert lines[0] == {"table": "_meta", "schema_version": 4}
+        assert lines[0] == {"table": "_meta", "schema_version": 5}
         rows = [obj for obj in lines if obj["table"] == "configuration"]
         assert rows == [
             {"table": "configuration", "id": i + 1, "space_id": 1, "idx": i}
@@ -1467,7 +1577,7 @@ class TestLegacyStores:
         conn.close()
         with Store(path) as st:
             st.init_schema()
-            assert st.conn.execute("PRAGMA user_version").fetchone() == (4,)
+            assert st.conn.execute("PRAGMA user_version").fetchone() == (5,)
             assert columns(st.conn, "configuration") == ["id", "space_id", "idx"]
             assert [dataclasses.astuple(c) for c in st.configurations(1)] == [
                 (2, 1, 3), (1, 1, 5), (3, 1, 700)
@@ -1476,7 +1586,7 @@ class TestLegacyStores:
             with pytest.raises(DuplicateImplementationError):
                 st.record_result(1, OK, INFO)
             st.init_schema()
-            assert st.conn.execute("PRAGMA user_version").fetchone() == (4,)
+            assert st.conn.execute("PRAGMA user_version").fetchone() == (5,)
 
     def test_v2_store_with_duplicate_ok_pair_is_not_upgraded(self, tmp_path, local_scan_text):
         path = str(tmp_path / "v2.sqlite")
@@ -1636,14 +1746,14 @@ class TestSchemaV3:
 
     def test_v3_store_upgrades_in_place(self, tmp_path, store, local_scan_text):
         path = str(tmp_path / "v3.sqlite")
-        build_v3_store(path, V3_EXPORT.read_text().splitlines())
+        build_store(path, V3_EXPORT.read_text().splitlines())
         with contextlib.closing(sqlite3.connect(path)) as conn:
             before = conn.execute(self.RESULTS).fetchall()
         store.import_jsonl(V3_EXPORT.read_bytes())
         objectives = ["latency", "latency_ns", "lut", "ff", "bram", "dsp"]
         with Store(path) as st:
             st.init_schema()
-            assert st.conn.execute("PRAGMA user_version").fetchone() == (4,)
+            assert st.conn.execute("PRAGMA user_version").fetchone() == (5,)
             assert st.table_names() == sorted(TABLES)
             assert st.conn.execute(self.RESULTS).fetchall() == before
             assert st.fetch_points(1, objectives) == store.fetch_points(1, objectives)
@@ -1661,7 +1771,7 @@ class TestSchemaV3:
         (gone,) = TestExportImport._result_lines(lines, "performance", 7)
         del lines[gone]
         path = str(tmp_path / "v3.sqlite")
-        build_v3_store(path, lines)
+        build_store(path, lines)
         before = dump(path)
         with Store(path) as st:
             with pytest.raises(
@@ -1670,6 +1780,172 @@ class TestSchemaV3:
             ):
                 st.init_schema()
             assert st.conn.execute("PRAGMA foreign_keys").fetchone() == (1,)
+        assert dump(path) == before
+
+
+# The schema of version 4, frozen: its status CHECK was an IN list, and
+# whole_result required the six result columns of an ok row to be non-null
+# whatever their type.
+V4_DDL = """
+CREATE TABLE IF NOT EXISTS benchmark (
+    id INTEGER PRIMARY KEY,
+    name TEXT NOT NULL UNIQUE
+);
+CREATE TABLE IF NOT EXISTS algorithm (
+    id INTEGER PRIMARY KEY,
+    benchmark_id INTEGER NOT NULL REFERENCES benchmark(id),
+    name TEXT NOT NULL,
+    UNIQUE (benchmark_id, name)
+);
+CREATE TABLE IF NOT EXISTS design (
+    id INTEGER PRIMARY KEY,
+    algorithm_id INTEGER NOT NULL REFERENCES algorithm(id),
+    name TEXT NOT NULL,
+    source_ref TEXT,
+    function_name TEXT,
+    UNIQUE (algorithm_id, name)
+);
+CREATE TABLE IF NOT EXISTS configuration_space (
+    id INTEGER PRIMARY KEY,
+    design_id INTEGER NOT NULL REFERENCES design(id),
+    csd_text TEXT NOT NULL,
+    cardinality INTEGER NOT NULL,
+    contributor TEXT NOT NULL,
+    created_at TEXT NOT NULL,
+    UNIQUE (design_id, csd_text)
+);
+CREATE TABLE IF NOT EXISTS configuration (
+    id INTEGER PRIMARY KEY,
+    space_id INTEGER NOT NULL REFERENCES configuration_space(id),
+    idx INTEGER NOT NULL,
+    UNIQUE (space_id, idx)
+);
+CREATE TABLE IF NOT EXISTS tool (
+    id INTEGER PRIMARY KEY,
+    name TEXT NOT NULL,
+    version TEXT NOT NULL,
+    part TEXT NOT NULL,
+    UNIQUE (name, version, part)
+);
+CREATE TABLE IF NOT EXISTS implementation (
+    id INTEGER PRIMARY KEY,
+    configuration_id INTEGER NOT NULL REFERENCES configuration(id),
+    tool_id INTEGER NOT NULL REFERENCES tool(id),
+    status TEXT NOT NULL CHECK (status IN ('ok','synth_error','timeout')),
+    timestamp TEXT NOT NULL,
+    contributor TEXT NOT NULL,
+    clock_period_ns REAL NOT NULL
+        CHECK (clock_period_ns > 0 AND clock_period_ns < 9e999),
+    ff INTEGER CHECK (ff >= 0),
+    lut INTEGER CHECK (lut >= 0),
+    bram INTEGER CHECK (bram >= 0),
+    dsp INTEGER CHECK (dsp >= 0),
+    latency_cycles INTEGER CHECK (latency_cycles >= 0),
+    achieved_period_ns REAL
+        CHECK (achieved_period_ns > 0 AND achieved_period_ns < 9e999),
+    CONSTRAINT whole_result CHECK (CASE WHEN status = 'ok'
+        THEN ff IS NOT NULL AND lut IS NOT NULL AND bram IS NOT NULL
+            AND dsp IS NOT NULL AND latency_cycles IS NOT NULL
+            AND achieved_period_ns IS NOT NULL
+        ELSE coalesce(ff, lut, bram, dsp, latency_cycles, achieved_period_ns) IS NULL
+    END)
+);
+CREATE INDEX IF NOT EXISTS idx_implementation_config
+    ON implementation(configuration_id);
+CREATE UNIQUE INDEX IF NOT EXISTS one_ok_result_per_tool
+    ON implementation(configuration_id, tool_id) WHERE status = 'ok';
+CREATE VIEW IF NOT EXISTS synthesis_info AS
+    SELECT i.id AS implementation_id, i.timestamp, i.contributor,
+        t.name AS tool_name, t.version AS tool_version, t.part AS fpga_part,
+        i.clock_period_ns
+    FROM implementation i JOIN tool t ON t.id = i.tool_id;
+CREATE VIEW IF NOT EXISTS resource_usage AS
+    SELECT id AS implementation_id, ff, lut, bram, dsp
+    FROM implementation WHERE status = 'ok';
+CREATE VIEW IF NOT EXISTS performance AS
+    SELECT id AS implementation_id, latency_cycles, achieved_period_ns
+    FROM implementation WHERE status = 'ok';
+CREATE TRIGGER IF NOT EXISTS configuration_idx_in_range
+BEFORE INSERT ON configuration
+WHEN NOT (typeof(NEW.idx) = 'integer' AND NEW.idx >= 0 AND NEW.idx <
+    (SELECT cardinality FROM configuration_space WHERE id = NEW.space_id))
+BEGIN
+    SELECT RAISE(ABORT, 'configuration index out of range');
+END;
+"""
+
+
+class TestSchemaV4:
+    # every column of every implementation row, with each value's type
+    ROWS = "SELECT *, typeof(lut), typeof(achieved_period_ns) FROM implementation ORDER BY id"
+
+    @staticmethod
+    def v4_lines(change=None):
+        """The version-4 export of the 20-result campaign of V3_EXPORT with
+        a timeout on configuration 3, ``change`` made to implementation 7."""
+        with Store(":memory:") as st:
+            st.init_schema()
+            st.import_jsonl(V3_EXPORT.read_bytes())
+            st.record_result(3, ImplementationResult(status="timeout"), INFO)
+            lines = st.export_jsonl(1).decode().splitlines()
+        lines[0] = json.dumps({"table": "_meta", "schema_version": 4})
+        (k,) = TestExportImport._result_lines(lines, "implementation", 7)
+        lines[k] = json.dumps({**json.loads(lines[k]), **(change or {})})
+        return lines
+
+    def test_v4_export_imports_as_current(self, store):
+        lines = self.v4_lines()
+        counts = store.import_jsonl(("\n".join(lines) + "\n").encode())
+        assert counts == {
+            "benchmark": 1, "algorithm": 1, "design": 1, "configuration_space": 1,
+            "configuration": 20, "tool": 1, "implementation": 21,
+        }
+        assert store.export_jsonl(1).decode().splitlines()[1:] == lines[1:]
+        assert store.conn.execute("SELECT COUNT(*) FROM temp.sqlite_master").fetchone() == (0,)
+
+    # user_version 0: a store loaded from a version-4 SQL export, which
+    # holds the version-4 DDL and sets no version
+    @pytest.mark.parametrize("version", [4, 0])
+    def test_v4_store_rebuilds_in_place(self, tmp_path, store, version):
+        path = str(tmp_path / "v4.sqlite")
+        lines = self.v4_lines()
+        build_store(path, lines, V4_DDL, version)
+        with contextlib.closing(sqlite3.connect(path)) as conn:
+            before = conn.execute(self.ROWS).fetchall()
+            views = conn.execute(TestSchemaV3.RESULTS).fetchall()
+        store.import_jsonl(("\n".join(lines) + "\n").encode())
+        objectives = ["latency", "latency_ns", "lut", "ff", "bram", "dsp"]
+        with Store(path) as st:
+            st.init_schema()
+            assert st.conn.execute("PRAGMA user_version").fetchone() == (5,)
+            assert st.conn.execute(
+                "SELECT type, name, sql FROM sqlite_master ORDER BY name"
+            ).fetchall() == store.conn.execute(
+                "SELECT type, name, sql FROM sqlite_master ORDER BY name"
+            ).fetchall()
+            assert st.conn.execute(self.ROWS).fetchall() == before
+            assert st.conn.execute(TestSchemaV3.RESULTS).fetchall() == views
+            assert st.fetch_points(1, objectives) == store.fetch_points(1, objectives)
+            assert st.check_integrity() == []
+            with pytest.raises(DuplicateImplementationError):
+                st.record_result(1, OK, INFO)
+            with pytest.raises(StoreError, match="whole_result"):
+                st.record_result(3, dataclasses.replace(OK, lut="abc"), INFO)
+
+    @pytest.mark.parametrize("change", [{"lut": "abc"}, {"latency_cycles": 2.5}])
+    def test_v4_store_with_non_numeric_result_is_not_rebuilt(self, tmp_path, change):
+        """Version 4 stored a count that is not an integer; the rebuild names
+        its row and leaves the store as it was."""
+        path = str(tmp_path / "v4.sqlite")
+        build_store(path, self.v4_lines(change), V4_DDL, 4)
+        before = dump(path)
+        with Store(path) as st:
+            with pytest.raises(
+                StoreError, match=r"^cannot upgrade store: malformed implementation record:"
+                r" CHECK constraint failed: whole_result \(implementation id 7\)$"
+            ):
+                st.init_schema()
+            assert st.conn.execute("PRAGMA user_version").fetchone() == (4,)
         assert dump(path) == before
 
 
