@@ -25,19 +25,21 @@ Every reader of a stored space goes through ``Store.space_index``, which
 parses the descriptor and checks that its size is the row's cardinality, so
 a campaign on a space that fails the check writes nothing.
 
-Versions 1 to 3 stored a result as an implementation row with its
-synthesis_info row and, when ok, its resource_usage and performance rows;
-versions 1 and 2 also stored the three derived fields in every configuration
-row. Opening such a store upgrades it in place (see ``Store._upgrade``).
-Version 4 differed only in the implementation table's CHECKs: opening a
-store whose implementation table is not SCHEMA_DDL's, as a version-4 store
-or one loaded from a version-4 SQL export holds, copies that table's rows
-through SCHEMA_DDL's, keeping the ids. Imports read exports of versions 1
-to 5; a version-4 export has this version's layout. A legacy export's
-result records are merged into implementation rows by the upgrade's
-statement, _MERGE, so SCHEMA_DDL's constraints reject a partial result
-either way. An import refuses a NaN, an infinity or a float literal beyond
-the float range as a malformed record.
+Opening a store reads its sqlite_schema once. A store at this version that
+holds every SCHEMA_DDL object with its text is not written. One that holds
+a table of this schema, or a result table of versions 1 to 3, whose CREATE
+text is not SCHEMA_DDL's is copied whole into SCHEMA_DDL (see
+``Store._rebuild``): a store of versions 1 to 4, or one loaded from a
+version-4 SQL export. Versions 1 to 3 stored a result as an implementation
+row with its synthesis_info row and, when ok, its resource_usage and
+performance rows, which the copy merges into one implementation row by
+_MERGE; versions 1 and 2 also stored the three derived fields in every
+configuration row. Version 4 differed only in the implementation table's
+CHECKs. Imports read exports of versions 1 to 5; a version-4 export has
+this version's layout, and a legacy export's result records are merged by
+_MERGE too, so SCHEMA_DDL's constraints reject a partial result either way.
+An import refuses a NaN, an infinity or a float literal beyond the float
+range as a malformed record.
 
 SQLite renders the lines of a JSON-lines export: its json_quote writes the
 integers, text and NULLs, while REAL values come back to Python and are
@@ -63,7 +65,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .analytics import DesignPoint
 from .dsl import CSD, CsdError, parse_csd, serialize_csd
@@ -174,11 +176,10 @@ TABLES = [
     "implementation",
 ]
 
-# the result tables of versions 1 to 3, which the upgrade renames legacy_*
-# (with configuration, _LEGACY) and a legacy import creates as TEMP tables
-# with the columns and affinities of the views that keep their names
+# the result tables of versions 1 to 3, which a legacy import creates as
+# TEMP tables with the columns and affinities of the views that keep their
+# names
 _LEGACY_RESULTS = ("implementation", "synthesis_info", "resource_usage", "performance")
-_LEGACY = ("configuration", *_LEGACY_RESULTS)
 _LEGACY_DDL = [
     "CREATE TEMP TABLE legacy_implementation AS"
     " SELECT id, configuration_id, status FROM implementation LIMIT 0",
@@ -191,37 +192,36 @@ _LEGACY_TARGETS = {
     **{t: t for t in TABLES if t not in ("tool", "implementation")},
     **{t: f"legacy_{t}" for t in _LEGACY_RESULTS},
 }
+# the tables whose CREATE text init_schema compares with SCHEMA_DDL's, and
+# that _rebuild copies
+_REBUILT = frozenset((*TABLES, *_LEGACY_RESULTS))
+# a store's schema objects, as (type, name, CREATE text); main's only, so
+# neither a legacy import's TEMP tables nor sqlite_temp_schema count
+_OBJECTS = "SELECT type, name, sql FROM main.sqlite_master"
 
 
-def _implementation_sql(conn: sqlite3.Connection) -> Optional[str]:
-    """The implementation table's CREATE statement as sqlite_schema holds it."""
-    row = conn.execute(
-        "SELECT sql FROM main.sqlite_master WHERE type = 'table' AND name = 'implementation'"
-    ).fetchone()
-    return row and row[0]
-
-
-def _schema() -> tuple[dict[str, tuple[str, ...]], Optional[str]]:
+def _schema() -> tuple[dict[str, tuple[str, ...]], frozenset]:
     """Each table's columns in DDL order, read from SCHEMA_DDL and
-    _LEGACY_DDL themselves, and SCHEMA_DDL's implementation table as
-    sqlite_schema holds it."""
+    _LEGACY_DDL themselves, and SCHEMA_DDL's objects as _OBJECTS reads
+    them."""
     with contextlib.closing(sqlite3.connect(":memory:")) as conn:
         conn.executescript(SCHEMA_DDL + ";".join(_LEGACY_DDL))
         return {
             t: tuple(row[1] for row in conn.execute(f"PRAGMA table_info({t})"))
             for t in (*_TARGETS.values(), *_LEGACY_TARGETS.values())
-        }, _implementation_sql(conn)
+        }, frozenset(conn.execute(_OBJECTS))
 
 
-# the columns export writes and import requires, per table, and the
-# implementation table that init_schema rebuilds any other into
-_EXPORT_COLS, _IMPLEMENTATION_SQL = _schema()
+def _insert_sql(table: str, cols: Sequence[str]) -> str:
+    return f"INSERT INTO {table} ({','.join(cols)}) VALUES ({','.join('?' * len(cols))})"
+
+
+# the columns export writes and import requires, per table, and the objects
+# of a store that init_schema leaves alone
+_EXPORT_COLS, _SCHEMA_OBJECTS = _schema()
 # every column is listed, so an imported row's id is either chosen by the
 # import or NULL, which lets SQLite pick it
-_INSERT = {
-    t: f"INSERT INTO {t} ({','.join(cols)}) VALUES ({','.join('?' * len(cols))})"
-    for t, cols in _EXPORT_COLS.items()
-}
+_INSERT = {t: _insert_sql(t, cols) for t, cols in _EXPORT_COLS.items()}
 # table -> {foreign key column: the record table whose ids import remaps it by}
 _PARENT = {
     "algorithm": {"benchmark_id": "benchmark"},
@@ -340,7 +340,7 @@ def _finite_float(text: str) -> float:
 # range, which no SQL export could write back
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
 # the legacy configuration rows that have an implementation, whose fields
-# the upgrade checks against their idx; a version-1 store holds a row for
+# the rebuild checks against their idx; a version-1 store holds a row for
 # every point, most of them never attempted
 _ATTEMPTED_LEGACY_ROWS = f"""
 SELECT c.id, c.space_id, c.idx, {", ".join(f"c.{f}" for f in LEGACY_FIELDS)}
@@ -348,10 +348,10 @@ FROM configuration c
 WHERE EXISTS (SELECT 1 FROM implementation i WHERE i.configuration_id = c.id)
 ORDER BY c.id
 """
-# the legacy_* tables' tools, then one implementation row per attempt in id
-# order, keeping the ids; an attempt without its synthesis_info row has no
-# tool_id, and a result without exactly the rows of its status fails the
-# whole_result CHECK
+# the tools of the legacy_* result tables, then one implementation row per
+# attempt in id order, keeping the ids; an attempt without its
+# synthesis_info row has no tool_id, and a result without exactly the rows
+# of its status fails the whole_result CHECK
 _MERGE_TOOLS = (
     "INSERT INTO tool (name, version, part) SELECT tool_name, tool_version, fpga_part"
     " FROM legacy_synthesis_info WHERE true ON CONFLICT DO NOTHING"
@@ -368,15 +368,6 @@ LEFT JOIN legacy_resource_usage r ON r.implementation_id = i.id
 LEFT JOIN legacy_performance p ON p.implementation_id = i.id
 ORDER BY i.id
 """
-# what a version-4 implementation table is rebuilt through: the views and
-# its indexes go, and the table is set aside as v4_implementation, whose rows
-# are copied into SCHEMA_DDL's table. Version 5 changed only that table's
-# CHECKs (see SCHEMA_DDL).
-_V4_ASIDE = (
-    "DROP VIEW synthesis_info; DROP VIEW resource_usage; DROP VIEW performance;"
-    " DROP INDEX idx_implementation_config; DROP INDEX one_ok_result_per_tool;"
-    " ALTER TABLE implementation RENAME TO v4_implementation;"
-)
 # SQLite's message for a second ok result of one configuration and tool
 _DUPLICATE_OK = "UNIQUE constraint failed: implementation.configuration_id, implementation.tool_id"
 # what SQLite raises for a row it rejects: a constraint, or a value it
@@ -512,119 +503,119 @@ class Store:
     # -- schema -----------------------------------------------------------
 
     def init_schema(self):
-        """Create all tables; idempotent. Rejects stores written by a newer
-        schema version and upgrades older ones (see the module docstring)."""
+        """Bring the store to SCHEMA_DDL, with no write to a current store
+        and one _rebuild for any older layout (see the module docstring);
+        idempotent. Rejects a store of a newer schema version."""
         (version,) = self.conn.execute("PRAGMA user_version").fetchone()
         if version > SCHEMA_VERSION:
             raise VersionMismatchError(
                 f"store version {version} is newer than supported {SCHEMA_VERSION}"
             )
-        columns = {row[1] for row in self.conn.execute("PRAGMA table_info(implementation)")}
-        if columns and "tool_id" not in columns:
-            self._upgrade()
-        elif columns and _implementation_sql(self.conn) != _IMPLEMENTATION_SQL:
-            # version 4's, or one that its SQL export created, which sets no
-            # user_version
-            self._rebuild(_V4_ASIDE, self._copy_v4_implementation)
-        # one transaction: a new store gets its whole schema or none of it
+        objects = set(self.conn.execute(_OBJECTS))
+        if version == SCHEMA_VERSION and objects >= _SCHEMA_OBJECTS:
+            return
+        if any(kind == "table" and name in _REBUILT for kind, name, _ in objects - _SCHEMA_OBJECTS):
+            self._rebuild()
         with self.conn:
             self.conn.executescript(
                 f"BEGIN; {SCHEMA_DDL} PRAGMA user_version = {SCHEMA_VERSION}; COMMIT;"
             )
 
-    def _upgrade(self):
-        """Upgrade a version-1 to -3 store in one transaction that keeps
-        every id: drop a version-1 or version-2 configuration table's
-        LEGACY_FIELDS and merge the result tables into one implementation row
-        per attempt. A store holding an orphan row, or what SCHEMA_DDL or the
-        import rejects, raises StoreError and is left as it was."""
+    def _rebuild(self):
+        """Copy the store into SCHEMA_DDL in one transaction that keeps every
+        id, with foreign keys off: drop every view, index and trigger, as a
+        renamed table keeps its own and a view is rewritten to read it;
+        rename every table of _REBUILT legacy_<table>, as SQLite rewrites a
+        child's REFERENCES to a renamed parent; create SCHEMA_DDL; copy each
+        table in TABLES order through the columns it shares with SCHEMA_DDL,
+        or by _MERGE for an implementation table without tool_id; and drop
+        the legacy_* tables. A store holding an orphan row, an attempted
+        row whose LEGACY_FIELDS are not its idx's, or a row that SCHEMA_DDL
+        rejects raises StoreError naming it (DuplicateImplementationError
+        for a second ok result) and is left as it was."""
         conn = self.conn
         problems = self.check_integrity()
         if problems:
             raise StoreError("cannot upgrade store: " + ", ".join(problems))
-        columns = conn.execute("PRAGMA table_info(configuration)").fetchall()
-        if any(row[1] in LEGACY_FIELDS for row in columns):
+        if set(LEGACY_FIELDS) & set(self._columns("configuration")):
             self._check_legacy_rows()
+        objects = conn.execute(
+            "SELECT type, name FROM main.sqlite_master WHERE name NOT LIKE 'sqlite_%'"
+        ).fetchall()
+        tables = [name for kind, name in objects if kind == "table" and name in _REBUILT]
         # foreign keys can only be switched outside a transaction
         conn.commit()
         conn.execute("PRAGMA foreign_keys = OFF")
         try:
-            # the legacy tables make way for SCHEMA_DDL's, whose trigger then
-            # checks each configuration row's idx
-            self._rebuild(
-                "DROP TRIGGER IF EXISTS one_ok_result_per_tool;"
-                " DROP TRIGGER IF EXISTS configuration_idx_in_range;"
-                " DROP INDEX IF EXISTS idx_implementation_config;"
-                + "".join(f"ALTER TABLE {t} RENAME TO legacy_{t};" for t in _LEGACY),
-                lambda: self._copy(
-                    "configuration",
-                    "SELECT id, space_id, idx FROM legacy_configuration ORDER BY id",
-                ) or self._merge_legacy(),
-            )
+            with conn:
+                conn.executescript(
+                    "BEGIN;"
+                    + "".join(f"DROP {kind} {name};" for kind, name in objects if kind != "table")
+                    + "".join(f"ALTER TABLE {t} RENAME TO legacy_{t};" for t in tables)
+                    + SCHEMA_DDL
+                )
+                for t in TABLES:
+                    if t not in tables:
+                        continue
+                    old = self._columns(f"legacy_{t}")
+                    if t == "implementation" and "tool_id" not in old:
+                        failed = self._merge_legacy()
+                    else:
+                        cols = [c for c in _EXPORT_COLS[t] if c in old]
+                        failed = self._copy(
+                            t, cols, f"SELECT {','.join(cols)} FROM legacy_{t} ORDER BY id"
+                        )
+                    if failed:
+                        row_id, e = failed
+                        error = (
+                            DuplicateImplementationError if str(e) == _DUPLICATE_OK else StoreError
+                        )
+                        raise error(
+                            f"cannot upgrade store: {_rejection(t, e)} ({t} id {row_id})"
+                        )
+                for t in tables:
+                    conn.execute(f"DROP TABLE legacy_{t}")
         finally:
             conn.execute("PRAGMA foreign_keys = ON")
 
-    def _rebuild(
-        self, aside: str, copy: Callable[[], Optional[tuple[str, int, sqlite3.Error]]]
-    ):
-        """In one transaction, run the script ``aside``, which moves old
-        tables out of SCHEMA_DDL's way, create SCHEMA_DDL, then ``copy()``
-        the rows into it, which returns what _copy returns, and set the
-        version. A row that SCHEMA_DDL rejects raises StoreError naming it
-        (DuplicateImplementationError for a second ok result) and rolls
-        everything back."""
-        conn = self.conn
-        with conn:
-            conn.executescript(f"BEGIN; {aside} {SCHEMA_DDL}")
-            failed = copy()
-            if failed:
-                table, row_id, e = failed
-                error = DuplicateImplementationError if str(e) == _DUPLICATE_OK else StoreError
-                raise error(
-                    f"cannot upgrade store: {_rejection(table, e)} ({table} id {row_id})"
-                )
-            conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+    def _columns(self, table: str) -> list[str]:
+        return [row[1] for row in self.conn.execute(f"PRAGMA table_info({table})")]
 
-    def _copy(self, table: str, select: str) -> Optional[tuple[str, int, sqlite3.Error]]:
-        """Insert the rows ``select`` reads, their columns in _EXPORT_COLS
-        order and the first an id, into ``table``; returns the table, the id
-        of the first row that SCHEMA_DDL rejects and SQLite's error, or None."""
-        conn = self.conn
-        before = conn.total_changes
-        rows = conn.execute(select)
+    def _insert_rows(self, insert: str, rows: Iterable) -> Optional[tuple[int, Exception]]:
+        """Run the statement ``insert`` over ``rows``; returns None, or the
+        number of rows applied before the one that SQLite refused and its
+        error (see _REJECTED)."""
+        before = self.conn.total_changes
         try:
-            conn.executemany(_INSERT[table], rows)
-        except sqlite3.IntegrityError as e:
-            # each row inserted before the failing one counts one change
-            (row_id, *_) = conn.execute(
-                f"{select} LIMIT 1 OFFSET ?", (conn.total_changes - before,)
-            ).fetchone()
-            return table, row_id, e
-        finally:
-            rows.close()
+            self.conn.executemany(insert, rows)
+        except _REJECTED as e:
+            # each row inserted before the refused one counts one change
+            return self.conn.total_changes - before, e
         return None
 
-    def _merge_legacy(self) -> Optional[tuple[str, int, sqlite3.Error]]:
-        """Write the tool rows and one implementation row per attempt of the
-        legacy_* result tables, keeping the ids, and drop all legacy_* tables;
-        returns what _copy returns, and the caller rolls back on a failure."""
-        self.conn.execute(_MERGE_TOOLS)
-        failed = self._copy("implementation", _MERGE)
-        for t in _LEGACY:
-            self.conn.execute(f"DROP TABLE IF EXISTS legacy_{t}")
-        return failed
+    def _copy(
+        self, table: str, cols: Sequence[str], select: str
+    ) -> Optional[tuple[int, Exception]]:
+        """Insert the rows ``select`` reads, whose first column is an id,
+        into ``table``'s columns ``cols``; returns the id of the first row
+        that SQLite refuses and its error, or None."""
+        rows = self.conn.execute(select)
+        try:
+            refused = self._insert_rows(_insert_sql(table, cols), rows)
+        finally:
+            rows.close()
+        if refused is None:
+            return None
+        applied, e = refused
+        (row_id, *_) = self.conn.execute(f"{select} LIMIT 1 OFFSET ?", (applied,)).fetchone()
+        return row_id, e
 
-    def _copy_v4_implementation(self) -> Optional[tuple[str, int, sqlite3.Error]]:
-        """Copy a version-4 store's implementation rows, set aside by
-        _V4_ASIDE, through SCHEMA_DDL's CHECKs, keeping the ids, and drop the
-        old table; returns what _copy returns."""
-        failed = self._copy(
-            "implementation",
-            f"SELECT {','.join(_EXPORT_COLS['implementation'])}"
-            " FROM v4_implementation ORDER BY id",
-        )
-        self.conn.execute("DROP TABLE v4_implementation")
-        return failed
+    def _merge_legacy(self) -> Optional[tuple[int, Exception]]:
+        """Write the tool rows and one implementation row per attempt of the
+        legacy_* result tables, keeping the ids; returns what _copy
+        returns."""
+        self.conn.execute(_MERGE_TOOLS)
+        return self._copy("implementation", _EXPORT_COLS["implementation"], _MERGE)
 
     def _check_legacy_rows(self):
         """Check each space against its descriptor, and each attempted
@@ -896,9 +887,9 @@ class Store:
         area_weights: tuple[float, float, float, float] = (0.0, 1.0, 0.0, 0.0),
     ) -> list[DesignPoint]:
         """One validated objective vector per ok implementation of the
-        space, in configuration id order. A configuration with more than one
-        ok result, as a space run under two tools or parts holds, raises
-        StoreError naming the space's (tool, version, part) tuples.
+        space, in configuration id order. A space with ok results of more
+        than one tool or part, on the same configurations or on others,
+        raises StoreError naming its (tool, version, part) tuples.
 
         Objective names: latency (cycles), latency_ns (cycles x achieved
         period), ff/lut/bram/dsp, and area (weighted resource sum using
@@ -922,22 +913,24 @@ class Store:
         self.get_space(space_id)
         rows = self.conn.execute(
             "SELECT " + ", ".join(self.OBJECTIVES[o] for o in objectives)
-            + ", i.configuration_id"
+            + ", i.configuration_id, i.tool_id"
             f" {_OF_SPACE} AND i.status='ok' ORDER BY i.configuration_id",
             params + [space_id],
-        )
-        points = [DesignPoint(row[:-1], row[-1]) for row in rows]
-        if len({p.configuration_id for p in points}) < len(points):
+        ).fetchall()
+        # one ok result per configuration and tool (one_ok_result_per_tool),
+        # so one tool also means one result per configuration
+        tool_ids = {row[-1] for row in rows}
+        if len(tool_ids) > 1:
             tools = self.conn.execute(
                 "SELECT name, version, part FROM tool WHERE id IN"
                 f" (SELECT i.tool_id {_OF_SPACE} AND i.status='ok') ORDER BY 1, 2, 3",
                 (space_id,),
             )
             raise StoreError(
-                f"space {space_id} has configurations with more than one ok result,"
+                f"space {space_id} has ok results of more than one tool,"
                 " from " + ", ".join(f"{n} {v} on {part}" for n, v, part in tools)
             )
-        return points
+        return [DesignPoint(row[:-2], row[-2]) for row in rows]
 
     # -- export / import --------------------------------------------------
 
@@ -1025,15 +1018,12 @@ class Store:
             nonlocal last_good, run
             if not run:
                 return
-            before = self.conn.total_changes
-            try:
-                self.conn.executemany(_INSERT[targets[run_table]], (v for _, v in run))
-            except _REJECTED as e:
-                # each row inserted before the failing one counts one change
-                applied = self.conn.total_changes - before
+            refused = self._insert_rows(_INSERT[targets[run_table]], (v for _, v in run))
+            if refused:
+                applied, e = refused
                 if applied:
                     last_good = run[applied - 1][0]
-                raise ImportRejected(_rejection(run_table, e), last_good) from None
+                raise ImportRejected(_rejection(run_table, e), last_good)
             counts[run_table] += len(run)
             last_good = run[-1][0]
             run = []
@@ -1147,13 +1137,16 @@ class Store:
                 counts[table] += 1
                 last_good = n
             flush()
-            failed = legacy and self._merge_legacy()
-            if failed:
-                _, impl_id, e = failed
-                n = impl_records[impl_id]
-                raise ImportRejected(
-                    f"{_rejection('implementation', e)} (implementation record {n})", n - 1
-                )
+            if legacy:
+                failed = self._merge_legacy()
+                if failed:
+                    impl_id, e = failed
+                    n = impl_records[impl_id]
+                    raise ImportRejected(
+                        f"{_rejection('implementation', e)} (implementation record {n})", n - 1
+                    )
+                for t in _LEGACY_RESULTS:
+                    self.conn.execute(f"DROP TABLE temp.legacy_{t}")
         return dict(counts)
 
     def check_integrity(self) -> list[str]:

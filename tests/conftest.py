@@ -12,7 +12,11 @@ from hlsdse.dsl import (
     Knob,
     Value,
     expand_value_set,
+    parse_csd,
 )
+from hlsdse.orchestrator import mock_synthesize
+from hlsdse.space import build_index
+from hlsdse.store import SynthesisInfo
 
 DATA = Path(__file__).parent / "data"
 
@@ -25,6 +29,20 @@ def last_step_scan_text() -> str:
 @pytest.fixture(scope="session")
 def local_scan_text() -> str:
     return (DATA / "local_scan.csd").read_text()
+
+
+def record_disjoint_tools(store) -> int:
+    """Register local_scan.csd in ``store`` and record a seed-0 mock ok
+    result of tool-a on each idx in 0-299 and of tool-b on each in 300-703,
+    so that no point has results of both; returns the space id."""
+    csd = parse_csd((DATA / "local_scan.csd").read_text())
+    index = build_index(csd)
+    rec = store.register_space(store.ensure_design("b", "a", "d"), csd, "t")
+    for cfg in store.add_configurations(rec.id, range(index.total)):
+        tool = "tool-a" if cfg.idx < 300 else "tool-b"
+        info = SynthesisInfo("t", tool, "1.0", "mockpart", 10.0)
+        store.record_result(cfg.id, mock_synthesize(index.decode(cfg.idx), csd, 0), info)
+    return rec.id
 
 
 @pytest.fixture(scope="session")

@@ -23,6 +23,8 @@ from hlsdse.dsl import parse_csd
 from hlsdse.orchestrator import BackendSpec, Campaign, ImplementationResult, run_campaign
 from hlsdse.store import Store, StoreError, SynthesisInfo
 
+from conftest import record_disjoint_tools
+
 
 def brute_force_front(points):
     return sorted(
@@ -385,6 +387,17 @@ class TestMixedTools:
                 run_campaign(st, Campaign(space_id=rec.id, backend=backend, seed=1))
             with pytest.raises(StoreError, match="tool-a 1.0 on .*, tool-b 1.0 on "):
                 evaluate_strategy(st, rec.id, exhaustive_strategy, budget=10**6)
+
+    def test_evaluate_strategy_refuses_disjoint_tools(self):
+        """Two tools on disjoint points would make one reference front of
+        results that no single tool gives."""
+        with Store(":memory:") as st:
+            st.init_schema()
+            space_id = record_disjoint_tools(st)
+            with pytest.raises(
+                StoreError, match="from tool-a 1.0 on mockpart, tool-b 1.0 on mockpart$"
+            ):
+                evaluate_strategy(st, space_id, random_strategy(1), budget=50)
 
 
 class TestRegression:

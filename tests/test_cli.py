@@ -1,7 +1,9 @@
+import contextlib
 import io
 import itertools
 import json
 import os
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,8 @@ from hlsdse.dsl import parse_csd
 from hlsdse.orchestrator import BackendSpec, Campaign, run_campaign
 from hlsdse.space import configurations_json, enumerate_space
 from hlsdse.store import TABLES, Store
+
+from conftest import record_disjoint_tools
 
 DATA = Path(__file__).parent / "data"
 REF = str(DATA / "last_step_scan.csd")
@@ -519,6 +523,32 @@ class TestErrorPath:
         assert (code, out) == (EXIT_DOMAIN, "")
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "tool-a 1.0 on" in err and "tool-b 1.0 on" in err
+
+    def test_analyze_disjoint_tools_fails(self, capsys, db):
+        with Store(db) as st:
+            st.init_schema()
+            space_id = record_disjoint_tools(st)
+        code, out, err = run(capsys, "--db", db, "analyze", str(space_id))
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == (
+            f"error: space {space_id} has ok results of more than one tool,"
+            " from tool-a 1.0 on mockpart, tool-b 1.0 on mockpart\n"
+        )
+
+    def test_reads_write_nothing(self, capsys, db, toy_csd, tmp_path):
+        """query, export and analyze append no frame to a current store's
+        write-ahead log."""
+        assert run(capsys, "--db", db, "run", toy_csd)[0] == 0
+        wal = Path(db + "-wal")
+        # a second connection keeps the store open, so that no command's
+        # close checkpoints the log or deletes it
+        with contextlib.closing(sqlite3.connect(db)) as held:
+            held.execute("SELECT COUNT(*) FROM implementation").fetchone()
+            size = wal.stat().st_size
+            for argv in (["query", "1"], ["export", "1", "--out", str(tmp_path / "e.jsonl")],
+                         ["analyze", "1"]):
+                assert run(capsys, "--db", db, *argv)[0] == 0
+                assert wal.stat().st_size == size, argv
 
     def test_validate_diagnostics_are_error_lines(self, capsys, tmp_path):
         p = tmp_path / "bad.csd"

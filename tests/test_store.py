@@ -37,7 +37,7 @@ from hlsdse.store import (
     VersionMismatchError,
 )
 
-from conftest import random_csds
+from conftest import random_csds, record_disjoint_tools
 
 INFO = SynthesisInfo(
     contributor="test",
@@ -56,6 +56,10 @@ OK = ImplementationResult(
 # versions 2 and 3
 V2_EXPORT = Path(__file__).parent / "data" / "v2_export.jsonl"
 V3_EXPORT = Path(__file__).parent / "data" / "v3_export.jsonl"
+
+# a store's schema objects, in an order that does not depend on how they
+# were created
+OBJECTS = "SELECT type, name, tbl_name, sql FROM sqlite_master ORDER BY type, name"
 
 
 @pytest.fixture
@@ -95,6 +99,21 @@ class TestSchema:
         before = store.table_names()
         store.init_schema()
         assert store.table_names() == before
+
+    def test_current_store_is_only_read(self, tmp_path):
+        path = str(tmp_path / "s.sqlite")
+        with Store(path) as st:
+            st.init_schema()
+        with Store(path) as st:
+            st.conn.execute("PRAGMA query_only = ON")
+            st.init_schema()
+            assert st.conn.execute("PRAGMA user_version").fetchone() == (5,)
+
+    def test_current_store_gets_a_missing_object(self, store):
+        before = store.conn.execute(OBJECTS).fetchall()
+        store.conn.execute("DROP INDEX idx_implementation_config")
+        store.init_schema()
+        assert store.conn.execute(OBJECTS).fetchall() == before
 
     def test_newer_version_rejected(self, tmp_path):
         path = str(tmp_path / "db.sqlite")
@@ -529,6 +548,15 @@ class TestFetchPoints:
             StoreError, match="from mock-hls 1.0 on mockpart, other 1.0 on mockpart$"
         ):
             store.fetch_points(rec.id, ["latency", "lut"])
+
+    def test_disjoint_tools_fail_fast(self, store):
+        """Results of two tools on disjoint points would read as one
+        space's, each point once."""
+        space_id = record_disjoint_tools(store)
+        with pytest.raises(
+            StoreError, match="from tool-a 1.0 on mockpart, tool-b 1.0 on mockpart$"
+        ):
+            store.fetch_points(space_id, ["latency", "lut"])
 
     def test_weighted_area(self, store, toy_space):
         rec, csd = toy_space
@@ -1947,6 +1975,31 @@ class TestSchemaV4:
                 st.init_schema()
             assert st.conn.execute("PRAGMA user_version").fetchone() == (4,)
         assert dump(path) == before
+
+
+class TestRebuild:
+    """Every older layout takes the one rebuild to a fresh store's schema."""
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    def test_rebuilt_store_has_a_fresh_stores_schema(self, tmp_path, store, local_scan_text,
+                                                     version):
+        path = str(tmp_path / "old.sqlite")
+        if version < 3:
+            build_legacy_store(path, parse_csd(local_scan_text), version, range(3))
+            with contextlib.closing(sqlite3.connect(path)) as conn:
+                legacy_ok_result(conn, 1, 2)
+                legacy_ok_result(conn, 2, 2, tool="other")
+                conn.commit()
+        elif version == 3:
+            build_store(path, V3_EXPORT.read_text().splitlines())
+        else:
+            build_store(path, TestSchemaV4.v4_lines(), V4_DDL, 4)
+        with Store(path) as st:
+            st.init_schema()
+            assert st.conn.execute("PRAGMA user_version").fetchone() == (5,)
+            assert st.conn.execute(OBJECTS).fetchall() == store.conn.execute(OBJECTS).fetchall()
+            assert st.conn.execute("PRAGMA foreign_key_check").fetchall() == []
+            assert st.conn.execute("PRAGMA foreign_keys").fetchone() == (1,)
 
 
 def test_shipped_ddl_matches_embedded():
