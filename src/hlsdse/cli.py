@@ -94,7 +94,7 @@ def cmd_run(args) -> None:
     csd = _read_csd(args)
     # a space too large to index, or a bad campaign option, fails before any
     # row is written; the space id is filled in once the space is registered
-    space.build_index(csd)
+    index = space.build_index(csd)
     campaign = orchestrator.Campaign(
         space_id=0,
         backend=orchestrator.BackendSpec(kind=args.backend),
@@ -109,10 +109,10 @@ def cmd_run(args) -> None:
             args.benchmark, args.algorithm, args.design, function_name=args.function
         )
         space_rec = st.find_space(design_id, csd) or st.register_space(
-            design_id, csd, args.contributor
+            design_id, csd, args.contributor, index
         )
         campaign = dataclasses.replace(campaign, space_id=space_rec.id)
-        report = orchestrator.run_campaign(st, campaign)
+        report = orchestrator.run_campaign(st, campaign, index)
     _emit(
         args,
         {"space_id": space_rec.id, **report.as_dict()},
@@ -312,6 +312,9 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except (OSError, sqlite3.Error) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
 

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Optional
 
 from .dsl import CSD
-from .space import Configuration
+from .space import Configuration, SpaceIndex
 from .store import ConfigRecord, Store, SynthesisInfo
 
 
@@ -342,14 +342,18 @@ def _emit(log, event: str, record: ConfigRecord, config: Configuration, **extra)
 _ROW_CHUNK = 256
 
 
-def run_campaign(store: Store, campaign: Campaign) -> CampaignReport:
+def run_campaign(
+    store: Store, campaign: Campaign, index: Optional[SpaceIndex] = None
+) -> CampaignReport:
     """Attempt every pending configuration of the space, at most K at a time.
 
     Each completed result is committed before a new job is submitted into the
     freed slot, so an interrupted campaign can resume from the store alone.
+    ``index`` is the space's index when the caller has built it already (see
+    ``Store.space_index``).
     """
     backend = campaign.backend
-    index = store.space_index(campaign.space_id)
+    index = store.space_index(campaign.space_id, index)
     csd = index.csd
     pending = store.pending_configurations(
         campaign.space_id, backend.tool_name, backend.tool_version, backend.fpga_part

@@ -305,6 +305,8 @@ def _export_line(table: str, alias: str, clause: str) -> tuple[str, str]:
 # (query, line template) per table, in _EXPORT_QUERIES order
 _EXPORT_LINES = [_export_line(*q) for q in _EXPORT_QUERIES]
 _EXPORT_HEADER = json.dumps({"table": "_meta", "schema_version": SCHEMA_VERSION})
+# fetch_points results kept at once; the oldest goes first
+_POINT_SETS_KEPT = 32
 # rows per executemany: long enough to amortize the call, short enough
 # that the parsed rows held in memory stay few
 _RUN_ROWS = 256
@@ -487,6 +489,10 @@ class Store:
         # (name, version, part) -> id of the tool row that record_result
         # read or created, once that transaction has committed
         self._tool_ids: dict[tuple[str, str, str], int] = {}
+        # fetch_points' results per (space id, objectives, bound weights),
+        # valid while the store's state is _points_stamp (see fetch_points)
+        self._points: dict[tuple, tuple[DesignPoint, ...]] = {}
+        self._points_stamp: Optional[tuple[int, int]] = None
         self.conn.execute("PRAGMA foreign_keys = ON")
         self.conn.execute("PRAGMA journal_mode = WAL")
         self.conn.execute("PRAGMA synchronous = NORMAL")
@@ -678,11 +684,14 @@ class Store:
 
     # -- spaces and configurations ---------------------------------------
 
-    def register_space(self, design_id: int, csd: CSD, contributor: str) -> SpaceRecord:
+    def register_space(
+        self, design_id: int, csd: CSD, contributor: str, index: Optional[SpaceIndex] = None
+    ) -> SpaceRecord:
         """Insert the space row; its configuration rows are written as they
-        are attempted (see add_configurations)."""
+        are attempted (see add_configurations). ``index`` is
+        ``build_index(csd)`` when the caller has built it already."""
         canonical = serialize_csd(csd)
-        total = build_index(csd).total
+        total = (index or build_index(csd)).total
         created = _now()
         with self.conn:
             space_id = self._insert_space([
@@ -710,12 +719,17 @@ class Store:
                 raise StoreError(f"cannot register space for design {design_id}: {e}") from None
             raise StoreError(f"unknown design id {design_id}") from e
 
-    def space_index(self, space_id: int) -> SpaceIndex:
+    def space_index(self, space_id: int, index: Optional[SpaceIndex] = None) -> SpaceIndex:
         """The index of a space row's descriptor, whose size must be the
         row's cardinality, since configuration indices are checked against
-        it; raises StoreError, CsdError or SpaceError."""
+        it; raises StoreError, CsdError or SpaceError. ``index``, when
+        given, is used in place of parsing the stored text again, and must
+        index that descriptor."""
         space = self.get_space(space_id)
-        index = build_index(parse_csd(space.csd_text))
+        if index is None:
+            index = build_index(parse_csd(space.csd_text))
+        elif serialize_csd(index.csd) != space.csd_text:
+            raise StoreError(f"the index given is not that of space {space_id}'s descriptor")
         if index.total != space.cardinality:
             raise StoreError(
                 f"space cardinality {space.cardinality!r} is not the size of its"
@@ -851,10 +865,31 @@ class Store:
 
     def count_pending(self, space_id: int) -> int:
         """``len(pending_configurations(space_id))``, counted in SQL without
-        building the list."""
+        building the list. A space with attempts of more than one tool or
+        part, whose points are pending for one tool and not for another,
+        raises StoreError naming its (tool, version, part) tuples."""
         cardinality = self.get_space(space_id).cardinality
-        ((attempted,),) = self._attempted("COUNT(DISTINCT c.idx)", space_id)
+        ((attempted, tools),) = self._attempted(
+            "COUNT(DISTINCT c.idx), COUNT(DISTINCT i.tool_id)", space_id
+        )
+        if tools > 1:
+            raise self._mixed_tools(space_id, ok=False)
         return cardinality - attempted
+
+    def _mixed_tools(self, space_id: int, ok: bool) -> StoreError:
+        """The error for a space whose attempts (its ok ones, if ``ok``)
+        come from more than one tool or part, naming their (tool, version,
+        part) tuples."""
+        where = " AND i.status='ok'" if ok else ""
+        tools = self.conn.execute(
+            "SELECT name, version, part FROM tool WHERE id IN"
+            f" (SELECT i.tool_id {_OF_SPACE}{where}) ORDER BY 1, 2, 3",
+            (space_id,),
+        )
+        return StoreError(
+            f"space {space_id} has {'ok ' if ok else ''}results of more than one tool,"
+            " from " + ", ".join(f"{n} {v} on {part}" for n, v, part in tools)
+        )
 
     def count_implementations(self, space_id: int, status: Optional[str] = None) -> int:
         q = f"SELECT COUNT(*) {_OF_SPACE}"
@@ -896,8 +931,18 @@ class Store:
         ``area_weights`` in ff/lut/bram/dsp order: four finite non-negative
         values, not all zero, else StoreError). A stored value that yields a
         negative or non-finite objective raises AnalyticsError.
+
+        The points are read once per store state: a fetch outside a
+        transaction is kept, per space, objectives and weights, and later
+        calls get a new list of the same points while the state stamp,
+        ``(PRAGMA data_version, total_changes)``, is the one read before
+        that fetch's SELECT. Any commit of another connection moves the
+        first, and any row this connection inserts, updates or deletes,
+        rolled back or not, the second; either empties every kept fetch.
+        Arguments are checked before the stamp, and a fetch that raises is
+        not kept.
         """
-        objectives = list(objectives)
+        objectives = tuple(objectives)
         if not objectives:
             raise StoreError("objective list is empty")
         for name in objectives:
@@ -910,6 +955,18 @@ class Store:
             if all(w == 0 for w in area_weights):
                 raise StoreError("area weights must not be all zero")
             params = list(area_weights) * objectives.count("area")
+        # read before the SELECT, so that a commit landing between the two
+        # empties the kept points at the next call
+        (data_version,) = self.conn.execute("PRAGMA data_version").fetchone()
+        stamp = (data_version, self.conn.total_changes)
+        if stamp != self._points_stamp:
+            self._points.clear()
+            self._points_stamp = stamp
+        # SQLite keeps an integer weight's area integer, so 1 and 1.0 differ
+        key = (space_id, objectives, tuple((type(w), w) for w in params))
+        kept = self._points.get(key)
+        if kept is not None:
+            return list(kept)
         self.get_space(space_id)
         rows = self.conn.execute(
             "SELECT " + ", ".join(self.OBJECTIVES[o] for o in objectives)
@@ -919,18 +976,16 @@ class Store:
         ).fetchall()
         # one ok result per configuration and tool (one_ok_result_per_tool),
         # so one tool also means one result per configuration
-        tool_ids = {row[-1] for row in rows}
-        if len(tool_ids) > 1:
-            tools = self.conn.execute(
-                "SELECT name, version, part FROM tool WHERE id IN"
-                f" (SELECT i.tool_id {_OF_SPACE} AND i.status='ok') ORDER BY 1, 2, 3",
-                (space_id,),
-            )
-            raise StoreError(
-                f"space {space_id} has ok results of more than one tool,"
-                " from " + ", ".join(f"{n} {v} on {part}" for n, v, part in tools)
-            )
-        return [DesignPoint(row[:-2], row[-2]) for row in rows]
+        if len({row[-1] for row in rows}) > 1:
+            raise self._mixed_tools(space_id, ok=True)
+        points = tuple(DesignPoint(row[:-2], row[-2]) for row in rows)
+        # inside a transaction the SELECT may see rows that a rollback
+        # takes back without moving the stamp
+        if not self.conn.in_transaction:
+            if len(self._points) == _POINT_SETS_KEPT:
+                del self._points[next(iter(self._points))]
+            self._points[key] = points
+        return list(points)
 
     # -- export / import --------------------------------------------------
 

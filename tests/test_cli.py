@@ -221,6 +221,33 @@ class TestRun:
             outputs.append(out)
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("runs", [1, 2])
+    def test_one_parse_and_one_index_per_run(self, capsys, monkeypatch, db, runs):
+        """run parses its descriptor once and indexes it once, on a first run
+        and on a resumed one alike."""
+        csd = str(DATA / "local_scan.csd")
+        for _ in range(runs - 1):
+            assert run(capsys, "--db", db, "run", csd, "--limit", "1")[0] == 0
+        parses = count_calls(monkeypatch, hlsdse.dsl.parse_csd)
+        indexes = count_calls(monkeypatch, hlsdse.space.build_index)
+        assert run(capsys, "--db", db, "run", csd, "--limit", "1")[0] == 0
+        assert (len(parses), len(indexes)) == (1, 1)
+
+
+def count_calls(monkeypatch, func) -> list:
+    """Count the calls of ``func`` through every hlsdse module that binds
+    it; returns the list that each call appends to."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hlsdse" and getattr(module, func.__name__, None) is func:
+            monkeypatch.setattr(module, func.__name__, counted)
+    return calls
+
 
 class TestQuery:
     def test_summary(self, capsys, db, toy_csd):
@@ -235,6 +262,19 @@ class TestQuery:
         run(capsys, "--db", db, "init-db")
         code, _, err = run(capsys, "--db", db, "query", "7")
         assert code == 1
+
+    def test_query_disjoint_tools_fails(self, capsys, db):
+        """A point attempted by one tool is still pending for the other, so
+        query refuses the space rather than report it complete."""
+        with Store(db) as st:
+            st.init_schema()
+            space_id = record_disjoint_tools(st)
+        code, out, err = run(capsys, "--db", db, "query", str(space_id))
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == (
+            f"error: space {space_id} has results of more than one tool,"
+            " from tool-a 1.0 on mockpart, tool-b 1.0 on mockpart\n"
+        )
 
 
 class TestAnalyze:
@@ -275,6 +315,23 @@ class TestAnalyze:
         summary = json.loads(out)
         assert summary["queries"] == budget
         assert summary["adrs"] >= 0
+
+    def test_eval_reads_the_points_once(self, capsys, monkeypatch, populated):
+        """analyze --mode eval and the evaluation it runs share one fetch."""
+        statements = []
+
+        class TracedStore(Store):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.conn.set_trace_callback(statements.append)
+
+        monkeypatch.setattr(hlsdse.cli, "Store", TracedStore)
+        code, out, _ = run(
+            capsys, "--db", populated, "analyze", "1", "--mode", "eval", "--budget", "5",
+        )
+        assert code == 0 and json.loads(out)["queries"] == 5
+        selects = [s for s in statements if "i.status='ok' ORDER BY i.configuration_id" in s]
+        assert len(selects) == 1
 
     @pytest.mark.parametrize("budget", ["0", "-3"])
     def test_eval_budget_below_one(self, capsys, populated, budget):
@@ -523,6 +580,14 @@ class TestErrorPath:
         assert (code, out) == (EXIT_DOMAIN, "")
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "tool-a 1.0 on" in err and "tool-b 1.0 on" in err
+
+    def test_memory_error_is_one_line(self, capsys, monkeypatch, db, toy_csd):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(Store, "pending_configurations", exhausted)
+        code, out, err = run(capsys, "--db", db, "run", toy_csd)
+        assert (code, out, err) == (EXIT_USAGE, "", "error: out of memory\n")
 
     def test_analyze_disjoint_tools_fails(self, capsys, db):
         with Store(db) as st:

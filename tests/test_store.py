@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -266,6 +267,14 @@ class TestRegisterSpace:
         small = statements("small", "unroll;f;l1;{1,2}\nclock;{10}")
         assert statements("large", last_step_scan_text) == small
 
+    def test_space_index_takes_the_callers_index(self, store, toy_space):
+        rec, csd = toy_space
+        index = build_index(csd)
+        assert store.space_index(rec.id, index) is index
+        other = build_index(parse_csd("unroll;f;l1;{1,2,4}\nclock;{10}"))
+        with pytest.raises(StoreError, match="not that of space"):
+            store.space_index(rec.id, other)
+
     def test_add_configurations_get_or_create(self, store, toy_space):
         rec, _ = toy_space
         (middle,) = store.add_configurations(rec.id, [2])
@@ -512,30 +521,55 @@ class TestPending:
         with pytest.raises(StoreError, match="unknown space id 999"):
             store.count_pending(999)
 
-    @pytest.mark.parametrize("state", ["fresh", "partial", "two-tool", "failed"])
+    @pytest.mark.parametrize("state", ["fresh", "partial", "failed"])
     def test_count_pending_is_length_of_pending(self, store, toy_space, state):
         """count_pending counts in SQL what pending_configurations lists; a
-        point attempted twice, or under two tools, counts once."""
+        point attempted twice counts once."""
         rec, csd = toy_space
         configs = write_rows(store, rec, csd)
-        other = SynthesisInfo("t", "other-tool", "2.0", "otherpart", 10.0)
         failed = ImplementationResult(status="synth_error")
         if state == "partial":
             for cfg in configs[:3]:
                 store.record_result(cfg.id, OK, INFO)
-        elif state == "two-tool":
-            for cfg in configs[:4]:
-                store.record_result(cfg.id, OK, INFO)
-            for cfg in configs[2:5]:
-                store.record_result(cfg.id, OK, other)
         elif state == "failed":
             for cfg in configs[:2]:
                 store.record_result(cfg.id, failed, INFO)
                 store.record_result(cfg.id, failed, INFO)
             store.record_result(configs[1].id, OK, INFO)
-        expected = {"fresh": 6, "partial": 3, "two-tool": 1, "failed": 4}[state]
+        expected = {"fresh": 6, "partial": 3, "failed": 4}[state]
         assert store.count_pending(rec.id) == len(store.pending_configurations(rec.id))
         assert store.count_pending(rec.id) == expected
+
+    def test_count_pending_two_tools_fails(self, store, toy_space):
+        """A point attempted by one tool is still pending for the other, so
+        one count would be wrong for both; a failed attempt counts too."""
+        rec, csd = toy_space
+        configs = write_rows(store, rec, csd)
+        other = SynthesisInfo("t", "other-tool", "2.0", "otherpart", 10.0)
+        for cfg in configs[:4]:
+            store.record_result(cfg.id, OK, INFO)
+        store.record_result(configs[4].id, ImplementationResult(status="timeout"), other)
+        with pytest.raises(StoreError, match=(
+            f"^space {rec.id} has results of more than one tool,"
+            " from mock-hls 1.0 on mockpart, other-tool 2.0 on otherpart$"
+        )):
+            store.count_pending(rec.id)
+
+    def test_count_pending_disjoint_tools_fails(self, store):
+        space_id = record_disjoint_tools(store)
+        with pytest.raises(
+            StoreError, match="from tool-a 1.0 on mockpart, tool-b 1.0 on mockpart$"
+        ):
+            store.count_pending(space_id)
+
+    def test_count_pending_reads_one_count(self, store, toy_space):
+        """The tool count rides in the attempted count's query."""
+        rec, csd = toy_space
+        store.record_result(write_rows(store, rec, csd)[0].id, OK, INFO)
+        statements = []
+        store.conn.set_trace_callback(statements.append)
+        assert store.count_pending(rec.id) == 5
+        assert len(statements) == 2  # the space row and the counts
 
 
 class TestFetchPoints:
@@ -640,6 +674,173 @@ class TestFetchPoints:
         rec, _ = toy_space
         with pytest.raises(StoreError):
             store.fetch_points(rec.id, ["area"], (0, 0, 0, 0))
+
+
+# fetch_points' objective SELECT, as the trace callback reports it
+OBJECTIVE_SELECT = "i.status='ok' ORDER BY i.configuration_id"
+
+
+def objective_selects(statements):
+    return [s for s in statements if OBJECTIVE_SELECT in s]
+
+
+@pytest.fixture
+def file_space(tmp_path):
+    """A file store holding a 6-point space with ok results on its first
+    three points; yields (store, space id, configuration records)."""
+    with Store(str(tmp_path / "memo.sqlite")) as st:
+        st.init_schema()
+        csd = parse_csd("unroll;f;l1;{1,2,4}\nunroll;f;l2;{1,2}\nclock;{10}")
+        rec = st.register_space(st.ensure_design("b", "a", "d"), csd, "t")
+        configs = write_rows(st, rec, csd)
+        for cfg in configs[:3]:
+            st.record_result(cfg.id, OK, INFO)
+        yield st, rec.id, configs
+
+
+def copy_ok_row(store, configuration_id):
+    """Insert a copy of the store's first ok row for ``configuration_id``,
+    leaving the transaction open."""
+    store.conn.execute(
+        "INSERT INTO implementation SELECT NULL, ?, tool_id, status, timestamp,"
+        " contributor, clock_period_ns, ff, lut, bram, dsp, latency_cycles,"
+        " achieved_period_ns FROM implementation WHERE status = 'ok' LIMIT 1",
+        (configuration_id,),
+    )
+
+
+class _CommitAfterSelect:
+    """A connection that runs ``commit`` right after fetch_points' objective
+    SELECT has read its rows, as a commit of another process could land."""
+
+    def __init__(self, conn, commit):
+        self._conn, self._commit = conn, commit
+
+    def execute(self, sql, *args):
+        cursor = self._conn.execute(sql, *args)
+        if OBJECTIVE_SELECT not in sql or self._commit is None:
+            return cursor
+        rows = cursor.fetchall()
+        self._commit()
+        self._commit = None
+        return types.SimpleNamespace(fetchall=lambda: rows)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+class TestFetchPointsMemo:
+    def test_hit_runs_only_the_stamp(self, file_space):
+        st, space_id, _ = file_space
+        first = st.fetch_points(space_id, ["latency", "lut"])
+        statements = []
+        st.conn.set_trace_callback(statements.append)
+        again = st.fetch_points(space_id, ["latency", "lut"])
+        st.conn.set_trace_callback(None)
+        assert statements == ["PRAGMA data_version"]
+        with Store(st.path) as fresh:
+            assert again == first == fresh.fetch_points(space_id, ["latency", "lut"])
+        assert len(again) == 3
+
+    def test_returned_list_is_the_callers(self, file_space):
+        st, space_id, _ = file_space
+        points = st.fetch_points(space_id, ["latency"])
+        expected = list(points)
+        points.clear()
+        assert st.fetch_points(space_id, ["latency"]) == expected
+
+    def test_other_connection_commit_is_seen(self, file_space):
+        st, space_id, configs = file_space
+        assert len(st.fetch_points(space_id, ["latency", "lut"])) == 3
+        with Store(st.path) as other:
+            other.record_result(configs[3].id, OK, INFO)
+        points = st.fetch_points(space_id, ["latency", "lut"])
+        assert [p.configuration_id for p in points] == [c.id for c in configs[:4]]
+
+    def test_commit_during_the_select_is_seen_next(self, file_space):
+        """The stamp is read before the SELECT, so a commit that lands after
+        the rows are read is not cached under its own stamp."""
+        st, space_id, configs = file_space
+
+        def commit():
+            with Store(st.path) as other:
+                other.record_result(configs[3].id, OK, INFO)
+
+        st.conn = _CommitAfterSelect(st.conn, commit)
+        assert len(st.fetch_points(space_id, ["latency"])) == 3
+        assert len(st.fetch_points(space_id, ["latency"])) == 4
+
+    def test_own_result_is_seen(self, file_space):
+        st, space_id, configs = file_space
+        assert len(st.fetch_points(space_id, ["latency"])) == 3
+        st.record_result(configs[3].id, OK, INFO)
+        assert len(st.fetch_points(space_id, ["latency"])) == 4
+
+    def test_import_empties_the_memo(self, file_space):
+        st, space_id, _ = file_space
+        st.fetch_points(space_id, ["latency"])
+        st.import_jsonl(V3_EXPORT.read_bytes())
+        statements = []
+        st.conn.set_trace_callback(statements.append)
+        assert len(st.fetch_points(space_id, ["latency"])) == 3
+        assert len(objective_selects(statements)) == 1
+
+    def test_rolled_back_write_empties_the_memo(self, file_space):
+        st, space_id, configs = file_space
+        st.fetch_points(space_id, ["latency"])
+        copy_ok_row(st, configs[3].id)
+        st.conn.rollback()
+        statements = []
+        st.conn.set_trace_callback(statements.append)
+        assert len(st.fetch_points(space_id, ["latency"])) == 3
+        assert len(objective_selects(statements)) == 1
+
+    def test_fetch_inside_a_transaction_is_not_kept(self, file_space):
+        """An uncommitted row that a fetch sees is gone after the rollback,
+        which leaves the stamp where the fetch read it."""
+        st, space_id, configs = file_space
+        copy_ok_row(st, configs[3].id)
+        assert st.conn.in_transaction
+        assert len(st.fetch_points(space_id, ["latency"])) == 4
+        st.conn.rollback()
+        assert len(st.fetch_points(space_id, ["latency"])) == 3
+
+    def test_failures_are_not_kept(self, store):
+        space_id = record_disjoint_tools(store)
+        for _ in range(2):
+            with pytest.raises(StoreError, match="more than one tool"):
+                store.fetch_points(space_id, ["latency"])
+
+    def test_arguments_checked_before_the_memo(self, file_space):
+        st, space_id, _ = file_space
+        st.fetch_points(space_id, ["latency", "area"], (0, 1, 0, 0))
+        with pytest.raises(StoreError, match="all zero"):
+            st.fetch_points(space_id, ["latency", "area"], (0, 0, 0, 0))
+        with pytest.raises(StoreError, match="unknown objective"):
+            st.fetch_points(space_id, ["latency", "watts"])
+
+    def test_oldest_fetch_goes_first(self, file_space):
+        st, space_id, _ = file_space
+        weights = [(0, 1, 0, w) for w in range(34)]
+        for w in weights:
+            st.fetch_points(space_id, ["area"], w)
+        statements = []
+        st.conn.set_trace_callback(statements.append)
+        st.fetch_points(space_id, ["area"], weights[-1])
+        assert objective_selects(statements) == []
+        # the two oldest of 34 are gone, and reading one again drops the
+        # oldest kept, the third
+        st.fetch_points(space_id, ["area"], weights[1])
+        st.fetch_points(space_id, ["area"], weights[2])
+        assert len(objective_selects(statements)) == 2
+
+    def test_integer_and_float_weights_kept_apart(self, file_space):
+        """SQLite keeps an area of integer weights integer."""
+        st, space_id, _ = file_space
+        ints = st.fetch_points(space_id, ["area"], (1, 1, 1, 1))
+        floats = st.fetch_points(space_id, ["area"], (1.0, 1.0, 1.0, 1.0))
+        assert [type(v) for p in ints for v in p.values] == [int] * 3
+        assert [type(v) for p in floats for v in p.values] == [float] * 3
 
 
 class TestExportImport:
