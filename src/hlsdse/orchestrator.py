@@ -1,12 +1,12 @@
 """Synthesis campaign orchestration.
 
 A campaign drains the pending configurations of a registered space: up to K
-backend instances run concurrently, each completed result is committed to the
-store before its worker slot is reused, and a JSON-lines event log makes runs
-resumable after a crash. Two backends are provided: a deterministic mock
-(for desk-scale testing and strategy evaluation) and an external-tool adapter
-that renders a directive script, invokes a user-supplied command, and parses
-the produced report.
+backend instances run concurrently, and each completed result is committed to
+the store before its worker slot is reused, so an interrupted campaign resumes
+from the store alone; an optional JSON-lines event log records each attempt.
+Two backends are provided: a deterministic mock (for desk-scale testing and
+strategy evaluation) and an external-tool adapter that renders a directive
+script, invokes a user-supplied command, and parses the produced report.
 """
 
 from __future__ import annotations
@@ -190,12 +190,15 @@ def mock_synthesize(config: Configuration, csd: CSD, seed: int) -> Implementatio
     """Deterministic synthetic synthesis outcome.
 
     Qualitative shape: latency falls (never rises) with larger unroll
-    factors; LUT/FF/DSP grow (never shrink) with unroll and partition
-    factors. Noise is derived only from the categorical choices and the
-    seed, so the monotonicity holds exactly.
+    factors and grows with a pipeline's initiation interval II, since a new
+    iteration starts every II cycles; LUT/FF/DSP grow (never shrink) with
+    unroll and partition factors, and II leaves them unchanged. Noise is
+    derived only from the categorical choices and the seed, so the
+    monotonicity holds exactly.
     """
     unroll = 1
     partition = 1
+    ii = 1
     categorical: list[str] = []
     for knob, values in zip(csd.knobs, config.assignments):
         kind = knob.directive.token
@@ -205,13 +208,13 @@ def mock_synthesize(config: Configuration, csd: CSD, seed: int) -> Implementatio
             categorical.append(values[0].render())
             partition *= int(values[1].raw)
         elif kind == "pipeline":
-            unroll *= max(1, int(values[0].raw))
+            ii *= max(1, int(values[0].raw))
         else:
             categorical.append(",".join(v.render() for v in values))
     noise = _stable_hash(seed, *sorted(categorical))
     lat_noise = noise % 97
     res_noise = (noise >> 8) % 53
-    latency = -(-_MOCK_BASE_WORK // unroll) + lat_noise
+    latency = -(-_MOCK_BASE_WORK // unroll) * ii + lat_noise
     lut = 200 + 40 * unroll + 15 * partition + res_noise
     ff = 120 + 25 * unroll + 10 * partition + (res_noise % 17)
     dsp = 2 + unroll // 4 + partition // 8
@@ -356,7 +359,7 @@ def run_campaign(
     index = store.space_index(campaign.space_id, index)
     csd = index.csd
     pending = store.pending_configurations(
-        campaign.space_id, backend.tool_name, backend.tool_version, backend.fpga_part
+        campaign.space_id, (backend.tool_name, backend.tool_version, backend.fpga_part)
     )
     todo = pending[: campaign.limit]
 

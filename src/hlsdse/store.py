@@ -765,10 +765,11 @@ class Store:
         return [ConfigRecord(*r) for r in rows]
 
     def add_configurations(self, space_id: int, idxs: Sequence[int]) -> list[ConfigRecord]:
-        """Get-or-create the rows of the indices ``idxs``, ascending, in one
-        transaction; returns their records in that order. Rows are created
-        in the order given, so ids follow idx order whenever configurations
-        are attempted in it. An index outside the space raises StoreError."""
+        """Get-or-create the rows of the indices ``idxs`` in one transaction;
+        returns their records in idx order, one per distinct index. Rows are
+        created in the order given, so ids follow idx order whenever
+        configurations are attempted in it. An index outside the space
+        raises StoreError."""
         if not idxs:
             return []
         try:
@@ -778,7 +779,7 @@ class Store:
                     ((None, space_id, idx) for idx in idxs),
                 )
                 rows = self.conn.execute(
-                    _CONFIG_RECORDS, (space_id, idxs[0], idxs[-1])
+                    _CONFIG_RECORDS, (space_id, min(idxs), max(idxs))
                 ).fetchall()
         except sqlite3.IntegrityError as e:
             raise StoreError(f"cannot add configurations to space {space_id}: {e}") from None
@@ -828,39 +829,30 @@ class Store:
         self._tool_ids[tool] = tool_id
         return row_id
 
-    def _attempted(self, select: str, space_id: int, tool_name=None, tool_version=None,
-                   fpga_part=None):
-        """Run ``SELECT <select>`` over the space's configuration rows that
-        have an attempt under the tool/part filter, joined as c, i and t."""
-        clauses, params = [], [space_id]
-        for col, val in (("name", tool_name), ("version", tool_version), ("part", fpga_part)):
-            if val is not None:
-                clauses.append(f" AND t.{col}=?")
-                params.append(val)
+    def _attempted(self, select: str, space_id: int, tool: Optional[tuple[str, str, str]] = None):
+        """Run ``SELECT <select>`` over the space's attempts, joined as c and
+        i, only those of ``tool`` (a (name, version, part) triple) if given."""
+        q = f"SELECT {select} {_OF_SPACE}"
+        if tool is None:
+            return self.conn.execute(q, (space_id,))
         return self.conn.execute(
-            f"SELECT {select} FROM configuration c"
-            " JOIN implementation i ON i.configuration_id = c.id"
-            " JOIN tool t ON t.id = i.tool_id"
-            " WHERE c.space_id=?" + "".join(clauses),
-            params,
+            q + " AND i.tool_id = (SELECT id FROM tool WHERE name=? AND version=? AND part=?)",
+            (space_id, *tool),
         )
 
     def pending_configurations(
-        self,
-        space_id: int,
-        tool_name: Optional[str] = None,
-        tool_version: Optional[str] = None,
-        fpga_part: Optional[str] = None,
+        self, space_id: int, tool: Optional[tuple[str, str, str]] = None
     ) -> list[int]:
-        """Indices of the points with no recorded attempt under the given
-        tool/part filter, ascending. Derived from the space's cardinality
-        and its attempted rows, so it does not depend on which rows exist."""
+        """Indices of the points with no recorded attempt of ``tool``, a
+        (name, version, part) triple, ascending. Without ``tool``, a space
+        with attempts of more than one tool raises StoreError as
+        count_pending does. Derived from the space's cardinality and its
+        attempted rows, so it does not depend on which rows exist."""
         cardinality = self.get_space(space_id).cardinality
-        attempted = {
-            idx for (idx,) in self._attempted(
-                "c.idx", space_id, tool_name, tool_version, fpga_part
-            )
-        }
+        rows = self._attempted("c.idx, i.tool_id", space_id, tool).fetchall()
+        if len({tool_id for _, tool_id in rows}) > 1:
+            raise self._mixed_tools(space_id, ok=False)
+        attempted = {idx for idx, _ in rows}
         return [i for i in range(cardinality) if i not in attempted]
 
     def count_pending(self, space_id: int) -> int:

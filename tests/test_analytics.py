@@ -95,6 +95,10 @@ class TestParetoFront:
         with pytest.raises(AnalyticsError):
             pareto_front([])
 
+    def test_mixed_dimension_rejected(self):
+        with pytest.raises(AnalyticsError, match="^mixed objective dimensionality$"):
+            pareto_front(pts((1, 2), (1, 2, 3)))
+
     def test_front_strictly_decreasing_second_objective(self):
         rng = random.Random(0)
         points = [
@@ -221,6 +225,12 @@ class TestAdrs:
         with pytest.raises(AnalyticsError):
             adrs(pts((0, 1)), pts((1, 1)))
 
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(
+            AnalyticsError, match="^dimension mismatch between reference and approximation$"
+        ):
+            adrs(pts((1, 1)), pts((1, 1, 1)))
+
     def test_zero_iff_weakly_dominated(self):
         ref = pts((2, 4), (4, 2))
         covered = pts((2, 4), (3, 2))  # improves second reference point
@@ -254,6 +264,15 @@ class TestHypervolume:
     def test_point_exceeding_reference_rejected(self):
         with pytest.raises(AnalyticsError):
             hypervolume_2d(pts((2, 0)), DesignPoint((1.0, 1.0)))
+
+    @pytest.mark.parametrize(
+        "points, ref",
+        [(pts((0, 0, 0)), DesignPoint((1.0, 1.0))), (pts((0, 0)), DesignPoint((1.0, 1.0, 1.0)))],
+        ids=["3-D-points", "3-D-reference"],
+    )
+    def test_three_dimensions_rejected(self, points, ref):
+        with pytest.raises(AnalyticsError, match="^hypervolume_2d requires 2-D points$"):
+            hypervolume_2d(points, ref)
 
 
 def area_values(resources, weights):
@@ -367,6 +386,36 @@ class TestEvaluateStrategy:
 
         with pytest.raises(AnalyticsError):
             evaluate_strategy(st, rec.id, bad, budget=5)
+
+    def test_query_twice_rejected(self, populated):
+        st, rec = populated
+
+        def twice(oracle):
+            oracle.query(oracle.configuration_ids[0])
+            oracle.query(oracle.configuration_ids[0])
+
+        with pytest.raises(AnalyticsError, match="^configuration 1 already queried$"):
+            evaluate_strategy(st, rec.id, twice, budget=5)
+
+    def test_strategy_querying_nothing_rejected(self, populated):
+        st, rec = populated
+        with pytest.raises(AnalyticsError, match="^strategy queried nothing$"):
+            evaluate_strategy(st, rec.id, lambda oracle: None, budget=5)
+
+    def test_space_without_ok_results_rejected(self):
+        with Store(":memory:") as st:
+            st.init_schema()
+            rec = st.register_space(
+                st.ensure_design("b", "a", "d"), parse_csd("unroll;f;l;{1,2}\nclock;{10}"), "t"
+            )
+            (cfg,) = st.add_configurations(rec.id, [0])
+            st.record_result(cfg.id, ImplementationResult(status="timeout"), SynthesisInfo(
+                "t", "mock-hls", "1.0", "mockpart", 10.0
+            ))
+            with pytest.raises(
+                AnalyticsError, match=f"^space {rec.id} has no ok implementations$"
+            ):
+                evaluate_strategy(st, rec.id, exhaustive_strategy, budget=5)
 
     @pytest.mark.parametrize("budget", [0, -3])
     def test_budget_below_one_rejected_before_any_read(self, budget):

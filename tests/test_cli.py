@@ -483,11 +483,13 @@ class TestErrorPath:
             ("--db {db} analyze 1 --objectives latency,area --weights -1 1 0 0", EXIT_DOMAIN),
             ("count {missing}.csd", EXIT_USAGE),
             ("--db {db} import {badvalue}", EXIT_DOMAIN),
+            ("--db {db} analyze 1 --mode hv --objectives latency,lut,ff", EXIT_DOMAIN),
         ],
         ids=[
             "overflow-count", "overflow-expand", "overflow-run", "db-missing-dir",
             "db-not-sqlite", "csd-not-utf8", "points-csv-missing-dir", "unknown-space",
             "import-list-table", "negative-weight", "csd-missing", "import-list-value",
+            "hv-of-three-objectives",
         ],
     )
     def test_one_error_line(self, capsys, fault_files, toy_csd, argv, code):

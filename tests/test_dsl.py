@@ -202,6 +202,26 @@ class TestParse:
             parse_csd(f"clock;{{10}}\narray_partition;f;a;{dim};{{cyclic}};{{1}}")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize(
+        "line, message, column",
+        [
+            ("unroll;f;l;{ }", "empty value set", None),
+            ("unroll;f;l;{1,,2}", "empty value in set", None),
+            ("unroll;f;l;{1,1}", "explicit value set contains duplicates", None),
+            ("unroll;f;l;{1,2}@foo", "malformed @bind decorator", 17),
+            (";f;l;{1}", "missing directive kind", 1),
+            ("unroll;f", "unroll: missing function/target fields", None),
+        ],
+        ids=["blank-set", "empty-value", "duplicate-value", "bad-bind", "no-kind",
+             "no-target"],
+    )
+    def test_malformed_line_is_located(self, line, message, column):
+        with pytest.raises(CsdSyntaxError) as exc:
+            parse_csd(f"clock;{{10}}\n{line}")
+        assert (exc.value.line, exc.value.column) == (2, column)
+        loc = "line 2" if column is None else f"line 2, col {column}"
+        assert str(exc.value) == f"{loc}: {message}"
+
     def test_categorical_clock_rejected(self):
         with pytest.raises(CsdValidationError) as exc:
             parse_csd("unroll;f;l;{1,2}\nclock;{fast}")

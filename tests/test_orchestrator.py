@@ -171,6 +171,12 @@ class TestParseReport:
     def test_bad_json(self):
         assert parse_report(b"{not json", "json").status == "synth_error"
 
+    def test_unknown_format(self):
+        """An unknown format is a failed report, not an exception."""
+        r = parse_report(b"ff: 10", "yaml")
+        assert r.status == "synth_error"
+        assert r.diagnostic == "unparseable report: unknown report format 'yaml'"
+
 
 def _xml_report(**values):
     """The sample report with some element texts replaced, by tag."""
@@ -267,6 +273,18 @@ class TestMockBackend:
             assert by_unroll[b].lut >= by_unroll[a].lut
             assert by_unroll[b].ff >= by_unroll[a].ff
             assert by_unroll[b].dsp >= by_unroll[a].dsp
+
+    def test_pipeline_ii_monotonicity(self):
+        """A new iteration starts every II cycles: latency rises with II,
+        resources do not."""
+        csd = parse_csd("pipeline;f;l;{1,2,4,8}\nclock;{10}")
+        results = [mock_synthesize(cfg, csd, 0) for cfg in enumerate_space(csd)]
+        assert len(results) == 4
+        for a, b in zip(results, results[1:]):
+            assert b.latency_cycles > a.latency_cycles
+            assert b.lut <= a.lut
+            assert b.ff <= a.ff
+            assert b.dsp <= a.dsp
 
     def test_front_nondegenerate(self, local_scan_text):
         from hlsdse.analytics import DesignPoint, pareto_front
@@ -504,6 +522,10 @@ class TestBackendSpec:
         with pytest.raises(ValueError):
             Campaign(space_id=1, backend=MOCK, limit=-1)
         assert Campaign(space_id=1, backend=MOCK, limit=0).limit == 0
+
+    def test_external_requires_command(self):
+        with pytest.raises(ValueError, match="requires a command template"):
+            BackendSpec(kind="external_tool")
 
     def test_external_requires_placeholders(self):
         with pytest.raises(ValueError):

@@ -286,6 +286,17 @@ class TestRegisterSpace:
         assert store.configurations(rec.id) == again
         assert store.add_configurations(rec.id, []) == []
 
+    def test_add_configurations_in_any_order(self, store, toy_space):
+        """Indices given out of order, or more than once, each get one
+        record, returned in idx order."""
+        rec, _ = toy_space
+        first = store.add_configurations(rec.id, [5, 3])
+        assert [c.idx for c in first] == [3, 5]
+        again = store.add_configurations(rec.id, [4, 3, 4, 0])
+        assert [c.idx for c in again] == [0, 3, 4]
+        assert again[1] == first[0]
+        assert store.configurations(rec.id) == [*again, first[1]]
+
     @pytest.mark.parametrize("idxs", [[-1], [5, 6]])
     def test_add_configurations_out_of_range(self, store, toy_space, idxs):
         rec, _ = toy_space
@@ -482,7 +493,7 @@ class TestPending:
         for cfg in done:
             store.record_result(cfg.id, OK, INFO)
         pending = store.pending_configurations(
-            rec.id, INFO.tool_name, INFO.tool_version, INFO.fpga_part
+            rec.id, (INFO.tool_name, INFO.tool_version, INFO.fpga_part)
         )
         assert set(pending) == {c.idx for c in configs} - {c.idx for c in done}
         assert pending == sorted(pending)
@@ -493,9 +504,11 @@ class TestPending:
             store.record_result(cfg.id, OK, INFO)
         other = SynthesisInfo("t", "other-tool", "2.0", "otherpart", 10.0)
         assert store.pending_configurations(
-            rec.id, other.tool_name, other.tool_version, other.fpga_part
+            rec.id, (other.tool_name, other.tool_version, other.fpga_part)
         ) == list(range(rec.cardinality))
-        assert store.pending_configurations(rec.id, fpga_part=INFO.fpga_part) == []
+        assert store.pending_configurations(
+            rec.id, (INFO.tool_name, INFO.tool_version, INFO.fpga_part)
+        ) == []
 
     def test_all_recorded_leaves_none(self, store, toy_space):
         rec, csd = toy_space
@@ -521,10 +534,11 @@ class TestPending:
         with pytest.raises(StoreError, match="unknown space id 999"):
             store.count_pending(999)
 
-    @pytest.mark.parametrize("state", ["fresh", "partial", "failed"])
+    @pytest.mark.parametrize("state", ["fresh", "partial", "failed", "two tools"])
     def test_count_pending_is_length_of_pending(self, store, toy_space, state):
         """count_pending counts in SQL what pending_configurations lists; a
-        point attempted twice counts once."""
+        point attempted twice counts once, and a space attempted by two
+        tools is refused by both with one error."""
         rec, csd = toy_space
         configs = write_rows(store, rec, csd)
         failed = ImplementationResult(status="synth_error")
@@ -536,9 +550,22 @@ class TestPending:
                 store.record_result(cfg.id, failed, INFO)
                 store.record_result(cfg.id, failed, INFO)
             store.record_result(configs[1].id, OK, INFO)
-        expected = {"fresh": 6, "partial": 3, "failed": 4}[state]
-        assert store.count_pending(rec.id) == len(store.pending_configurations(rec.id))
-        assert store.count_pending(rec.id) == expected
+        elif state == "two tools":
+            store.record_result(configs[0].id, OK, INFO)
+            store.record_result(configs[1].id, failed, dataclasses.replace(INFO, tool_name="b"))
+
+        def outcome(read):
+            try:
+                return read(rec.id)
+            except StoreError as e:
+                return str(e)
+
+        expected = {"fresh": 6, "partial": 3, "failed": 4, "two tools": (
+            f"space {rec.id} has results of more than one tool,"
+            " from b 1.0 on mockpart, mock-hls 1.0 on mockpart"
+        )}[state]
+        assert outcome(store.count_pending) == expected
+        assert outcome(lambda s: len(store.pending_configurations(s))) == expected
 
     def test_count_pending_two_tools_fails(self, store, toy_space):
         """A point attempted by one tool is still pending for the other, so
@@ -562,6 +589,24 @@ class TestPending:
         ):
             store.count_pending(space_id)
 
+    def test_pending_disjoint_tools_fails(self, store):
+        """Without a tool, a point attempted by any tool would read as done
+        for all: unscoped, the disjoint store is refused as count_pending
+        refuses it, while each tool has its own pending points."""
+        space_id = record_disjoint_tools(store)
+        with pytest.raises(StoreError) as counted:
+            store.count_pending(space_id)
+        with pytest.raises(StoreError) as listed:
+            store.pending_configurations(space_id)
+        assert str(listed.value) == str(counted.value)
+        assert str(listed.value).endswith("from tool-a 1.0 on mockpart, tool-b 1.0 on mockpart")
+        assert store.pending_configurations(
+            space_id, ("tool-a", "1.0", "mockpart")
+        ) == list(range(300, 704))
+        assert store.pending_configurations(
+            space_id, ("tool-b", "1.0", "mockpart")
+        ) == list(range(300))
+
     def test_count_pending_reads_one_count(self, store, toy_space):
         """The tool count rides in the attempted count's query."""
         rec, csd = toy_space
@@ -573,6 +618,11 @@ class TestPending:
 
 
 class TestFetchPoints:
+    def test_no_objectives(self, store, toy_space):
+        rec, _ = toy_space
+        with pytest.raises(StoreError, match="^objective list is empty$"):
+            store.fetch_points(rec.id, [])
+
     def test_two_tools_fail_fast(self, store, toy_space):
         rec, csd = toy_space
         for cfg in write_rows(store, rec, csd)[:2]:
@@ -984,10 +1034,12 @@ class TestExportImport:
             ),
             ("configuration", lambda obj: json.dumps({**obj, "idx": [1]})),
             ("implementation", lambda obj: json.dumps({**obj, "lut": 2**70})),
+            ("configuration", lambda obj: json.dumps([obj["id"]])),
         ],
         ids=[
             "check-violation", "unknown-foreign-key", "bad-columns", "malformed-json",
             "list-table", "list-id", "object-foreign-key", "list-value", "int-beyond-64-bits",
+            "not-an-object",
         ],
     )
     def test_failure_mid_table_names_previous_record(self, store, table, corrupt):
