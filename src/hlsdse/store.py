@@ -27,19 +27,15 @@ a campaign on a space that fails the check writes nothing.
 
 Opening a store reads its sqlite_schema once. A store at this version that
 holds every SCHEMA_DDL object with its text is not written. One that holds
-a table of this schema, or a result table of versions 1 to 3, whose CREATE
-text is not SCHEMA_DDL's is copied whole into SCHEMA_DDL (see
-``Store._rebuild``): a store of versions 1 to 4, or one loaded from a
-version-4 SQL export. Versions 1 to 3 stored a result as an implementation
-row with its synthesis_info row and, when ok, its resource_usage and
-performance rows, which the copy merges into one implementation row by
-_MERGE; versions 1 and 2 also stored the three derived fields in every
-configuration row. Version 4 differed only in the implementation table's
-CHECKs. Imports read exports of versions 1 to 5; a version-4 export has
-this version's layout, and a legacy export's result records are merged by
-_MERGE too, so SCHEMA_DDL's constraints reject a partial result either way.
-An import refuses a NaN, an infinity or a float literal beyond the float
-range as a malformed record.
+a table of this schema whose CREATE text is not SCHEMA_DDL's is copied
+whole into SCHEMA_DDL (see ``Store._rebuild``): a version-4 store, whose
+implementation table differed only in its CHECKs, or one loaded from a
+version-4 SQL export. Versions 1 to 3 kept results in a synthesis_info
+table, which is a view from version 4 on; a store holding that table is
+refused with one VersionMismatchError and not written. Imports read exports
+of versions 4 and 5, which share one layout, through SCHEMA_DDL's
+constraints. An import refuses a NaN, an infinity or a float literal
+beyond the float range as a malformed record.
 
 SQLite renders the lines of a JSON-lines export: its json_quote writes the
 integers, text and NULLs, while REAL values come back to Python and are
@@ -73,10 +69,8 @@ from .space import SpaceError, SpaceIndex, build_index
 
 SCHEMA_VERSION = 5
 # export versions import_jsonl reads: a version-4 export has the layout of
-# this version's, and a configuration row of version 1 or 2 also carries
-# LEGACY_FIELDS
-IMPORT_VERSIONS = (1, 2, 3, 4, 5)
-LEGACY_FIELDS = ("config_key", "key_text", "directive_values")
+# this version's
+IMPORT_VERSIONS = (4, 5)
 
 SCHEMA_DDL = """
 CREATE TABLE IF NOT EXISTS benchmark (
@@ -176,39 +170,19 @@ TABLES = [
     "implementation",
 ]
 
-# the result tables of versions 1 to 3, which a legacy import creates as
-# TEMP tables with the columns and affinities of the views that keep their
-# names
-_LEGACY_RESULTS = ("implementation", "synthesis_info", "resource_usage", "performance")
-_LEGACY_DDL = [
-    "CREATE TEMP TABLE legacy_implementation AS"
-    " SELECT id, configuration_id, status FROM implementation LIMIT 0",
-    *(f"CREATE TEMP TABLE legacy_{t} AS SELECT * FROM {t} LIMIT 0" for t in _LEGACY_RESULTS[1:]),
-]
-# record table -> the table its rows go to, for an export of this version
-# and for one of versions 1 to 3
-_TARGETS = {t: t for t in TABLES}
-_LEGACY_TARGETS = {
-    **{t: t for t in TABLES if t not in ("tool", "implementation")},
-    **{t: f"legacy_{t}" for t in _LEGACY_RESULTS},
-}
-# the tables whose CREATE text init_schema compares with SCHEMA_DDL's, and
-# that _rebuild copies
-_REBUILT = frozenset((*TABLES, *_LEGACY_RESULTS))
 # a store's schema objects, as (type, name, CREATE text); main's only, so
-# neither a legacy import's TEMP tables nor sqlite_temp_schema count
+# sqlite_temp_schema does not count
 _OBJECTS = "SELECT type, name, sql FROM main.sqlite_master"
 
 
 def _schema() -> tuple[dict[str, tuple[str, ...]], frozenset]:
-    """Each table's columns in DDL order, read from SCHEMA_DDL and
-    _LEGACY_DDL themselves, and SCHEMA_DDL's objects as _OBJECTS reads
-    them."""
+    """Each table's columns in DDL order, read from SCHEMA_DDL itself, and
+    SCHEMA_DDL's objects as _OBJECTS reads them."""
     with contextlib.closing(sqlite3.connect(":memory:")) as conn:
-        conn.executescript(SCHEMA_DDL + ";".join(_LEGACY_DDL))
+        conn.executescript(SCHEMA_DDL)
         return {
             t: tuple(row[1] for row in conn.execute(f"PRAGMA table_info({t})"))
-            for t in (*_TARGETS.values(), *_LEGACY_TARGETS.values())
+            for t in TABLES
         }, frozenset(conn.execute(_OBJECTS))
 
 
@@ -229,8 +203,6 @@ _PARENT = {
     "configuration_space": {"design_id": "design"},
     "configuration": {"space_id": "configuration_space"},
     "implementation": {"configuration_id": "configuration", "tool_id": "tool"},
-    "legacy_implementation": {"configuration_id": "configuration"},
-    **{f"legacy_{t}": {"implementation_id": "implementation"} for t in _LEGACY_RESULTS[1:]},
 }
 # taxonomy and tool rows are got-or-created by their UNIQUE keys, by
 # ensure_design, record_result and import alike, so that spaces of one
@@ -246,8 +218,6 @@ _CONFIG_RECORDS = (
     "SELECT id, space_id, idx FROM configuration"
     " WHERE space_id=? AND idx BETWEEN ? AND ? ORDER BY idx"
 )
-# the keys of a version-1 or version-2 configuration record
-_LEGACY_CONFIG_KEYS = frozenset(("table", *_EXPORT_COLS["configuration"], *LEGACY_FIELDS))
 # the implementation rows of a space, joined as i and c
 _OF_SPACE = (
     "FROM implementation i JOIN configuration c ON c.id=i.configuration_id"
@@ -341,35 +311,6 @@ def _finite_float(text: str) -> float:
 # refuses NaN, Infinity, -Infinity and a float literal beyond the float
 # range, which no SQL export could write back
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
-# the legacy configuration rows that have an implementation, whose fields
-# the rebuild checks against their idx; a version-1 store holds a row for
-# every point, most of them never attempted
-_ATTEMPTED_LEGACY_ROWS = f"""
-SELECT c.id, c.space_id, c.idx, {", ".join(f"c.{f}" for f in LEGACY_FIELDS)}
-FROM configuration c
-WHERE EXISTS (SELECT 1 FROM implementation i WHERE i.configuration_id = c.id)
-ORDER BY c.id
-"""
-# the tools of the legacy_* result tables, then one implementation row per
-# attempt in id order, keeping the ids; an attempt without its
-# synthesis_info row has no tool_id, and a result without exactly the rows
-# of its status fails the whole_result CHECK
-_MERGE_TOOLS = (
-    "INSERT INTO tool (name, version, part) SELECT tool_name, tool_version, fpga_part"
-    " FROM legacy_synthesis_info WHERE true ON CONFLICT DO NOTHING"
-)
-_MERGE = """
-SELECT i.id, i.configuration_id, t.id, i.status, s.timestamp, s.contributor,
-    s.clock_period_ns, r.ff, r.lut, r.bram, r.dsp, p.latency_cycles,
-    p.achieved_period_ns
-FROM legacy_implementation i
-LEFT JOIN legacy_synthesis_info s ON s.implementation_id = i.id
-LEFT JOIN tool t
-    ON t.name = s.tool_name AND t.version = s.tool_version AND t.part = s.fpga_part
-LEFT JOIN legacy_resource_usage r ON r.implementation_id = i.id
-LEFT JOIN legacy_performance p ON p.implementation_id = i.id
-ORDER BY i.id
-"""
 # SQLite's message for a second ok result of one configuration and tool
 _DUPLICATE_OK = "UNIQUE constraint failed: implementation.configuration_id, implementation.tool_id"
 # what SQLite raises for a row it rejects: a constraint, or a value it
@@ -450,26 +391,6 @@ def _rejection(table: str, e: Exception) -> str:
     return f"malformed {table} record: {e}"
 
 
-def _legacy_mismatch(index: SpaceIndex, row: dict) -> Optional[str]:
-    """Why a version-1 or version-2 configuration row's LEGACY_FIELDS are
-    not those its idx decodes to, or None when they are."""
-    idx = row["idx"]
-    if not (type(idx) is int and 0 <= idx < index.total):
-        return "configuration index out of range"
-    config = index.decode(idx)
-    derived = {
-        "config_key": config.config_key,
-        "key_text": config.key_text,
-        "directive_values": json.dumps(
-            [[v.raw for v in values] for values in config.assignments]
-        ),
-    }
-    for field in LEGACY_FIELDS:
-        if row[field] != derived[field]:
-            return f"configuration idx {idx}: {field} does not match its index"
-    return None
-
-
 class Store:
     """Single-writer SQLite-backed store; readers see only committed data.
 
@@ -493,9 +414,15 @@ class Store:
         # valid while the store's state is _points_stamp (see fetch_points)
         self._points: dict[tuple, tuple[DesignPoint, ...]] = {}
         self._points_stamp: Optional[tuple[int, int]] = None
-        self.conn.execute("PRAGMA foreign_keys = ON")
-        self.conn.execute("PRAGMA journal_mode = WAL")
-        self.conn.execute("PRAGMA synchronous = NORMAL")
+        try:
+            self.conn.execute("PRAGMA foreign_keys = ON")
+            # the first statement that reads the file: one that is not a
+            # database fails here, and the caller gets no store to close
+            self.conn.execute("PRAGMA journal_mode = WAL")
+            self.conn.execute("PRAGMA synchronous = NORMAL")
+        except sqlite3.Error:
+            self.conn.close()
+            raise
 
     def close(self):
         self.conn.close()
@@ -510,8 +437,10 @@ class Store:
 
     def init_schema(self):
         """Bring the store to SCHEMA_DDL, with no write to a current store
-        and one _rebuild for any older layout (see the module docstring);
-        idempotent. Rejects a store of a newer schema version."""
+        and one _rebuild for a version-4 layout (see the module docstring);
+        idempotent. Rejects, writing nothing, a store of a newer schema
+        version and one of versions 1 to 3, whose synthesis_info is a
+        table."""
         (version,) = self.conn.execute("PRAGMA user_version").fetchone()
         if version > SCHEMA_VERSION:
             raise VersionMismatchError(
@@ -520,7 +449,12 @@ class Store:
         objects = set(self.conn.execute(_OBJECTS))
         if version == SCHEMA_VERSION and objects >= _SCHEMA_OBJECTS:
             return
-        if any(kind == "table" and name in _REBUILT for kind, name, _ in objects - _SCHEMA_OBJECTS):
+        if any(kind == "table" and name == "synthesis_info" for kind, name, _ in objects):
+            raise VersionMismatchError(
+                f"store version {version} has the layout of versions 1 to 3,"
+                " which is no longer read; the oldest supported is 4"
+            )
+        if any(kind == "table" and name in TABLES for kind, name, _ in objects - _SCHEMA_OBJECTS):
             self._rebuild()
         with self.conn:
             self.conn.executescript(
@@ -531,24 +465,22 @@ class Store:
         """Copy the store into SCHEMA_DDL in one transaction that keeps every
         id, with foreign keys off: drop every view, index and trigger, as a
         renamed table keeps its own and a view is rewritten to read it;
-        rename every table of _REBUILT legacy_<table>, as SQLite rewrites a
+        rename every table of TABLES legacy_<table>, as SQLite rewrites a
         child's REFERENCES to a renamed parent; create SCHEMA_DDL; copy each
-        table in TABLES order through the columns it shares with SCHEMA_DDL,
-        or by _MERGE for an implementation table without tool_id; and drop
-        the legacy_* tables. A store holding an orphan row, an attempted
-        row whose LEGACY_FIELDS are not its idx's, or a row that SCHEMA_DDL
-        rejects raises StoreError naming it (DuplicateImplementationError
-        for a second ok result) and is left as it was."""
+        table in TABLES order through the columns it shares with SCHEMA_DDL;
+        and drop the legacy_* tables. A store holding an orphan row, or a
+        row that SCHEMA_DDL rejects, raises StoreError naming it and is left
+        as it was. No copied row is a second ok result for one configuration
+        and tool: a version-4 store holds SCHEMA_DDL's one_ok_result_per_tool
+        index."""
         conn = self.conn
         problems = self.check_integrity()
         if problems:
             raise StoreError("cannot upgrade store: " + ", ".join(problems))
-        if set(LEGACY_FIELDS) & set(self._columns("configuration")):
-            self._check_legacy_rows()
         objects = conn.execute(
             "SELECT type, name FROM main.sqlite_master WHERE name NOT LIKE 'sqlite_%'"
         ).fetchall()
-        tables = [name for kind, name in objects if kind == "table" and name in _REBUILT]
+        tables = [name for kind, name in objects if kind == "table" and name in TABLES]
         # foreign keys can only be switched outside a transaction
         conn.commit()
         conn.execute("PRAGMA foreign_keys = OFF")
@@ -561,31 +493,12 @@ class Store:
                     + SCHEMA_DDL
                 )
                 for t in TABLES:
-                    if t not in tables:
-                        continue
-                    old = self._columns(f"legacy_{t}")
-                    if t == "implementation" and "tool_id" not in old:
-                        failed = self._merge_legacy()
-                    else:
-                        cols = [c for c in _EXPORT_COLS[t] if c in old]
-                        failed = self._copy(
-                            t, cols, f"SELECT {','.join(cols)} FROM legacy_{t} ORDER BY id"
-                        )
-                    if failed:
-                        row_id, e = failed
-                        error = (
-                            DuplicateImplementationError if str(e) == _DUPLICATE_OK else StoreError
-                        )
-                        raise error(
-                            f"cannot upgrade store: {_rejection(t, e)} ({t} id {row_id})"
-                        )
+                    if t in tables:
+                        self._copy_table(t)
                 for t in tables:
                     conn.execute(f"DROP TABLE legacy_{t}")
         finally:
             conn.execute("PRAGMA foreign_keys = ON")
-
-    def _columns(self, table: str) -> list[str]:
-        return [row[1] for row in self.conn.execute(f"PRAGMA table_info({table})")]
 
     def _insert_rows(self, insert: str, rows: Iterable) -> Optional[tuple[int, Exception]]:
         """Run the statement ``insert`` over ``rows``; returns None, or the
@@ -599,47 +512,24 @@ class Store:
             return self.conn.total_changes - before, e
         return None
 
-    def _copy(
-        self, table: str, cols: Sequence[str], select: str
-    ) -> Optional[tuple[int, Exception]]:
-        """Insert the rows ``select`` reads, whose first column is an id,
-        into ``table``'s columns ``cols``; returns the id of the first row
-        that SQLite refuses and its error, or None."""
+    def _copy_table(self, table: str):
+        """Insert the rows of legacy_<table> into ``table`` in id order,
+        through the columns the two share; raises StoreError naming the
+        first row that SQLite refuses."""
+        old = {row[1] for row in self.conn.execute(f"PRAGMA table_info(legacy_{table})")}
+        cols = [c for c in _EXPORT_COLS[table] if c in old]
+        select = f"SELECT {','.join(cols)} FROM legacy_{table} ORDER BY id"
         rows = self.conn.execute(select)
         try:
             refused = self._insert_rows(_insert_sql(table, cols), rows)
         finally:
             rows.close()
-        if refused is None:
-            return None
-        applied, e = refused
-        (row_id, *_) = self.conn.execute(f"{select} LIMIT 1 OFFSET ?", (applied,)).fetchone()
-        return row_id, e
-
-    def _merge_legacy(self) -> Optional[tuple[int, Exception]]:
-        """Write the tool rows and one implementation row per attempt of the
-        legacy_* result tables, keeping the ids; returns what _copy
-        returns."""
-        self.conn.execute(_MERGE_TOOLS)
-        return self._copy("implementation", _EXPORT_COLS["implementation"], _MERGE)
-
-    def _check_legacy_rows(self):
-        """Check each space against its descriptor, and each attempted
-        configuration row's LEGACY_FIELDS against its idx, as import does;
-        raises StoreError naming the first space or row that fails."""
-        indexes = {}
-        for (space_id,) in self.conn.execute("SELECT id FROM configuration_space ORDER BY id"):
-            try:
-                indexes[space_id] = self.space_index(space_id)
-            except (StoreError, CsdError, SpaceError) as e:
-                raise StoreError(f"cannot upgrade store: space {space_id}: {e}") from None
-        for config_id, *values in self.conn.execute(_ATTEMPTED_LEGACY_ROWS):
-            row = dict(zip(("space_id", "idx", *LEGACY_FIELDS), values))
-            mismatch = _legacy_mismatch(indexes[row["space_id"]], row)
-            if mismatch:
-                raise StoreError(
-                    f"cannot upgrade store: {mismatch} (configuration id {config_id})"
-                )
+        if refused:
+            applied, e = refused
+            (row_id, *_) = self.conn.execute(f"{select} LIMIT 1 OFFSET ?", (applied,)).fetchone()
+            raise StoreError(
+                f"cannot upgrade store: {_rejection(table, e)} ({table} id {row_id})"
+            )
 
     def table_names(self) -> list[str]:
         rows = self.conn.execute(
@@ -1031,22 +921,14 @@ class Store:
         each run of up to _RUN_ROWS consecutive rows of one other table goes
         in one executemany. Configuration and implementation rows carry the
         ids SQLite would pick, one past the table's largest, so children can
-        be remapped before their parents are written.
-
-        A version-1 or version-2 configuration record also carries
-        LEGACY_FIELDS, which must be what its idx decodes to. The result
-        records of a version-1 to -3 export go to TEMP tables, merged after
-        the last record as the upgrade merges a store's own; an implementation
-        the merge rejects is named by its record index."""
+        be remapped before their parents are written. The export's header
+        must name a version of IMPORT_VERSIONS."""
         id_maps: dict[str, dict] = defaultdict(dict)  # record table -> old id -> new id
-        version, targets, legacy = SCHEMA_VERSION, _TARGETS, False
-        indexes: dict[int, SpaceIndex] = {}  # imported space id -> its index
         next_id: dict[str, int] = {}
         counts: Counter = Counter()
-        impl_records: dict[int, int] = {}  # new legacy implementation id -> record index
         last_good = -1
         run_table, run = None, []  # the pending run: (record index, values)
-        # target table -> (the keys of its records, a getter of a record's
+        # table -> (the keys of its records, a getter of a record's
         # values in column order, the position of its id column or None,
         # (position, column, parent record table) per foreign key, and whether
         # its rows go in runs); built here, from _EXPORT_COLS and _PARENT as
@@ -1065,7 +947,7 @@ class Store:
             nonlocal last_good, run
             if not run:
                 return
-            refused = self._insert_rows(_INSERT[targets[run_table]], (v for _, v in run))
+            refused = self._insert_rows(_INSERT[run_table], (v for _, v in run))
             if refused:
                 applied, e = refused
                 if applied:
@@ -1082,7 +964,8 @@ class Store:
             return ImportRejected(message, last_good)
 
         with self.conn:
-            # the TEMP tables of a legacy import are rolled back with its rows
+            # one transaction from the first statement, the reads of MAX(id)
+            # among them
             self.conn.execute("BEGIN")
             for n, line in enumerate(payload.decode().split("\n")):
                 if not line.strip():
@@ -1104,26 +987,19 @@ class Store:
                 table = obj.get("table")
                 if table == "_meta":
                     version = obj.get("schema_version")
-                    # True == 1 and 3.0 == 3, but neither is a version
+                    # 4.0 == 4, but it is not a version
                     if type(version) is not int or version not in IMPORT_VERSIONS:
                         raise failure(f"schema version mismatch: {version}")
                     flush()
-                    if version < 4 and not legacy:
-                        for statement in _LEGACY_DDL:
-                            self.conn.execute(statement)
-                        legacy = True
-                    targets = _LEGACY_TARGETS if version < 4 else _TARGETS
                     last_good = n
                     continue
                 # a table name or foreign key that is a JSON list or object
                 # cannot key a dict, which raises TypeError below
                 try:
-                    target = targets[table]
+                    keys, get, id_pos, fks, runs = plans[table]
                 except (KeyError, TypeError):
                     raise failure(f"unknown table {table!r}") from None
-                keys, get, id_pos, fks, runs = plans[target]
-                legacy_config = table == "configuration" and version < 3
-                if obj.keys() != (_LEGACY_CONFIG_KEYS if legacy_config else keys):
+                if obj.keys() != keys:
                     raise failure(f"bad columns for table {table}")
                 old_id = obj.get("id")
                 if isinstance(old_id, (list, dict)):  # cannot key id_maps
@@ -1136,11 +1012,6 @@ class Store:
                         raise failure(
                             f"{table} row references unknown {fk}={values[pos]}"
                         ) from None
-                if legacy_config:
-                    space_id = id_maps["configuration_space"][obj["space_id"]]
-                    mismatch = _legacy_mismatch(indexes[space_id], obj)
-                    if mismatch:
-                        raise failure(mismatch)
                 if runs:
                     if table != run_table:
                         flush()
@@ -1153,8 +1024,6 @@ class Store:
                             next_id[table] = (top or 0) + 1
                         new_id = values[id_pos] = next_id[table]
                         next_id[table] += 1
-                        if target == "legacy_implementation":
-                            impl_records[new_id] = n
                         if old_id is not None:
                             id_maps[table][old_id] = new_id
                     run.append((n, values))
@@ -1172,7 +1041,7 @@ class Store:
                         )
                     else:
                         new_id = self._insert_space(values)
-                        indexes[new_id] = self.space_index(new_id)
+                        self.space_index(new_id)
                 except StoreError as e:
                     raise failure(str(e)) from None
                 except _REJECTED as e:
@@ -1184,16 +1053,6 @@ class Store:
                 counts[table] += 1
                 last_good = n
             flush()
-            if legacy:
-                failed = self._merge_legacy()
-                if failed:
-                    impl_id, e = failed
-                    n = impl_records[impl_id]
-                    raise ImportRejected(
-                        f"{_rejection('implementation', e)} (implementation record {n})", n - 1
-                    )
-                for t in _LEGACY_RESULTS:
-                    self.conn.execute(f"DROP TABLE temp.legacy_{t}")
         return dict(counts)
 
     def check_integrity(self) -> list[str]:

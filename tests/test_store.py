@@ -18,14 +18,9 @@ from hypothesis import strategies as hst
 
 import hlsdse
 from hlsdse.analytics import AnalyticsError, DesignPoint
-from hlsdse.dsl import parse_csd, serialize_csd
-from hlsdse.orchestrator import (
-    BackendSpec,
-    Campaign,
-    ImplementationResult,
-    mock_synthesize,
-    run_campaign,
-)
+from hlsdse.cli import main
+from hlsdse.dsl import parse_csd
+from hlsdse.orchestrator import BackendSpec, Campaign, ImplementationResult, run_campaign
 from hlsdse.space import build_index, cardinality
 from hlsdse.store import (
     TABLES,
@@ -53,14 +48,30 @@ OK = ImplementationResult(
     achieved_period_ns=9.5,
 )
 
-# a 20-result seed-1 mock campaign on local_scan.csd, exported by schema
-# versions 2 and 3
-V2_EXPORT = Path(__file__).parent / "data" / "v2_export.jsonl"
-V3_EXPORT = Path(__file__).parent / "data" / "v3_export.jsonl"
+LOCAL_SCAN = Path(__file__).parent / "data" / "local_scan.csd"
 
 # a store's schema objects, in an order that does not depend on how they
 # were created
 OBJECTS = "SELECT type, name, tbl_name, sql FROM sqlite_master ORDER BY type, name"
+
+
+def campaign_lines():
+    """The export lines of a fresh seed-1 mock campaign of 20 ok results on
+    local_scan.csd, space 1 of a new store."""
+    with Store(":memory:") as st:
+        st.init_schema()
+        csd = parse_csd(LOCAL_SCAN.read_text())
+        rec = st.register_space(st.ensure_design("b", "a", "d"), csd, "t")
+        run_campaign(st, Campaign(space_id=rec.id, backend=BackendSpec(kind="mock"),
+                                  seed=1, limit=20))
+        return st.export_jsonl(rec.id).decode().splitlines()
+
+
+def line_of(lines, table, row_id):
+    """The index of the export line of ``table``'s row ``row_id``."""
+    (k,) = [n for n, line in enumerate(lines)
+            if json.loads(line)["table"] == table and json.loads(line).get("id") == row_id]
+    return k
 
 
 @pytest.fixture
@@ -115,6 +126,25 @@ class TestSchema:
         store.conn.execute("DROP INDEX idx_implementation_config")
         store.init_schema()
         assert store.conn.execute(OBJECTS).fetchall() == before
+
+    def test_file_that_is_not_a_database_is_closed(self, tmp_path, monkeypatch):
+        """The constructor's first read fails on such a file, and the caller
+        gets no store whose close would release the connection."""
+        path = tmp_path / "notadb"
+        path.write_bytes(b"not a database\n" * 100)
+        opened = []
+        real_connect = sqlite3.connect
+
+        def connect(*args):
+            opened.append(real_connect(*args))
+            return opened[-1]
+
+        monkeypatch.setattr(hlsdse.store.sqlite3, "connect", connect)
+        with pytest.raises(sqlite3.DatabaseError, match="file is not a database"):
+            Store(str(path))
+        (conn,) = opened
+        with pytest.raises(sqlite3.ProgrammingError, match="closed database"):
+            conn.execute("SELECT 1")
 
     def test_newer_version_rejected(self, tmp_path):
         path = str(tmp_path / "db.sqlite")
@@ -829,7 +859,7 @@ class TestFetchPointsMemo:
     def test_import_empties_the_memo(self, file_space):
         st, space_id, _ = file_space
         st.fetch_points(space_id, ["latency"])
-        st.import_jsonl(V3_EXPORT.read_bytes())
+        st.import_jsonl(("\n".join(campaign_lines()) + "\n").encode())
         statements = []
         st.conn.set_trace_callback(statements.append)
         assert len(st.fetch_points(space_id, ["latency"])) == 3
@@ -1102,15 +1132,9 @@ class TestExportImport:
                 assert other.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
 
     @pytest.mark.parametrize("idx", [-1, 704, 10**6, "x"])
-    @pytest.mark.parametrize("version", [2, 3])
-    def test_idx_out_of_range_rejected(self, store, idx, version):
-        """A configuration row's idx must name a point of its space, in a
-        legacy payload and in a current one alike."""
-        payload = V2_EXPORT.read_bytes()
-        if version == 3:
-            store.import_jsonl(payload)
-            payload = store.export_jsonl(1)
-        lines = payload.decode().splitlines()
+    def test_idx_out_of_range_rejected(self, store, idx):
+        """A configuration row's idx must name a point of its space."""
+        lines = campaign_lines()
         k = [n for n, line in enumerate(lines)
              if json.loads(line)["table"] == "configuration"][2]
         lines[k] = json.dumps({**json.loads(lines[k]), "idx": idx})
@@ -1121,73 +1145,26 @@ class TestExportImport:
             assert exc.value.last_good == k - 1
             assert other.conn.execute("SELECT COUNT(*) FROM configuration").fetchone() == (0,)
 
-    @staticmethod
-    def _result_lines(lines, table, impl_id):
-        """Indices of the ``lines`` of ``table`` for implementation ``impl_id``."""
-        key = "id" if table == "implementation" else "implementation_id"
-        return [n for n, line in enumerate(lines)
-                if json.loads(line)["table"] == table and json.loads(line)[key] == impl_id]
-
-    @pytest.mark.parametrize(
-        "table, message",
-        [
-            ("resource_usage", "CHECK constraint failed: whole_result"),
-            ("performance", "CHECK constraint failed: whole_result"),
-            ("synthesis_info", "NOT NULL constraint failed: implementation.tool_id"),
-        ],
-        ids=["no-resource_usage", "no-performance", "no-synthesis_info"],
-    )
-    def test_partial_result_rejected(self, store, table, message):
-        """An import stores whole results, as record_result writes them: a
-        legacy result missing one of its rows would read as attempted but
-        never appear among the points."""
-        lines = V3_EXPORT.read_text().splitlines()
-        (gone,) = self._result_lines(lines, table, 2)
-        del lines[gone]
-        (k,) = self._result_lines(lines, "implementation", 2)
+    def test_metric_rows_of_failed_result_rejected(self, store):
+        lines = campaign_lines()
+        k = line_of(lines, "implementation", 2)
+        lines[k] = json.dumps({**json.loads(lines[k]), "status": "synth_error"})
         with pytest.raises(ImportRejected) as exc:
             store.import_jsonl(("\n".join(lines) + "\n").encode())
         assert str(exc.value) == (
-            f"malformed implementation record: {message} (implementation record {k})"
+            "malformed implementation record: CHECK constraint failed: whole_result"
             f" (last good record index: {k - 1})"
         )
-        assert exc.value.last_good == k - 1
         for t in TABLES:
             assert store.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
-        assert store.conn.execute("SELECT COUNT(*) FROM temp.sqlite_master").fetchone() == (0,)
-
-    def test_metric_rows_of_failed_result_rejected(self, store):
-        lines = V3_EXPORT.read_text().splitlines()
-        (k,) = self._result_lines(lines, "implementation", 2)
-        lines[k] = json.dumps({**json.loads(lines[k]), "status": "synth_error"})
-        with pytest.raises(
-            ImportRejected, match="^malformed implementation record: CHECK constraint"
-            rf" failed: whole_result \(implementation record {k}\)"
-        ) as exc:
-            store.import_jsonl(("\n".join(lines) + "\n").encode())
-        assert exc.value.last_good == k - 1
-        for t in TABLES:
-            assert store.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
-
-    def test_partial_result_of_legacy_payload_rejected(self, store):
-        lines = V2_EXPORT.read_bytes().decode().splitlines()
-        (gone,) = self._result_lines(lines, "performance", 3)
-        del lines[gone]
-        (k,) = self._result_lines(lines, "implementation", 3)
-        with pytest.raises(
-            ImportRejected, match=rf"whole_result \(implementation record {k}\)"
-        ) as exc:
-            store.import_jsonl(("\n".join(lines) + "\n").encode())
-        assert exc.value.last_good == k - 1
-        assert store.conn.execute("SELECT COUNT(*) FROM implementation").fetchone() == (0,)
 
     @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_non_finite_number_rejected(self, store, number):
         """JSON's decoder reads these as floats, which SQLite stores but an
         SQL export cannot write back."""
-        lines = V3_EXPORT.read_text().splitlines()
+        lines = campaign_lines()
         k = [n for n, line in enumerate(lines)
-             if json.loads(line)["table"] == "performance"][1]
+             if json.loads(line)["table"] == "implementation"][1]
         obj = {**json.loads(lines[k]), "achieved_period_ns": "@"}
         lines[k] = json.dumps(obj).replace('"@"', number)
         with pytest.raises(ImportRejected, match="malformed record") as exc:
@@ -1234,18 +1211,17 @@ class TestExportImport:
         with pytest.raises(ImportRejected):
             store.import_jsonl(bad)
 
-    @pytest.mark.parametrize(
-        "export, version", [(V2_EXPORT, "true"), (V3_EXPORT, "3.0")], ids=["v2-true", "v3-float"]
-    )
-    def test_schema_version_must_be_an_integer(self, store, export, version):
-        """True == 1 and 3.0 == 3 in Python, but neither names a version."""
-        header, body = export.read_bytes().split(b"\n", 1)
-        meta = header.decode().replace(str(json.loads(header)["schema_version"]), version)
+    @pytest.mark.parametrize("version", ["1", "2", "3", "4.0", "true"])
+    def test_unread_schema_version_rejected(self, store, version):
+        """Exports of versions 1 to 3 are no longer read, and a version must
+        be a JSON integer: 4.0 == 4 in Python, and true == 1."""
+        header, *body = campaign_lines()
+        meta = header.replace("5", version)
         assert json.loads(meta)["schema_version"] == json.loads(version)
         with pytest.raises(
             ImportRejected, match=f"^schema version mismatch: {json.loads(version)}"
         ) as exc:
-            store.import_jsonl(meta.encode() + b"\n" + body)
+            store.import_jsonl(("\n".join([meta, *body]) + "\n").encode())
         assert exc.value.last_good == -1
         for t in TABLES:
             assert store.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
@@ -1266,9 +1242,13 @@ class TestExportImport:
              "malformed implementation record: CHECK constraint failed: whole_result"),
             ("implementation", {"ff": 3.5},
              "malformed implementation record: CHECK constraint failed: whole_result"),
+            ("implementation", {"latency_cycles": None},
+             "malformed implementation record: CHECK constraint failed: whole_result"),
+            ("implementation", {"status": "timeout"},
+             "malformed implementation record: CHECK constraint failed: whole_result"),
         ],
         ids=["check", "not-null", "unknown-parent", "text-count", "text-latency",
-             "fractional-count"],
+             "fractional-count", "ok-null-metric", "failed-with-metrics"],
     )
     def test_rejection_names_its_cause(self, store, table, change, message):
         """Only a foreign key failure is a referential violation; a row that
@@ -1488,79 +1468,6 @@ class TestJsonLines:
                 assert other.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
 
 
-# The schema of versions 1 and 2, frozen: a configuration row also stored
-# its config_key, key_text and directive_values, under a second UNIQUE
-# index. Version-1 stores also carry idx_configuration_space_id.
-LEGACY_DDL = """
-CREATE TABLE benchmark (
-    id INTEGER PRIMARY KEY,
-    name TEXT NOT NULL UNIQUE
-);
-CREATE TABLE algorithm (
-    id INTEGER PRIMARY KEY,
-    benchmark_id INTEGER NOT NULL REFERENCES benchmark(id),
-    name TEXT NOT NULL,
-    UNIQUE (benchmark_id, name)
-);
-CREATE TABLE design (
-    id INTEGER PRIMARY KEY,
-    algorithm_id INTEGER NOT NULL REFERENCES algorithm(id),
-    name TEXT NOT NULL,
-    source_ref TEXT,
-    function_name TEXT,
-    UNIQUE (algorithm_id, name)
-);
-CREATE TABLE configuration_space (
-    id INTEGER PRIMARY KEY,
-    design_id INTEGER NOT NULL REFERENCES design(id),
-    csd_text TEXT NOT NULL,
-    cardinality INTEGER NOT NULL,
-    contributor TEXT NOT NULL,
-    created_at TEXT NOT NULL,
-    UNIQUE (design_id, csd_text)
-);
-CREATE TABLE configuration (
-    id INTEGER PRIMARY KEY,
-    space_id INTEGER NOT NULL REFERENCES configuration_space(id),
-    idx INTEGER NOT NULL,
-    config_key TEXT NOT NULL,
-    key_text TEXT NOT NULL,
-    directive_values TEXT NOT NULL,
-    UNIQUE (space_id, idx),
-    UNIQUE (space_id, config_key)
-);
-CREATE TABLE implementation (
-    id INTEGER PRIMARY KEY,
-    configuration_id INTEGER NOT NULL REFERENCES configuration(id),
-    status TEXT NOT NULL CHECK (status IN ('ok','synth_error','timeout'))
-);
-CREATE TABLE synthesis_info (
-    implementation_id INTEGER PRIMARY KEY REFERENCES implementation(id),
-    timestamp TEXT NOT NULL,
-    contributor TEXT NOT NULL,
-    tool_name TEXT NOT NULL,
-    tool_version TEXT NOT NULL,
-    fpga_part TEXT NOT NULL,
-    clock_period_ns REAL NOT NULL
-);
-CREATE TABLE resource_usage (
-    implementation_id INTEGER PRIMARY KEY REFERENCES implementation(id),
-    ff INTEGER NOT NULL CHECK (ff >= 0),
-    lut INTEGER NOT NULL CHECK (lut >= 0),
-    bram INTEGER NOT NULL CHECK (bram >= 0),
-    dsp INTEGER NOT NULL CHECK (dsp >= 0)
-);
-CREATE TABLE performance (
-    implementation_id INTEGER PRIMARY KEY REFERENCES implementation(id),
-    latency_cycles INTEGER NOT NULL CHECK (latency_cycles >= 0),
-    achieved_period_ns REAL NOT NULL
-);
-CREATE INDEX idx_implementation_config ON implementation(configuration_id);
-"""
-LEGACY_CONFIG_COLUMNS = [
-    "id", "space_id", "idx", "config_key", "key_text", "directive_values"
-]
-
 # The schema of version 3, frozen: a result was an implementation row with
 # its synthesis_info, resource_usage and performance rows, and a trigger
 # refused a second ok result per tool.
@@ -1649,63 +1556,7 @@ END;
 """
 
 
-def legacy_fields(index, i):
-    """config_key, key_text and directive_values of point ``i``, as
-    versions 1 and 2 stored them."""
-    c = index.decode(i)
-    return (c.config_key, c.key_text,
-            json.dumps([[v.raw for v in vals] for vals in c.assignments]))
-
-
-def build_legacy_store(path, csd, version, idxs):
-    """A store as schema ``version`` (1 or 2) left it, holding the
-    configuration rows of ``idxs`` with ids 1, 2, ... in that order."""
-    conn = sqlite3.connect(path)
-    conn.executescript(LEGACY_DDL)
-    if version == 1:
-        conn.execute("CREATE INDEX idx_configuration_space_id ON configuration(space_id)")
-    conn.execute("INSERT INTO benchmark (name) VALUES ('b')")
-    conn.execute("INSERT INTO algorithm (benchmark_id, name) VALUES (1, 'a')")
-    conn.execute("INSERT INTO design (algorithm_id, name) VALUES (1, 'd')")
-    conn.execute(
-        "INSERT INTO configuration_space"
-        " (design_id, csd_text, cardinality, contributor, created_at)"
-        " VALUES (1, ?, ?, 'legacy', '2021-01-01T00:00:00+00:00')",
-        (serialize_csd(csd), cardinality(csd)),
-    )
-    index = build_index(csd)
-    conn.executemany(
-        "INSERT INTO configuration"
-        " (space_id, idx, config_key, key_text, directive_values)"
-        " VALUES (1, ?, ?, ?, ?)",
-        ((i, *legacy_fields(index, i)) for i in idxs),
-    )
-    conn.execute(f"PRAGMA user_version = {version}")
-    conn.commit()
-    conn.close()
-
-
-def legacy_ok_result(conn, impl_id, configuration_id, tool="mock-hls", result=OK):
-    """Write one ok result as a legacy store holds it, with raw SQL."""
-    conn.execute(
-        "INSERT INTO implementation VALUES (?, ?, 'ok')", (impl_id, configuration_id)
-    )
-    conn.execute(
-        "INSERT INTO synthesis_info VALUES (?, '2021-01-01T00:00:00+00:00', 'legacy',"
-        " ?, '1.0', 'mockpart', 10.0)",
-        (impl_id, tool),
-    )
-    conn.execute(
-        "INSERT INTO resource_usage VALUES (?, ?, ?, ?, ?)",
-        (impl_id, result.ff, result.lut, result.bram, result.dsp),
-    )
-    conn.execute(
-        "INSERT INTO performance VALUES (?, ?, ?)",
-        (impl_id, result.latency_cycles, result.achieved_period_ns),
-    )
-
-
-def build_store(path, lines, ddl=V3_DDL, version=3):
+def build_store(path, lines, ddl, version):
     """A store as schema ``version``, whose DDL is ``ddl``, left it, holding
     the rows of the export ``lines`` with their ids."""
     with contextlib.closing(sqlite3.connect(path)) as conn:
@@ -1726,342 +1577,32 @@ def dump(path):
         return list(conn.iterdump()), conn.execute("PRAGMA user_version").fetchone()
 
 
-def columns(conn, table):
-    return [row[1] for row in conn.execute(f"PRAGMA table_info({table})")]
+class TestSchemaV1To3:
+    """Versions 1 to 3 kept results in a synthesis_info table, which is a
+    view from version 4 on; a store of theirs is no longer read."""
 
-
-def fresh_campaign_points(local_scan_text, limit):
-    """The objective vectors of a fresh seed-1 mock campaign on local_scan,
-    as ``tests/data/v2_export.jsonl`` recorded them for its 20 results."""
-    with Store(":memory:") as st:
-        st.init_schema()
-        rec = st.register_space(
-            st.ensure_design("b", "a", "d"), parse_csd(local_scan_text), "t"
-        )
-        run_campaign(st, Campaign(space_id=rec.id, backend=BackendSpec(kind="mock"),
-                                  seed=1, limit=limit))
-        return [p.values for p in st.fetch_points(rec.id, ["latency", "lut", "ff"])]
-
-
-class TestSchemaV1:
-    MOCK = BackendSpec(kind="mock")
-
-    @pytest.fixture
-    def v1_store(self, tmp_path, local_scan_text):
-        """A version-1 store whose campaign stopped after 100 results."""
-        path = str(tmp_path / "v1.sqlite")
-        csd = parse_csd(local_scan_text)
-        build_legacy_store(path, csd, 1, range(704))
-        index = build_index(csd)
+    # user_version 0: a store loaded from an SQL export, which sets none
+    @pytest.mark.parametrize("version", [0, 1, 2, 3])
+    def test_store_is_refused_and_not_written(self, tmp_path, capsys, version):
+        path = tmp_path / "v3.sqlite"
+        lines = [line for line in campaign_lines()
+                 if json.loads(line)["table"] not in ("tool", "implementation")]
+        build_store(str(path), lines, V3_DDL, version)
+        # as Store leaves a file store, so that opening one changes no byte
         with contextlib.closing(sqlite3.connect(path)) as conn:
-            for i in range(100):
-                legacy_ok_result(conn, i + 1, i + 1,
-                                 result=mock_synthesize(index.decode(i), csd, 0))
-            conn.commit()
-        return path
-
-    def test_migrates_and_resumes(self, v1_store, tmp_path):
-        with Store(v1_store) as st:
-            ids = st.conn.execute("SELECT id, space_id, idx FROM configuration").fetchall()
-            st.init_schema()
-            (version,) = st.conn.execute("PRAGMA user_version").fetchone()
-            assert version == 5
-            assert columns(st.conn, "configuration") == ["id", "space_id", "idx"]
-            before = st.configurations(1)
-            assert [dataclasses.astuple(c) for c in before] == ids
-            assert len(before) == 704
-            assert st.pending_configurations(1) == list(range(100, 704))
-            log = tmp_path / "resume.jsonl"
-            report = run_campaign(
-                st, Campaign(space_id=1, backend=self.MOCK, jobs=4, log_path=str(log))
-            )
-            assert report.attempted == 604
-            assert st.pending_configurations(1) == []
-            assert st.configurations(1) == before
-            started = [
-                json.loads(line)["idx"] for line in log.read_text().splitlines()
-                if json.loads(line)["event"] == "start"
-            ]
-            assert sorted(started) == list(range(100, 704))
-            (n, distinct) = st.conn.execute(
-                "SELECT COUNT(*), COUNT(DISTINCT configuration_id) FROM implementation"
-            ).fetchone()
-            assert n == distinct == 704
-            assert st.check_integrity() == []
-
-    def test_v1_payload_imports(self, local_scan_text):
-        """Versions 1 and 2 share one export layout, so the checked-in v2
-        export relabelled as version 1 is a version-1 payload."""
-        header, body = V2_EXPORT.read_bytes().split(b"\n", 1)
-        assert json.loads(header) == {"table": "_meta", "schema_version": 2}
-        v1_payload = json.dumps({"table": "_meta", "schema_version": 1}).encode()
-        with Store(":memory:") as other:
-            other.init_schema()
-            counts = other.import_jsonl(v1_payload + b"\n" + body)
-            assert counts["configuration"] == 20
-            assert counts["implementation"] == 20
-            (space_id,) = other.conn.execute(
-                "SELECT id FROM configuration_space"
-            ).fetchone()
-            assert other.pending_configurations(space_id) == list(range(20, 704))
-            assert [
-                p.values for p in other.fetch_points(space_id, ["latency", "lut", "ff"])
-            ] == fresh_campaign_points(local_scan_text, 20)
-            assert other.check_integrity() == []
-
-
-class TestLegacyStores:
-    def test_v2_export_imports(self, store, local_scan_text):
-        counts = store.import_jsonl(V2_EXPORT.read_bytes())
-        assert counts == {
-            "benchmark": 1, "algorithm": 1, "design": 1, "configuration_space": 1,
-            "configuration": 20, "implementation": 20, "synthesis_info": 20,
-            "resource_usage": 20, "performance": 20,
-        }
-        assert [
-            p.values for p in store.fetch_points(1, ["latency", "lut", "ff"])
-        ] == fresh_campaign_points(local_scan_text, 20)
-        # and it exports as version 5: configuration rows are (id, space_id, idx)
-        lines = [json.loads(line) for line in store.export_jsonl(1).splitlines()]
-        assert lines[0] == {"table": "_meta", "schema_version": 5}
-        rows = [obj for obj in lines if obj["table"] == "configuration"]
-        assert rows == [
-            {"table": "configuration", "id": i + 1, "space_id": 1, "idx": i}
-            for i in range(20)
-        ]
-
-    @pytest.mark.parametrize("field", ["config_key", "key_text", "directive_values"])
-    def test_v2_field_disagreeing_with_idx(self, store, field):
-        """A legacy row whose stored key fields are not those its idx
-        decodes to is rejected, naming the record before it."""
-        lines = V2_EXPORT.read_text().splitlines()
-        k, k_next = [
-            n for n, line in enumerate(lines) if json.loads(line)["table"] == "configuration"
-        ][2:4]
-        row = json.loads(lines[k])
-        row[field] = json.loads(lines[k_next])[field]
-        lines[k] = json.dumps(row)
-        with pytest.raises(ImportRejected, match=f"configuration idx 2: {field} does not") as exc:
-            store.import_jsonl(("\n".join(lines) + "\n").encode())
-        assert exc.value.last_good == k - 1
-        for t in TABLES:
-            assert store.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
-
-    def test_v2_store_upgrades_in_place(self, tmp_path, local_scan_text):
-        path = str(tmp_path / "v2.sqlite")
-        build_legacy_store(path, parse_csd(local_scan_text), 2, [5, 3, 700])
-        conn = sqlite3.connect(path)
-        # one ok result per tool on configuration 1
-        legacy_ok_result(conn, 1, 1)
-        legacy_ok_result(conn, 2, 1, tool="other")
-        conn.commit()
-        conn.close()
-        with Store(path) as st:
-            st.init_schema()
-            assert st.conn.execute("PRAGMA user_version").fetchone() == (5,)
-            assert columns(st.conn, "configuration") == ["id", "space_id", "idx"]
-            assert [dataclasses.astuple(c) for c in st.configurations(1)] == [
-                (2, 1, 3), (1, 1, 5), (3, 1, 700)
-            ]
-            assert st.check_integrity() == []
-            with pytest.raises(DuplicateImplementationError):
-                st.record_result(1, OK, INFO)
-            st.init_schema()
-            assert st.conn.execute("PRAGMA user_version").fetchone() == (5,)
-
-    def test_v2_store_with_duplicate_ok_pair_is_not_upgraded(self, tmp_path, local_scan_text):
-        path = str(tmp_path / "v2.sqlite")
-        build_legacy_store(path, parse_csd(local_scan_text), 2, range(3))
-        conn = sqlite3.connect(path)
-        for impl_id, configuration_id in ((1, 2), (2, 1), (3, 2)):
-            legacy_ok_result(conn, impl_id, configuration_id)
-        conn.commit()
-        conn.close()
-        with Store(path) as st:
+            conn.execute("PRAGMA journal_mode = WAL")
+        before = dump(path), path.read_bytes()
+        with Store(str(path)) as st:
             with pytest.raises(
-                DuplicateImplementationError,
-                match=r"^cannot upgrade store: duplicate ok implementation \(implementation id 3\)$",
+                VersionMismatchError,
+                match=f"^store version {version} has the layout of versions 1 to 3,",
             ):
                 st.init_schema()
-            assert st.conn.execute("PRAGMA user_version").fetchone() == (2,)
-            assert columns(st.conn, "configuration") == LEGACY_CONFIG_COLUMNS
-            assert st.conn.execute(
-                "SELECT COUNT(*) FROM sqlite_master WHERE type='trigger'"
-            ).fetchone() == (0,)
-            assert st.conn.execute("PRAGMA foreign_keys").fetchone() == (1,)
-
-    def test_v2_store_with_orphan_is_not_upgraded(self, tmp_path, local_scan_text):
-        path = str(tmp_path / "v2.sqlite")
-        build_legacy_store(path, parse_csd(local_scan_text), 2, range(3))
-        conn = sqlite3.connect(path)
-        legacy_ok_result(conn, 1, 99)
-        conn.commit()
-        conn.close()
-        with Store(path) as st:
-            with pytest.raises(StoreError, match="1 orphan implementation row"):
-                st.init_schema()
-            assert st.conn.execute("PRAGMA user_version").fetchone() == (2,)
-            assert columns(st.conn, "configuration") == LEGACY_CONFIG_COLUMNS
-
-    def test_v2_store_with_idx_out_of_range_is_not_upgraded(self, tmp_path, local_scan_text):
-        path = str(tmp_path / "v2.sqlite")
-        build_legacy_store(path, parse_csd(local_scan_text), 2, range(3))
-        conn = sqlite3.connect(path)
-        conn.execute("UPDATE configuration SET idx = 1000000 WHERE id = 2")
-        conn.commit()
-        conn.close()
-        with Store(path) as st:
-            with pytest.raises(
-                StoreError, match=r"^cannot upgrade store: configuration index out of range"
-                r" \(configuration id 2\)$"
-            ):
-                st.init_schema()
-            assert st.conn.execute("PRAGMA user_version").fetchone() == (2,)
-            assert columns(st.conn, "configuration") == LEGACY_CONFIG_COLUMNS
-
-    @pytest.mark.parametrize("field", ["config_key", "key_text", "directive_values"])
-    def test_v2_row_disagreeing_with_idx_is_not_upgraded(self, tmp_path, local_scan_text,
-                                                         field):
-        """The upgrade checks an attempted row's fields against its idx, as
-        the import of the same row does."""
-        path = str(tmp_path / "v2.sqlite")
-        csd = parse_csd(local_scan_text)
-        build_legacy_store(path, csd, 2, [0])
-        idx1 = dict(zip(LEGACY_CONFIG_COLUMNS[3:], legacy_fields(build_index(csd), 1)))
-        conn = sqlite3.connect(path)
-        conn.execute(f"UPDATE configuration SET {field} = ?", (idx1[field],))
-        legacy_ok_result(conn, 1, 1)
-        conn.commit()
-        conn.close()
-        with Store(path) as st:
-            with pytest.raises(
-                StoreError,
-                match=f"cannot upgrade store: configuration idx 0: {field} does not match"
-                rf" its index \(configuration id 1\)",
-            ):
-                st.init_schema()
-            assert st.conn.execute("PRAGMA user_version").fetchone() == (2,)
-            assert columns(st.conn, "configuration") == LEGACY_CONFIG_COLUMNS
-
-    def test_v2_row_with_foreign_key_text_is_not_upgraded(self, tmp_path, local_scan_text):
-        """An ok result on the idx-0 row that carries idx 1's key text and
-        config_key 'x' would be read as idx 0's synthesis."""
-        path = str(tmp_path / "v2.sqlite")
-        build_legacy_store(path, parse_csd(local_scan_text), 2, [0])
-        conn = sqlite3.connect(path)
-        key_text = build_index(parse_csd(local_scan_text)).decode(1).key_text
-        conn.execute("UPDATE configuration SET config_key = 'x', key_text = ?", (key_text,))
-        legacy_ok_result(conn, 1, 1)
-        conn.commit()
-        conn.close()
-        with Store(path) as st:
-            with pytest.raises(StoreError, match="configuration idx 0: config_key does not"):
-                st.init_schema()
-            assert columns(st.conn, "configuration") == LEGACY_CONFIG_COLUMNS
-
-    def test_v2_unattempted_row_is_not_checked(self, tmp_path, local_scan_text):
-        """A row without a result attributes nothing, so its stored fields
-        are dropped unread."""
-        path = str(tmp_path / "v2.sqlite")
-        build_legacy_store(path, parse_csd(local_scan_text), 2, range(3))
-        conn = sqlite3.connect(path)
-        conn.execute("UPDATE configuration SET config_key = 'x' WHERE idx = 2")
-        legacy_ok_result(conn, 1, 1)
-        conn.commit()
-        conn.close()
-        with Store(path) as st:
-            st.init_schema()
-            assert columns(st.conn, "configuration") == ["id", "space_id", "idx"]
-
-    @pytest.mark.parametrize(
-        "csd_text, cardinality, message",
-        [
-            (None, 710, "space 1: space cardinality 710 is not the size of its descriptor, 704"),
-            ("unroll;f;l1;{1,2}\n", 2, "space 1: MissingClock"),
-        ],
-        ids=["cardinality", "descriptor"],
-    )
-    def test_v2_space_disagreeing_with_descriptor_is_not_upgraded(
-        self, tmp_path, local_scan_text, csd_text, cardinality, message
-    ):
-        path = str(tmp_path / "v2.sqlite")
-        build_legacy_store(path, parse_csd(local_scan_text), 2, range(2))
-        conn = sqlite3.connect(path)
-        conn.execute(
-            "UPDATE configuration_space SET cardinality = ?, csd_text = coalesce(?, csd_text)",
-            (cardinality, csd_text),
-        )
-        conn.commit()
-        conn.close()
-        with Store(path) as st:
-            with pytest.raises(StoreError, match=f"cannot upgrade store: {message}"):
-                st.init_schema()
-            assert st.conn.execute("PRAGMA user_version").fetchone() == (2,)
-            assert columns(st.conn, "configuration") == LEGACY_CONFIG_COLUMNS
-
-
-class TestSchemaV3:
-    # every result of a store, through the version-3 tables or the views
-    # that keep their names
-    RESULTS = """
-        SELECT i.id, i.configuration_id, i.status, s.*, r.*, p.*
-        FROM implementation i JOIN synthesis_info s ON s.implementation_id = i.id
-        LEFT JOIN resource_usage r ON r.implementation_id = i.id
-        LEFT JOIN performance p ON p.implementation_id = i.id ORDER BY i.id
-    """
-
-    def test_v3_export_imports(self, store, local_scan_text):
-        counts = store.import_jsonl(V3_EXPORT.read_bytes())
-        assert counts == {
-            "benchmark": 1, "algorithm": 1, "design": 1, "configuration_space": 1,
-            "configuration": 20, "implementation": 20, "synthesis_info": 20,
-            "resource_usage": 20, "performance": 20,
-        }
-        assert [
-            p.values for p in store.fetch_points(1, ["latency", "lut", "ff"])
-        ] == fresh_campaign_points(local_scan_text, 20)
-        assert store.conn.execute("SELECT name, version, part FROM tool").fetchall() == [
-            ("mock-hls", "1.0", "mockpart")
-        ]
-        assert store.check_integrity() == []
-
-    def test_v3_store_upgrades_in_place(self, tmp_path, store, local_scan_text):
-        path = str(tmp_path / "v3.sqlite")
-        build_store(path, V3_EXPORT.read_text().splitlines())
-        with contextlib.closing(sqlite3.connect(path)) as conn:
-            before = conn.execute(self.RESULTS).fetchall()
-        store.import_jsonl(V3_EXPORT.read_bytes())
-        objectives = ["latency", "latency_ns", "lut", "ff", "bram", "dsp"]
-        with Store(path) as st:
-            st.init_schema()
-            assert st.conn.execute("PRAGMA user_version").fetchone() == (5,)
-            assert st.table_names() == sorted(TABLES)
-            assert st.conn.execute(self.RESULTS).fetchall() == before
-            assert st.fetch_points(1, objectives) == store.fetch_points(1, objectives)
-            assert [p.values for p in st.fetch_points(1, ["latency", "lut", "ff"])] == (
-                fresh_campaign_points(local_scan_text, 20)
-            )
-            assert st.check_integrity() == []
-            with pytest.raises(DuplicateImplementationError):
-                st.record_result(1, OK, INFO)
-
-    def test_v3_store_with_partial_result_is_not_upgraded(self, tmp_path):
-        """An ok implementation without its performance row is named, and
-        the store is left as it was."""
-        lines = V3_EXPORT.read_text().splitlines()
-        (gone,) = TestExportImport._result_lines(lines, "performance", 7)
-        del lines[gone]
-        path = str(tmp_path / "v3.sqlite")
-        build_store(path, lines)
-        before = dump(path)
-        with Store(path) as st:
-            with pytest.raises(
-                StoreError, match=r"^cannot upgrade store: malformed implementation record:"
-                r" CHECK constraint failed: whole_result \(implementation id 7\)$"
-            ):
-                st.init_schema()
-            assert st.conn.execute("PRAGMA foreign_keys").fetchone() == (1,)
-        assert dump(path) == before
+        assert main(["--db", str(path), "query", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: store version {version} ") and err.count("\n") == 1
+        assert (dump(path), path.read_bytes()) == before
 
 
 # The schema of version 4, frozen: its status CHECK was an IN list, and
@@ -2159,18 +1700,26 @@ END;
 class TestSchemaV4:
     # every column of every implementation row, with each value's type
     ROWS = "SELECT *, typeof(lut), typeof(achieved_period_ns) FROM implementation ORDER BY id"
+    # every result of a store, through the views that keep the names of the
+    # version 1 to 3 result tables
+    RESULTS = """
+        SELECT i.id, i.configuration_id, i.status, s.*, r.*, p.*
+        FROM implementation i JOIN synthesis_info s ON s.implementation_id = i.id
+        LEFT JOIN resource_usage r ON r.implementation_id = i.id
+        LEFT JOIN performance p ON p.implementation_id = i.id ORDER BY i.id
+    """
 
     @staticmethod
     def v4_lines(change=None):
-        """The version-4 export of the 20-result campaign of V3_EXPORT with
-        a timeout on configuration 3, ``change`` made to implementation 7."""
+        """The version-4 export of campaign_lines' campaign with a timeout
+        on configuration 3, ``change`` made to implementation 7."""
         with Store(":memory:") as st:
             st.init_schema()
-            st.import_jsonl(V3_EXPORT.read_bytes())
+            st.import_jsonl(("\n".join(campaign_lines()) + "\n").encode())
             st.record_result(3, ImplementationResult(status="timeout"), INFO)
             lines = st.export_jsonl(1).decode().splitlines()
         lines[0] = json.dumps({"table": "_meta", "schema_version": 4})
-        (k,) = TestExportImport._result_lines(lines, "implementation", 7)
+        k = line_of(lines, "implementation", 7)
         lines[k] = json.dumps({**json.loads(lines[k]), **(change or {})})
         return lines
 
@@ -2193,7 +1742,7 @@ class TestSchemaV4:
         build_store(path, lines, V4_DDL, version)
         with contextlib.closing(sqlite3.connect(path)) as conn:
             before = conn.execute(self.ROWS).fetchall()
-            views = conn.execute(TestSchemaV3.RESULTS).fetchall()
+            views = conn.execute(self.RESULTS).fetchall()
         store.import_jsonl(("\n".join(lines) + "\n").encode())
         objectives = ["latency", "latency_ns", "lut", "ff", "bram", "dsp"]
         with Store(path) as st:
@@ -2205,7 +1754,7 @@ class TestSchemaV4:
                 "SELECT type, name, sql FROM sqlite_master ORDER BY name"
             ).fetchall()
             assert st.conn.execute(self.ROWS).fetchall() == before
-            assert st.conn.execute(TestSchemaV3.RESULTS).fetchall() == views
+            assert st.conn.execute(self.RESULTS).fetchall() == views
             assert st.fetch_points(1, objectives) == store.fetch_points(1, objectives)
             assert st.check_integrity() == []
             with pytest.raises(DuplicateImplementationError):
@@ -2229,24 +1778,29 @@ class TestSchemaV4:
             assert st.conn.execute("PRAGMA user_version").fetchone() == (4,)
         assert dump(path) == before
 
+    def test_v4_store_with_orphan_is_not_rebuilt(self, tmp_path):
+        path = str(tmp_path / "v4.sqlite")
+        build_store(path, self.v4_lines(), V4_DDL, 4)
+        with contextlib.closing(sqlite3.connect(path)) as conn:
+            conn.execute("UPDATE implementation SET configuration_id = 99 WHERE id = 7")
+            conn.commit()
+        before = dump(path)
+        with Store(path) as st:
+            with pytest.raises(
+                StoreError, match=r"^cannot upgrade store: 1 orphan implementation row\(s\)$"
+            ):
+                st.init_schema()
+        assert dump(path) == before
+
 
 class TestRebuild:
-    """Every older layout takes the one rebuild to a fresh store's schema."""
+    """A version-4 store takes the one rebuild to a fresh store's schema."""
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
-    def test_rebuilt_store_has_a_fresh_stores_schema(self, tmp_path, store, local_scan_text,
-                                                     version):
+    # user_version 0: a store loaded from a version-4 SQL export
+    @pytest.mark.parametrize("version", [4, 0])
+    def test_rebuilt_store_has_a_fresh_stores_schema(self, tmp_path, store, version):
         path = str(tmp_path / "old.sqlite")
-        if version < 3:
-            build_legacy_store(path, parse_csd(local_scan_text), version, range(3))
-            with contextlib.closing(sqlite3.connect(path)) as conn:
-                legacy_ok_result(conn, 1, 2)
-                legacy_ok_result(conn, 2, 2, tool="other")
-                conn.commit()
-        elif version == 3:
-            build_store(path, V3_EXPORT.read_text().splitlines())
-        else:
-            build_store(path, TestSchemaV4.v4_lines(), V4_DDL, 4)
+        build_store(path, TestSchemaV4.v4_lines(), V4_DDL, version)
         with Store(path) as st:
             st.init_schema()
             assert st.conn.execute("PRAGMA user_version").fetchone() == (5,)
