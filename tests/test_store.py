@@ -1132,11 +1132,14 @@ class TestExportImport:
                 assert other.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
 
     @pytest.mark.parametrize("idx", [-1, 704, 10**6, "x"])
-    def test_idx_out_of_range_rejected(self, store, idx):
-        """A configuration row's idx must name a point of its space."""
+    @pytest.mark.parametrize("nth", [2, 3])
+    def test_idx_out_of_range_rejected(self, store, idx, nth):
+        """A configuration row's idx must name a point of its space; the
+        rejection names the record before the ``nth`` configuration one as
+        the last good."""
         lines = campaign_lines()
         k = [n for n, line in enumerate(lines)
-             if json.loads(line)["table"] == "configuration"][2]
+             if json.loads(line)["table"] == "configuration"][nth]
         lines[k] = json.dumps({**json.loads(lines[k]), "idx": idx})
         with Store(":memory:") as other:
             other.init_schema()
