@@ -151,7 +151,13 @@ def cmd_analyze(args) -> None:
         points = st.fetch_points(args.space, objectives, weights)
         if not points:
             raise analytics.AnalyticsError("space has no ok implementations")
-        front = analytics.pareto_front(points)
+        front = st.fetch_front(args.space, objectives, weights)
+        # two reads: another connection may commit between them
+        by_id = {p.configuration_id: p for p in points}
+        if any(by_id.get(p.configuration_id) != p for p in front):
+            raise analytics.AnalyticsError(
+                f"space {args.space} changed while it was read; analyze again"
+            )
         summary = {"n_points": len(points), "front_size": len(front)}
         if args.mode == "adrs":
             summary["adrs"] = analytics.adrs(front, points)

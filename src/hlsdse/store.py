@@ -63,7 +63,7 @@ from datetime import datetime, timezone
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .analytics import DesignPoint
+from .analytics import DesignPoint, pareto_front
 from .dsl import CSD, CsdError, parse_csd, serialize_csd
 from .space import SpaceError, SpaceIndex, build_index
 
@@ -275,7 +275,8 @@ def _export_line(table: str, alias: str, clause: str) -> tuple[str, str]:
 # (query, line template) per table, in _EXPORT_QUERIES order
 _EXPORT_LINES = [_export_line(*q) for q in _EXPORT_QUERIES]
 _EXPORT_HEADER = json.dumps({"table": "_meta", "schema_version": SCHEMA_VERSION})
-# fetch_points results kept at once; the oldest goes first
+# fetch_points results kept at once, each with its front; the oldest goes
+# first
 _POINT_SETS_KEPT = 32
 # rows per executemany: long enough to amortize the call, short enough
 # that the parsed rows held in memory stay few
@@ -373,6 +374,14 @@ class SynthesisInfo:
     timestamp: Optional[str] = None
 
 
+@dataclass
+class _PointSet:
+    """One kept fetch: its points and, once a caller asks, their front."""
+
+    points: tuple[DesignPoint, ...]
+    front: Optional[tuple[DesignPoint, ...]] = None
+
+
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -412,7 +421,7 @@ class Store:
         self._tool_ids: dict[tuple[str, str, str], int] = {}
         # fetch_points' results per (space id, objectives, bound weights),
         # valid while the store's state is _points_stamp (see fetch_points)
-        self._points: dict[tuple, tuple[DesignPoint, ...]] = {}
+        self._points: dict[tuple, _PointSet] = {}
         self._points_stamp: Optional[tuple[int, int]] = None
         try:
             self.conn.execute("PRAGMA foreign_keys = ON")
@@ -821,9 +830,35 @@ class Store:
         that fetch's SELECT. Any commit of another connection moves the
         first, and any row this connection inserts, updates or deletes,
         rolled back or not, the second; either empties every kept fetch.
-        Arguments are checked before the stamp, and a fetch that raises is
-        not kept.
+        At most 32 fetches are kept, and the oldest goes first. Arguments
+        are checked before the stamp, and a fetch that raises is not kept.
         """
+        return list(self._point_set(space_id, objectives, area_weights).points)
+
+    def fetch_front(
+        self,
+        space_id: int,
+        objectives: Iterable[str],
+        area_weights: tuple[float, float, float, float] = (0.0, 1.0, 0.0, 0.0),
+    ) -> list[DesignPoint]:
+        """``analytics.pareto_front`` of the points that ``fetch_points``
+        returns for the same arguments, which it checks the same way; a
+        space with no ok result raises AnalyticsError, as pareto_front does.
+
+        The front is kept with those points and goes when they go: it is
+        built once per store state, never kept for a fetch made inside a
+        transaction, and each call returns a new list.
+        """
+        kept = self._point_set(space_id, objectives, area_weights)
+        if kept.front is None:
+            kept.front = tuple(pareto_front(kept.points))
+        return list(kept.front)
+
+    def _point_set(
+        self, space_id: int, objectives: Iterable[str], area_weights: Sequence[float]
+    ) -> _PointSet:
+        """The kept fetch for these arguments, read and kept on a miss (see
+        fetch_points)."""
         objectives = tuple(objectives)
         if not objectives:
             raise StoreError("objective list is empty")
@@ -848,7 +883,7 @@ class Store:
         key = (space_id, objectives, tuple((type(w), w) for w in params))
         kept = self._points.get(key)
         if kept is not None:
-            return list(kept)
+            return kept
         self.get_space(space_id)
         rows = self.conn.execute(
             "SELECT " + ", ".join(self.OBJECTIVES[o] for o in objectives)
@@ -860,14 +895,14 @@ class Store:
         # so one tool also means one result per configuration
         if len({row[-1] for row in rows}) > 1:
             raise self._mixed_tools(space_id, ok=True)
-        points = tuple(DesignPoint(row[:-2], row[-2]) for row in rows)
+        kept = _PointSet(tuple(DesignPoint(row[:-2], row[-2]) for row in rows))
         # inside a transaction the SELECT may see rows that a rollback
         # takes back without moving the stamp
         if not self.conn.in_transaction:
             if len(self._points) == _POINT_SETS_KEPT:
                 del self._points[next(iter(self._points))]
-            self._points[key] = points
-        return list(points)
+            self._points[key] = kept
+        return kept
 
     # -- export / import --------------------------------------------------
 

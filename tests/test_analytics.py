@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from hlsdse.analytics import (
     BUILTIN_STRATEGIES,
     AnalyticsError,
+    BudgetExceeded,
     DesignPoint,
+    DSETrace,
+    SpaceOracle,
     adrs,
     dominates,
     evaluate_strategy,
@@ -549,3 +552,38 @@ class TestPinnedTraces:
         assert result.queries_used == rec.cardinality
         assert not result.trace.truncated
         assert hashlib.sha256(ids.encode()).hexdigest() == PINNED_GREEDY_FULL[seed]
+
+
+class TestKeptReferenceFront:
+    @pytest.mark.parametrize("name", sorted(BUILTIN_STRATEGIES))
+    @pytest.mark.parametrize(
+        "objectives,weights",
+        [
+            (("latency", "lut"), (0.0, 1.0, 0.0, 0.0)),
+            (("latency", "lut", "ff"), (0.0, 1.0, 0.0, 0.0)),
+            (("latency", "area"), (1.0, 0.5, 0.0, 2.0)),
+        ],
+        ids=["2d", "3d", "area"],
+    )
+    def test_same_as_the_front_of_the_points(self, local_scan_campaign, name, objectives, weights):
+        """Replayed by hand on ``pareto_front(fetch_points(...))``, a first
+        and a second (kept) evaluation give the same result."""
+        st, rec = local_scan_campaign
+        points = st.fetch_points(rec.id, objectives, weights)
+        trace = DSETrace(budget=40)
+        oracle = SpaceOracle([p.configuration_id for p in points],
+                             {p.configuration_id: p for p in points}, trace)
+        try:
+            BUILTIN_STRATEGIES[name](3)(oracle)
+        except BudgetExceeded:
+            trace.truncated = True
+        reference = pareto_front(points)
+        approx = pareto_front([p for _, p in trace.queries])
+        for _ in range(2):
+            result = evaluate_strategy(
+                st, rec.id, BUILTIN_STRATEGIES[name](3), 40, objectives, weights
+            )
+            assert result.trace == trace
+            assert result.approx_front == approx
+            assert result.reference_front == reference
+            assert result.adrs_value == adrs(reference, approx)

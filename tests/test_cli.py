@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import hlsdse
+from hlsdse.analytics import pareto_front
 from hlsdse.cli import EXIT_DOMAIN, EXIT_USAGE, build_parser, main
 from hlsdse.dsl import parse_csd
 from hlsdse.orchestrator import BackendSpec, Campaign, run_campaign
@@ -332,6 +333,46 @@ class TestAnalyze:
         assert code == 0 and json.loads(out)["queries"] == 5
         selects = [s for s in statements if "i.status='ok' ORDER BY i.configuration_id" in s]
         assert len(selects) == 1
+
+    def test_eval_builds_the_reference_front_once(self, capsys, monkeypatch, populated):
+        """The summary's front and the evaluation's reference front are one
+        kept front, so one pareto_front call sees all 24 points."""
+        sizes = []
+
+        def counted(points):
+            sizes.append(len(points))
+            return pareto_front(points)
+
+        monkeypatch.setattr(hlsdse.analytics, "pareto_front", counted)
+        monkeypatch.setattr(hlsdse.store, "pareto_front", counted, raising=False)
+        code, out, _ = run(
+            capsys, "--db", populated, "analyze", "1", "--mode", "eval", "--budget", "5",
+        )
+        assert code == 0 and json.loads(out)["queries"] == 5
+        assert sizes.count(24) == 1
+
+    def test_commit_between_the_two_reads_is_refused(self, capsys, monkeypatch, db, toy_csd):
+        """A point that another connection commits after the points are
+        read, and that joins the front, would give a front of other points."""
+        run(capsys, "--db", db, "run", toy_csd, "--limit", "20")
+        fetch_front = Store.fetch_front
+
+        def commit_first(self, *args):
+            with Store(db) as other:
+                (cfg,) = other.add_configurations(1, [23])
+                other.conn.execute(
+                    "INSERT INTO implementation SELECT NULL, ?, tool_id, status,"
+                    " timestamp, contributor, clock_period_ns, 0, 0, 0, 0, 1,"
+                    " achieved_period_ns FROM implementation WHERE status = 'ok' LIMIT 1",
+                    (cfg.id,),
+                )
+                other.conn.commit()
+            return fetch_front(self, *args)
+
+        monkeypatch.setattr(Store, "fetch_front", commit_first)
+        code, out, err = run(capsys, "--db", db, "analyze", "1")
+        assert code == EXIT_DOMAIN and out == ""
+        assert err == "error: space 1 changed while it was read; analyze again\n"
 
     @pytest.mark.parametrize("budget", ["0", "-3"])
     def test_eval_budget_below_one(self, capsys, populated, budget):

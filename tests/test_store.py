@@ -17,7 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import hlsdse
-from hlsdse.analytics import AnalyticsError, DesignPoint
+from hlsdse.analytics import (
+    AnalyticsError,
+    DesignPoint,
+    evaluate_strategy,
+    exhaustive_strategy,
+    pareto_front,
+)
 from hlsdse.cli import main
 from hlsdse.dsl import parse_csd
 from hlsdse.orchestrator import BackendSpec, Campaign, ImplementationResult, run_campaign
@@ -921,6 +927,140 @@ class TestFetchPointsMemo:
         floats = st.fetch_points(space_id, ["area"], (1.0, 1.0, 1.0, 1.0))
         assert [type(v) for p in ints for v in p.values] == [int] * 3
         assert [type(v) for p in floats for v in p.values] == [float] * 3
+
+
+@pytest.fixture
+def front_builds(monkeypatch):
+    """The point counts of the pareto_front calls that the store makes."""
+    sizes = []
+
+    def counted(points):
+        sizes.append(len(points))
+        return pareto_front(points)
+
+    monkeypatch.setattr(hlsdse.store, "pareto_front", counted)
+    return sizes
+
+
+def record_point(store, configuration_id, latency):
+    store.record_result(
+        configuration_id, dataclasses.replace(OK, latency_cycles=latency, lut=1000), INFO
+    )
+
+
+class TestFetchFrontMemo:
+    def test_hit_runs_only_the_stamp(self, file_space, front_builds):
+        st, space_id, configs = file_space
+        record_point(st, configs[3].id, 50)
+        first = st.fetch_front(space_id, ["latency", "lut"])
+        assert front_builds == [4]
+        statements = []
+        st.conn.set_trace_callback(statements.append)
+        again = st.fetch_front(space_id, ["latency", "lut"])
+        st.conn.set_trace_callback(None)
+        assert statements == ["PRAGMA data_version"] and front_builds == [4]
+        assert again == first == pareto_front(st.fetch_points(space_id, ["latency", "lut"]))
+        assert [p.configuration_id for p in again] == [configs[3].id, configs[0].id]
+
+    def test_points_and_front_share_one_fetch(self, file_space, front_builds):
+        st, space_id, _ = file_space
+        st.fetch_points(space_id, ["latency"])
+        statements = []
+        st.conn.set_trace_callback(statements.append)
+        st.fetch_front(space_id, ["latency"])
+        st.fetch_points(space_id, ["latency"])
+        assert statements == ["PRAGMA data_version"] * 2 and front_builds == [3]
+
+    def test_returned_list_is_the_callers(self, file_space):
+        st, space_id, _ = file_space
+        front = st.fetch_front(space_id, ["latency"])
+        expected = list(front)
+        front.clear()
+        assert st.fetch_front(space_id, ["latency"]) == expected
+
+    @pytest.mark.parametrize("write", ["other connection", "own result"])
+    def test_a_new_point_is_seen(self, file_space, front_builds, write):
+        st, space_id, configs = file_space
+        assert len(st.fetch_front(space_id, ["latency", "lut"])) == 1
+        if write == "own result":
+            record_point(st, configs[3].id, 50)
+        else:
+            with Store(st.path) as other:
+                record_point(other, configs[3].id, 50)
+        front = st.fetch_front(space_id, ["latency", "lut"])
+        assert [p.configuration_id for p in front] == [configs[3].id, configs[0].id]
+        assert front_builds == [3, 4]
+
+    def test_rolled_back_write_empties_the_memo(self, file_space, front_builds):
+        st, space_id, configs = file_space
+        st.fetch_front(space_id, ["latency"])
+        copy_ok_row(st, configs[3].id)
+        st.conn.rollback()
+        assert len(st.fetch_front(space_id, ["latency"])) == 1
+        assert front_builds == [3, 3]
+
+    def test_fetch_inside_a_transaction_is_not_kept(self, file_space, front_builds):
+        st, space_id, configs = file_space
+        copy_ok_row(st, configs[3].id)
+        st.fetch_front(space_id, ["latency"])
+        st.fetch_front(space_id, ["latency"])
+        assert front_builds == [4, 4]
+        st.conn.rollback()
+        st.fetch_front(space_id, ["latency"])
+        st.fetch_front(space_id, ["latency"])
+        assert front_builds == [4, 4, 3]
+
+    def test_oldest_fetch_goes_first_with_its_front(self, file_space, front_builds):
+        st, space_id, _ = file_space
+        weights = [(0, 1, 0, w) for w in range(33)]
+        for w in weights[:32]:
+            st.fetch_points(space_id, ["area"], w)
+        statements = []
+        st.conn.set_trace_callback(statements.append)
+        for w in weights[:32]:
+            st.fetch_front(space_id, ["area"], w)
+        assert objective_selects(statements) == [] and len(front_builds) == 32
+        # the 33rd fetch drops the first, points and front
+        st.fetch_front(space_id, ["area"], weights[32])
+        st.fetch_front(space_id, ["area"], weights[0])
+        assert len(objective_selects(statements)) == 2 and len(front_builds) == 34
+
+    def test_mixed_tools_refused(self, store):
+        space_id = record_disjoint_tools(store)
+        for _ in range(2):
+            with pytest.raises(
+                StoreError, match="from tool-a 1.0 on mockpart, tool-b 1.0 on mockpart$"
+            ):
+                store.fetch_front(space_id, ["latency"])
+
+    def test_space_without_ok_results(self, store):
+        csd = parse_csd("unroll;f;l;{1,2}\nclock;{10}")
+        rec = store.register_space(store.ensure_design("b", "a", "d"), csd, "t")
+        with pytest.raises(AnalyticsError, match="^empty point set$"):
+            store.fetch_front(rec.id, ["latency"])
+
+    def test_evaluate_strategy_reads_objectives_once(self, file_space):
+        st, space_id, _ = file_space
+        objectives = (name for name in ["latency", "lut"])
+        result = evaluate_strategy(st, space_id, exhaustive_strategy, 3, objectives)
+        assert result.adrs_value == 0.0 and len(result.reference_front) == 1
+
+    def test_evaluate_strategy_refuses_a_front_of_other_points(self, file_space, monkeypatch):
+        """Another connection's commit between the read of the points and
+        that of the front, of a point that joins the front."""
+        st, space_id, configs = file_space
+        fetch_front = st.fetch_front
+
+        def commit_first(*args):
+            with Store(st.path) as other:
+                record_point(other, configs[3].id, 50)
+            return fetch_front(*args)
+
+        monkeypatch.setattr(st, "fetch_front", commit_first)
+        with pytest.raises(AnalyticsError, match=f"^space {space_id} changed while it was read"):
+            evaluate_strategy(st, space_id, exhaustive_strategy, 3)
+        monkeypatch.undo()
+        assert evaluate_strategy(st, space_id, exhaustive_strategy, 4).adrs_value == 0.0
 
 
 class TestExportImport:
