@@ -27,7 +27,7 @@ from .space import (
     enumerate_space,
     sample,
 )
-from .store import Store, StoreError, SynthesisInfo
+from .store import Store, StoreError, SynthesisInfo, Tool
 from .orchestrator import (
     BackendSpec,
     Campaign,

@@ -159,13 +159,12 @@ def cmd_analyze(args) -> None:
                 f"space {args.space} changed while it was read; analyze again"
             )
         summary = {"n_points": len(points), "front_size": len(front)}
-        if args.mode == "adrs":
-            summary["adrs"] = analytics.adrs(front, points)
-        elif args.mode == "hv":
+        if args.mode == "hv":
+            # dominated points add no area, so the front's is the points'
             ref = analytics.DesignPoint(
                 tuple(max(p.values[i] for p in points) for i in range(len(points[0].values)))
             )
-            summary["hypervolume"] = analytics.hypervolume_2d(points, ref)
+            summary["hypervolume"] = analytics.hypervolume_2d(front, ref)
             summary["reference_point"] = list(ref.values)
         elif args.mode == "eval":
             budget = len(points) if args.budget is None else args.budget
@@ -271,9 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("space", type=int)
     p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("analyze", help="pareto / adrs / hv / eval")
+    p = sub.add_parser("analyze", help="pareto / hv / eval")
     p.add_argument("space", type=int)
-    p.add_argument("--mode", choices=["pareto", "adrs", "hv", "eval"], default="pareto")
+    p.add_argument("--mode", choices=["pareto", "hv", "eval"], default="pareto")
     p.add_argument("--objectives", default="latency,lut")
     p.add_argument(
         "--weights", type=float, nargs=4, default=[0.0, 1.0, 0.0, 0.0],

@@ -1,9 +1,10 @@
 """Synthesis campaign orchestration.
 
-A campaign drains the pending configurations of a registered space: up to K
-backend instances run concurrently, and each completed result is committed to
-the store before its worker slot is reused, so an interrupted campaign resumes
-from the store alone; an optional JSON-lines event log records each attempt.
+A campaign drains the pending configurations of a registered space, a lazy
+stream of indices from ``Store.iter_pending``: up to K backend instances run
+concurrently, and each completed result is committed to the store before its
+worker slot is reused, so an interrupted campaign resumes from the store
+alone; an optional JSON-lines event log records each attempt.
 Two backends are provided: a deterministic mock (for desk-scale testing and
 strategy evaluation) and an external-tool adapter that renders a directive
 script, invokes a user-supplied command, and parses the produced report.
@@ -23,12 +24,13 @@ import xml.etree.ElementTree as ET
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
 from .dsl import CSD
 from .space import Configuration, SpaceIndex
-from .store import ConfigRecord, Store, SynthesisInfo
+from .store import ConfigRecord, Store, SynthesisInfo, Tool
 
 
 @dataclass(frozen=True)
@@ -48,9 +50,7 @@ class ImplementationResult:
 @dataclass(frozen=True)
 class BackendSpec:
     kind: str  # mock | external_tool
-    tool_name: str = "mock-hls"
-    tool_version: str = "1.0"
-    fpga_part: str = "mockpart"
+    tool: Tool = Tool("mock-hls", "1.0", "mockpart")
     command: Optional[str] = None  # placeholders: {config_dir} {design_src} {script}
     timeout_s: float = 4 * 3600.0
     report_format: str = "xml"  # xml | json; the tool writes report.<format>
@@ -348,20 +348,20 @@ _ROW_CHUNK = 256
 def run_campaign(
     store: Store, campaign: Campaign, index: Optional[SpaceIndex] = None
 ) -> CampaignReport:
-    """Attempt every pending configuration of the space, at most K at a time.
+    """Attempt the space's pending configurations for the backend's tool,
+    the first ``campaign.limit`` if set, in index order, at most K at a time.
 
-    Each completed result is committed before a new job is submitted into the
-    freed slot, so an interrupted campaign can resume from the store alone.
-    ``index`` is the space's index when the caller has built it already (see
-    ``Store.space_index``).
+    The indices come lazily from ``Store.iter_pending`` and their rows are
+    written ``_ROW_CHUNK`` at a time, so start-up does not grow with the
+    space. Each completed result is committed before a new job is submitted
+    into the freed slot, so an interrupted campaign can resume from the store
+    alone; ``pending_after`` is then counted in SQL. ``index`` is the space's
+    index when the caller has built it already (see ``Store.space_index``).
     """
     backend = campaign.backend
     index = store.space_index(campaign.space_id, index)
     csd = index.csd
-    pending = store.pending_configurations(
-        campaign.space_id, (backend.tool_name, backend.tool_version, backend.fpga_part)
-    )
-    todo = pending[: campaign.limit]
+    todo = islice(store.iter_pending(campaign.space_id, backend.tool), campaign.limit)
 
     report = CampaignReport()
     log = open(campaign.log_path, "a") if campaign.log_path else None
@@ -376,13 +376,7 @@ def run_campaign(
                 result = fut.result()
             except Exception as e:  # backend invocation failure
                 result = ImplementationResult(status="synth_error", diagnostic=str(e))
-            info = SynthesisInfo(
-                contributor=campaign.contributor,
-                tool_name=backend.tool_name,
-                tool_version=backend.tool_version,
-                fpga_part=backend.fpga_part,
-                clock_period_ns=config.clock_period_ns,
-            )
+            info = SynthesisInfo(campaign.contributor, backend.tool, config.clock_period_ns)
             store.record_result(record.id, result, info)
             report.attempted += 1
             if result.status == "ok":
@@ -398,8 +392,8 @@ def run_campaign(
     with log or nullcontext(), ThreadPoolExecutor(max_workers=campaign.jobs) as executor:
         # the rows of each chunk are written in one transaction just before
         # its first attempt
-        for lo in range(0, len(todo), _ROW_CHUNK):
-            records = store.add_configurations(campaign.space_id, todo[lo : lo + _ROW_CHUNK])
+        for chunk in iter(lambda: list(islice(todo, _ROW_CHUNK)), []):
+            records = store.add_configurations(campaign.space_id, chunk)
             for record in records:
                 config = index.decode(record.idx)
                 if len(in_flight) == campaign.jobs:
@@ -410,8 +404,6 @@ def run_campaign(
                 report.max_in_flight = max(report.max_in_flight, len(in_flight))
         commit(wait(in_flight).done)
 
-    # each attempt commits one row under the campaign's tool and part, so
-    # the points still pending afterwards need no second scan
-    report.pending_after = len(pending) - report.attempted
+    report.pending_after = store.count_pending(campaign.space_id, backend.tool)
     report.wall_time_s = time.monotonic() - start
     return report

@@ -60,8 +60,9 @@ import sqlite3
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .analytics import DesignPoint, pareto_front
 from .dsl import CSD, CsdError, parse_csd, serialize_csd
@@ -364,12 +365,17 @@ class ConfigRecord:
     idx: int
 
 
+class Tool(NamedTuple):
+    """A synthesis tool version and the FPGA part it targets: one tool row."""
+    name: str
+    version: str
+    part: str
+
+
 @dataclass(frozen=True)
 class SynthesisInfo:
     contributor: str
-    tool_name: str
-    tool_version: str
-    fpga_part: str
+    tool: Tool
     clock_period_ns: float
     timestamp: Optional[str] = None
 
@@ -416,9 +422,9 @@ class Store:
     def __init__(self, path: str = ":memory:"):
         self.path = path
         self.conn = sqlite3.connect(path)
-        # (name, version, part) -> id of the tool row that record_result
-        # read or created, once that transaction has committed
-        self._tool_ids: dict[tuple[str, str, str], int] = {}
+        # Tool -> id of the tool row that record_result read or created,
+        # once that transaction has committed
+        self._tool_ids: dict[Tool, int] = {}
         # fetch_points' results per (space id, objectives, bound weights),
         # valid while the store's state is _points_stamp (see fetch_points)
         self._points: dict[tuple, _PointSet] = {}
@@ -697,15 +703,11 @@ class Store:
         """
         metrics = (result.ff, result.lut, result.bram, result.dsp,
                    result.latency_cycles, result.achieved_period_ns)
-        tool = (info.tool_name, info.tool_version, info.fpga_part)
-        tool_id = self._tool_ids.get(tool)
+        tool_id = self._tool_ids.get(info.tool)
         try:
             with self.conn:
                 if tool_id is None:
-                    tool_id = self._get_or_create("tool", {
-                        "name": info.tool_name, "version": info.tool_version,
-                        "part": info.fpga_part,
-                    })
+                    tool_id = self._get_or_create("tool", info.tool._asdict())
                 row_id = self.conn.execute(_INSERT["implementation"], (
                     None, configuration_id, tool_id, result.status,
                     info.timestamp or _now(), info.contributor, info.clock_period_ns,
@@ -715,8 +717,8 @@ class Store:
             if str(e) == _DUPLICATE_OK:
                 raise DuplicateImplementationError(
                     f"configuration {configuration_id} already has an ok"
-                    f" implementation for {info.tool_name} {info.tool_version}"
-                    f" on {info.fpga_part}"
+                    f" implementation for {info.tool.name} {info.tool.version}"
+                    f" on {info.tool.part}"
                 ) from None
             # an unknown configuration id fails the foreign key, a negative
             # resource count or an infinite period a CHECK, a NaN period
@@ -725,43 +727,50 @@ class Store:
                 f"cannot record configuration id {configuration_id}: {e}"
             ) from None
         # committed, so the tool row stays: no writer updates or deletes one
-        self._tool_ids[tool] = tool_id
+        self._tool_ids[info.tool] = tool_id
         return row_id
 
-    def _attempted(self, select: str, space_id: int, tool: Optional[tuple[str, str, str]] = None):
+    def _attempted(self, select: str, space_id: int, tool: Optional[Tool] = None, order=""):
         """Run ``SELECT <select>`` over the space's attempts, joined as c and
-        i, only those of ``tool`` (a (name, version, part) triple) if given."""
+        i, only those of ``tool`` if given, followed by ``order``."""
         q = f"SELECT {select} {_OF_SPACE}"
-        if tool is None:
-            return self.conn.execute(q, (space_id,))
-        return self.conn.execute(
-            q + " AND i.tool_id = (SELECT id FROM tool WHERE name=? AND version=? AND part=?)",
-            (space_id, *tool),
-        )
+        params: tuple = (space_id,)
+        if tool is not None:
+            q += " AND i.tool_id = (SELECT id FROM tool WHERE name=? AND version=? AND part=?)"
+            params += tuple(tool)
+        return self.conn.execute(q + order, params)
 
-    def pending_configurations(
-        self, space_id: int, tool: Optional[tuple[str, str, str]] = None
-    ) -> list[int]:
-        """Indices of the points with no recorded attempt of ``tool``, a
-        (name, version, part) triple, ascending. Without ``tool``, a space
-        with attempts of more than one tool raises StoreError as
-        count_pending does. Derived from the space's cardinality and its
-        attempted rows, so it does not depend on which rows exist."""
+    def iter_pending(self, space_id: int, tool: Optional[Tool] = None) -> Iterator[int]:
+        """The indices of the points with no recorded attempt of ``tool``,
+        ascending: a lazy walk over the gaps between the attempted indices,
+        which are read here, in one query, so the walk holds no cursor and
+        its memory grows with the attempts, not with the space. Without
+        ``tool``, a space with attempts of more than one tool raises
+        StoreError here, as count_pending does."""
         cardinality = self.get_space(space_id).cardinality
-        rows = self._attempted("c.idx, i.tool_id", space_id, tool).fetchall()
+        # one tool, so its distinct (idx, tool) pairs have distinct indices
+        q = self._attempted("DISTINCT c.idx, i.tool_id", space_id, tool, " ORDER BY c.idx")
+        rows = q.fetchall()
         if len({tool_id for _, tool_id in rows}) > 1:
             raise self._mixed_tools(space_id, ok=False)
-        attempted = {idx for idx, _ in rows}
-        return [i for i in range(cardinality) if i not in attempted]
+        done = [idx for idx, _ in rows]
+        starts = [0] + [idx + 1 for idx in done]
+        return chain.from_iterable(map(range, starts, done + [cardinality]))
 
-    def count_pending(self, space_id: int) -> int:
-        """``len(pending_configurations(space_id))``, counted in SQL without
-        building the list. A space with attempts of more than one tool or
+    def pending_configurations(self, space_id: int, tool: Optional[Tool] = None) -> list[int]:
+        """``list(iter_pending(space_id, tool))``. Derived from the space's
+        cardinality and its attempted rows, so it does not depend on which
+        rows exist."""
+        return list(self.iter_pending(space_id, tool))
+
+    def count_pending(self, space_id: int, tool: Optional[Tool] = None) -> int:
+        """``len(pending_configurations(space_id, tool))``, counted in SQL.
+        Without ``tool``, a space with attempts of more than one tool or
         part, whose points are pending for one tool and not for another,
         raises StoreError naming its (tool, version, part) tuples."""
         cardinality = self.get_space(space_id).cardinality
         ((attempted, tools),) = self._attempted(
-            "COUNT(DISTINCT c.idx), COUNT(DISTINCT i.tool_id)", space_id
+            "COUNT(DISTINCT c.idx), COUNT(DISTINCT i.tool_id)", space_id, tool
         )
         if tools > 1:
             raise self._mixed_tools(space_id, ok=False)

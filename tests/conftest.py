@@ -16,7 +16,7 @@ from hlsdse.dsl import (
 )
 from hlsdse.orchestrator import mock_synthesize
 from hlsdse.space import build_index
-from hlsdse.store import SynthesisInfo
+from hlsdse.store import SynthesisInfo, Tool
 
 DATA = Path(__file__).parent / "data"
 
@@ -40,7 +40,7 @@ def record_disjoint_tools(store) -> int:
     rec = store.register_space(store.ensure_design("b", "a", "d"), csd, "t")
     for cfg in store.add_configurations(rec.id, range(index.total)):
         tool = "tool-a" if cfg.idx < 300 else "tool-b"
-        info = SynthesisInfo("t", tool, "1.0", "mockpart", 10.0)
+        info = SynthesisInfo("t", Tool(tool, "1.0", "mockpart"), 10.0)
         store.record_result(cfg.id, mock_synthesize(index.decode(cfg.idx), csd, 0), info)
     return rec.id
 

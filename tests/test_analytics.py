@@ -24,7 +24,7 @@ from hlsdse.analytics import (
 )
 from hlsdse.dsl import parse_csd
 from hlsdse.orchestrator import BackendSpec, Campaign, ImplementationResult, run_campaign
-from hlsdse.store import Store, StoreError, SynthesisInfo
+from hlsdse.store import Store, StoreError, SynthesisInfo, Tool
 
 from conftest import record_disjoint_tools
 
@@ -293,7 +293,7 @@ def area_values(resources, weights):
                     status="ok", ff=ff, lut=lut, bram=bram, dsp=dsp,
                     latency_cycles=1, achieved_period_ns=10.0,
                 ),
-                SynthesisInfo("t", "mock-hls", "1.0", "mockpart", 10.0),
+                SynthesisInfo("t", Tool("mock-hls", "1.0", "mockpart"), 10.0),
             )
         return [p.values[0] for p in store.fetch_points(rec.id, ["area"], weights)]
 
@@ -413,7 +413,7 @@ class TestEvaluateStrategy:
             )
             (cfg,) = st.add_configurations(rec.id, [0])
             st.record_result(cfg.id, ImplementationResult(status="timeout"), SynthesisInfo(
-                "t", "mock-hls", "1.0", "mockpart", 10.0
+                "t", Tool("mock-hls", "1.0", "mockpart"), 10.0
             ))
             with pytest.raises(
                 AnalyticsError, match=f"^space {rec.id} has no ok implementations$"
@@ -435,7 +435,7 @@ class TestMixedTools:
             did = st.ensure_design("b", "a", "d")
             rec = st.register_space(did, parse_csd("unroll;f;l1;{1->16,pow_2}\nclock;{10}"), "t")
             for tool in ("tool-a", "tool-b"):
-                backend = BackendSpec(kind="mock", tool_name=tool)
+                backend = BackendSpec(kind="mock", tool=Tool(tool, "1.0", "mockpart"))
                 run_campaign(st, Campaign(space_id=rec.id, backend=backend, seed=1))
             with pytest.raises(StoreError, match="tool-a 1.0 on .*, tool-b 1.0 on "):
                 evaluate_strategy(st, rec.id, exhaustive_strategy, budget=10**6)

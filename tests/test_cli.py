@@ -16,9 +16,14 @@ from hlsdse.cli import EXIT_DOMAIN, EXIT_USAGE, build_parser, main
 from hlsdse.dsl import parse_csd
 from hlsdse.orchestrator import BackendSpec, Campaign, run_campaign
 from hlsdse.space import configurations_json, enumerate_space
-from hlsdse.store import TABLES, Store
+from hlsdse.store import TABLES, Store, Tool
 
 from conftest import record_disjoint_tools
+
+try:
+    import resource
+except ImportError:  # not a Unix
+    resource = None
 
 DATA = Path(__file__).parent / "data"
 REF = str(DATA / "last_step_scan.csd")
@@ -210,6 +215,29 @@ class TestRun:
             assert code == 0
             assert json.loads(out)["pending_after"] == pending
 
+    @pytest.mark.skipif(
+        sys.platform != "linux" or not hasattr(resource, "RLIMIT_AS"),
+        reason="needs a Linux address-space limit",
+    )
+    def test_limit_on_a_huge_space_starts_in_flat_memory(self, db):
+        """run --limit 10 on a 107,827,200-point space, in a process capped at
+        1.5 GB of address space, which a list of its pending indices
+        exceeds; a resumed run attempts the next ten."""
+        n = 107_827_200
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 * 2**29, 3 * 2**29))\n"
+            "from hlsdse import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(hlsdse.__file__).parents[1])}
+        argv = [sys.executable, "-c", child, "--db", db, "--format", "json",
+                "run", str(DATA / "capped_scan.csd"), "--limit", "10"]
+        for pending in (n - 10, n - 20):
+            proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert json.loads(proc.stdout)["pending_after"] == pending
+
     def test_jobs_order_independent(self, capsys, tmp_path, toy_csd):
         outputs = []
         for jobs in ("1", "8"):
@@ -298,13 +326,20 @@ class TestAnalyze:
         assert len(rows) == 25  # header + points
         assert rows[0].endswith("on_front")
 
-    def test_adrs_self_zero(self, capsys, populated):
-        code, out, _ = run(capsys, "--db", populated, "analyze", "1", "--mode", "adrs")
-        assert json.loads(out)["adrs"] == 0.0
+    def test_hv(self, capsys, monkeypatch, populated):
+        """The hypervolume is taken over the kept front, so one pareto_front
+        call sees all 24 points."""
+        sizes = []
 
-    def test_hv(self, capsys, populated):
+        def counted(points):
+            sizes.append(len(points))
+            return pareto_front(points)
+
+        monkeypatch.setattr(hlsdse.analytics, "pareto_front", counted)
+        monkeypatch.setattr(hlsdse.store, "pareto_front", counted)
         code, out, _ = run(capsys, "--db", populated, "analyze", "1", "--mode", "hv")
-        assert json.loads(out)["hypervolume"] >= 0
+        assert code == 0 and json.loads(out)["hypervolume"] >= 0
+        assert sizes.count(24) == 1
 
     def test_eval_budget_arithmetic(self, capsys, populated):
         budget = -(-24 // 10)  # ceil(10% of 24)
@@ -427,7 +462,7 @@ class TestAnalyze:
                 cfg.id,
                 # a latency_ns of 2**62 cycles x 1e300 ns overflows to inf
                 ImplementationResult(status="ok", latency_cycles=2**62, achieved_period_ns=1e300),
-                SynthesisInfo("t", "mock-hls", "1.0", "mockpart", 10.0),
+                SynthesisInfo("t", Tool("mock-hls", "1.0", "mockpart"), 10.0),
             )
         code, out, err = run(capsys, "--db", db, "analyze", "1", "--objectives", "latency_ns")
         assert code == EXIT_DOMAIN
@@ -617,7 +652,7 @@ class TestErrorPath:
             did = st.ensure_design("b", "a", "d")
             rec = st.register_space(did, parse_csd(Path(toy_csd).read_text()), "t")
             for tool in ("tool-a", "tool-b"):
-                backend = BackendSpec(kind="mock", tool_name=tool)
+                backend = BackendSpec(kind="mock", tool=Tool(tool, "1.0", "mockpart"))
                 run_campaign(st, Campaign(space_id=rec.id, backend=backend))
         code, out, err = run(capsys, "--db", db, "analyze", str(rec.id))
         assert (code, out) == (EXIT_DOMAIN, "")
@@ -628,7 +663,7 @@ class TestErrorPath:
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(Store, "pending_configurations", exhausted)
+        monkeypatch.setattr(Store, "iter_pending", exhausted)
         code, out, err = run(capsys, "--db", db, "run", toy_csd)
         assert (code, out, err) == (EXIT_USAGE, "", "error: out of memory\n")
 
@@ -671,6 +706,11 @@ class TestErrorPath:
                              "--strategy", "nope")
         assert code == EXIT_USAGE
         assert "invalid choice" in err
+
+    def test_retired_adrs_mode_is_usage_error(self, capsys, db):
+        code, out, err = run(capsys, "--db", db, "analyze", "1", "--mode", "adrs")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "invalid choice" in err and "adrs" in err
 
     def test_bad_jobs_env_fails_run_only(self, capsys, monkeypatch, toy_csd, db):
         monkeypatch.setenv("HLSDSE_JOBS", "many")

@@ -36,6 +36,7 @@ from hlsdse.store import (
     Store,
     StoreError,
     SynthesisInfo,
+    Tool,
     VersionMismatchError,
 )
 
@@ -43,9 +44,7 @@ from conftest import random_csds, record_disjoint_tools
 
 INFO = SynthesisInfo(
     contributor="test",
-    tool_name="mock-hls",
-    tool_version="1.0",
-    fpga_part="mockpart",
+    tool=Tool("mock-hls", "1.0", "mockpart"),
     clock_period_ns=10.0,
 )
 
@@ -423,7 +422,7 @@ class TestRecordResult:
         rec, csd = toy_space
         cfg = write_rows(store, rec, csd)[0]
         store.record_result(cfg.id, OK, INFO)
-        other = SynthesisInfo("t", "other-tool", "2.0", "mockpart", 10.0)
+        other = SynthesisInfo("t", Tool("other-tool", "2.0", "mockpart"), 10.0)
         store.record_result(cfg.id, OK, other)
 
     def test_unknown_configuration(self, store):
@@ -494,7 +493,7 @@ class TestRecordResult:
                 store.conn.set_trace_callback(None)
             return seen
 
-        other = dataclasses.replace(INFO, tool_name="other-tool")
+        other = dataclasses.replace(INFO, tool=INFO.tool._replace(name="other-tool"))
         counts = [len(statements(cfg, info)) for cfg, info in zip(
             configs, [INFO, INFO, INFO, other, other, INFO]
         )]
@@ -528,9 +527,7 @@ class TestPending:
         done = rng.sample(configs, 3)
         for cfg in done:
             store.record_result(cfg.id, OK, INFO)
-        pending = store.pending_configurations(
-            rec.id, (INFO.tool_name, INFO.tool_version, INFO.fpga_part)
-        )
+        pending = store.pending_configurations(rec.id, INFO.tool)
         assert set(pending) == {c.idx for c in configs} - {c.idx for c in done}
         assert pending == sorted(pending)
 
@@ -538,13 +535,9 @@ class TestPending:
         rec, csd = toy_space
         for cfg in write_rows(store, rec, csd):
             store.record_result(cfg.id, OK, INFO)
-        other = SynthesisInfo("t", "other-tool", "2.0", "otherpart", 10.0)
-        assert store.pending_configurations(
-            rec.id, (other.tool_name, other.tool_version, other.fpga_part)
-        ) == list(range(rec.cardinality))
-        assert store.pending_configurations(
-            rec.id, (INFO.tool_name, INFO.tool_version, INFO.fpga_part)
-        ) == []
+        other = SynthesisInfo("t", Tool("other-tool", "2.0", "otherpart"), 10.0)
+        assert store.pending_configurations(rec.id, other.tool) == list(range(rec.cardinality))
+        assert store.pending_configurations(rec.id, INFO.tool) == []
 
     def test_all_recorded_leaves_none(self, store, toy_space):
         rec, csd = toy_space
@@ -588,7 +581,8 @@ class TestPending:
             store.record_result(configs[1].id, OK, INFO)
         elif state == "two tools":
             store.record_result(configs[0].id, OK, INFO)
-            store.record_result(configs[1].id, failed, dataclasses.replace(INFO, tool_name="b"))
+            other = dataclasses.replace(INFO, tool=Tool("b", "1.0", "mockpart"))
+            store.record_result(configs[1].id, failed, other)
 
         def outcome(read):
             try:
@@ -608,7 +602,7 @@ class TestPending:
         one count would be wrong for both; a failed attempt counts too."""
         rec, csd = toy_space
         configs = write_rows(store, rec, csd)
-        other = SynthesisInfo("t", "other-tool", "2.0", "otherpart", 10.0)
+        other = SynthesisInfo("t", Tool("other-tool", "2.0", "otherpart"), 10.0)
         for cfg in configs[:4]:
             store.record_result(cfg.id, OK, INFO)
         store.record_result(configs[4].id, ImplementationResult(status="timeout"), other)
@@ -643,6 +637,20 @@ class TestPending:
             space_id, ("tool-b", "1.0", "mockpart")
         ) == list(range(300))
 
+    def test_iter_pending_reads_once_at_the_call(self, store):
+        """iter_pending refuses a mixed-tool space before it yields, and a
+        walk taken before a write yields the points pending at the call."""
+        space_id = record_disjoint_tools(store)
+        with pytest.raises(StoreError, match="from tool-a 1.0 on mockpart, tool-b 1.0 on"):
+            store.iter_pending(space_id)
+        tool_a = Tool("tool-a", "1.0", "mockpart")
+        walk = store.iter_pending(space_id, tool_a)
+        assert next(walk) == 300
+        for cfg in store.add_configurations(space_id, [301, 500]):
+            store.record_result(cfg.id, OK, SynthesisInfo("t", tool_a, 10.0))
+        assert list(walk) == list(range(301, 704))
+        assert store.count_pending(space_id, tool_a) == 402
+
     def test_count_pending_reads_one_count(self, store, toy_space):
         """The tool count rides in the attempted count's query."""
         rec, csd = toy_space
@@ -663,7 +671,7 @@ class TestFetchPoints:
         rec, csd = toy_space
         for cfg in write_rows(store, rec, csd)[:2]:
             store.record_result(cfg.id, OK, INFO)
-            store.record_result(cfg.id, OK, dataclasses.replace(INFO, tool_name="other"))
+            store.record_result(cfg.id, OK, dataclasses.replace(INFO, tool=INFO.tool._replace(name="other")))
         with pytest.raises(
             StoreError, match="from mock-hls 1.0 on mockpart, other 1.0 on mockpart$"
         ):
@@ -1479,8 +1487,8 @@ def _text_store(store, text):
     csd = parse_csd("unroll;f;l1;{1,2}\nclock;{10}")
     rec = store.register_space(did, csd, f"c{text}")
     info = SynthesisInfo(
-        contributor=text, tool_name=f"t{text}", tool_version=text, fpga_part=text,
-        clock_period_ns=10.0, timestamp=text,
+        contributor=text, tool=Tool(f"t{text}", text, text), clock_period_ns=10.0,
+        timestamp=text,
     )
     ok, failed = write_rows(store, rec, csd)
     store.record_result(ok.id, OK, info)
