@@ -300,28 +300,23 @@ def evaluate_strategy(
 ) -> StrategyResult:
     """Replay a strategy against stored results and score it with ADRS.
 
-    The reference front is the exact Pareto front of all stored ok points,
-    ``store.fetch_front``, which the store keeps with the points: repeated
-    calls on one space, objectives and weights build it once per store
-    state. ``objectives`` is read once, so any iterable will do. A strategy
-    exceeding its budget has its trace truncated and flagged. A commit of
-    another connection between the read of the points and that of the
-    front raises AnalyticsError when it changed the front.
+    The points and the reference front, the exact Pareto front of all
+    stored ok points, come from one ``store.point_set`` read, which the
+    store keeps: repeated calls on one space, objectives and weights build
+    the front once per store state. ``objectives`` is read once, so any
+    iterable will do. A strategy exceeding its budget has its trace
+    truncated and flagged.
     """
     if budget < 1:
         raise AnalyticsError(f"budget must be at least 1, got {budget}")
-    objectives = tuple(objectives)
-    all_points = store.fetch_points(space_id, objectives, area_weights)
-    if not all_points:
+    point_set = store.point_set(space_id, objectives, area_weights)
+    if not point_set.points:
         raise AnalyticsError(f"space {space_id} has no ok implementations")
-    reference = store.fetch_front(space_id, objectives, area_weights)
-    lookup = {p.configuration_id: p for p in all_points}
-    if any(lookup.get(p.configuration_id) != p for p in reference):
-        raise AnalyticsError(f"space {space_id} changed while it was read; evaluate again")
+    reference = list(point_set.front)
     trace = DSETrace(budget=budget)
     oracle = SpaceOracle(
-        configuration_ids=[p.configuration_id for p in all_points],
-        _lookup=lookup,
+        configuration_ids=[p.configuration_id for p in point_set.points],
+        _lookup={p.configuration_id: p for p in point_set.points},
         trace=trace,
     )
     try:

@@ -104,6 +104,8 @@ def cmd_run(args) -> None:
         log_path=args.log,
         limit=args.limit,
     )
+    if args.log:  # a log that cannot be opened for appending writes no row either
+        open(args.log, "a").close()
     with _open_store(args) as st:
         design_id = st.ensure_design(
             args.benchmark, args.algorithm, args.design, function_name=args.function
@@ -148,16 +150,11 @@ def cmd_analyze(args) -> None:
     weights = tuple(args.weights)
     objectives = args.objectives.split(",")
     with _open_store(args) as st:
-        points = st.fetch_points(args.space, objectives, weights)
+        point_set = st.point_set(args.space, objectives, weights)
+        points = point_set.points
         if not points:
             raise analytics.AnalyticsError("space has no ok implementations")
-        front = st.fetch_front(args.space, objectives, weights)
-        # two reads: another connection may commit between them
-        by_id = {p.configuration_id: p for p in points}
-        if any(by_id.get(p.configuration_id) != p for p in front):
-            raise analytics.AnalyticsError(
-                f"space {args.space} changed while it was read; analyze again"
-            )
+        front = point_set.front
         summary = {"n_points": len(points), "front_size": len(front)}
         if args.mode == "hv":
             # dominated points add no area, so the front's is the points'

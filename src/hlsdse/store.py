@@ -26,7 +26,8 @@ parses the descriptor and checks that its size is the row's cardinality, so
 a campaign on a space that fails the check writes nothing.
 
 Opening a store reads its sqlite_schema once. A store at this version that
-holds every SCHEMA_DDL object with its text is not written. One that holds
+holds every SCHEMA_DDL object with its text is not written, but for a switch
+to write-ahead-log mode. One that holds
 a table of this schema whose CREATE text is not SCHEMA_DDL's is copied
 whole into SCHEMA_DDL (see ``Store._rebuild``): a version-4 store, whose
 implementation table differed only in its CHECKs, or one loaded from a
@@ -54,6 +55,7 @@ among them, as a neighbouring double.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import sqlite3
@@ -276,8 +278,8 @@ def _export_line(table: str, alias: str, clause: str) -> tuple[str, str]:
 # (query, line template) per table, in _EXPORT_QUERIES order
 _EXPORT_LINES = [_export_line(*q) for q in _EXPORT_QUERIES]
 _EXPORT_HEADER = json.dumps({"table": "_meta", "schema_version": SCHEMA_VERSION})
-# fetch_points results kept at once, each with its front; the oldest goes
-# first
+# point_set results kept at once, each with its front once built; the
+# oldest goes first
 _POINT_SETS_KEPT = 32
 # rows per executemany: long enough to amortize the call, short enough
 # that the parsed rows held in memory stay few
@@ -380,12 +382,17 @@ class SynthesisInfo:
     timestamp: Optional[str] = None
 
 
-@dataclass
-class _PointSet:
-    """One kept fetch: its points and, once a caller asks, their front."""
+@dataclass(frozen=True)
+class PointSet:
+    """The ok points of one ``Store.point_set`` read and their Pareto front,
+    which is built on first access only and kept with the points."""
 
     points: tuple[DesignPoint, ...]
-    front: Optional[tuple[DesignPoint, ...]] = None
+
+    @functools.cached_property
+    def front(self) -> tuple[DesignPoint, ...]:
+        """``pareto_front(self.points)``; AnalyticsError for no points."""
+        return tuple(pareto_front(self.points))
 
 
 def _now() -> str:
@@ -409,14 +416,15 @@ def _rejection(table: str, e: Exception) -> str:
 class Store:
     """Single-writer SQLite-backed store; readers see only committed data.
 
-    A file store runs in write-ahead-log mode with ``synchronous=NORMAL``:
-    a commit appends to ``<path>-wal`` without waiting for an fsync, so a
-    committed result survives a crash of the writing process, but on power
-    loss or an operating-system crash the commits since the last checkpoint
-    may roll back; the database stays consistent either way. While a store
-    is open it keeps ``<path>-wal`` and ``<path>-shm`` beside the file, so
-    copy a store only while it is closed. ``:memory:`` stores ignore both
-    settings.
+    A file store runs with ``synchronous=NORMAL`` and, once ``init_schema``
+    accepts it, in write-ahead-log mode; a store it refuses keeps its
+    journal mode and every byte. A commit appends to ``<path>-wal`` without
+    waiting for an fsync, so a committed result survives a crash of the
+    writing process, but on power loss or an operating-system crash the
+    commits since the last checkpoint may roll back; the database stays
+    consistent either way. While a store is open it keeps ``<path>-wal`` and
+    ``<path>-shm`` beside the file, so copy a store only while it is closed.
+    ``:memory:`` stores ignore both settings.
     """
 
     def __init__(self, path: str = ":memory:"):
@@ -425,15 +433,15 @@ class Store:
         # Tool -> id of the tool row that record_result read or created,
         # once that transaction has committed
         self._tool_ids: dict[Tool, int] = {}
-        # fetch_points' results per (space id, objectives, bound weights),
-        # valid while the store's state is _points_stamp (see fetch_points)
-        self._points: dict[tuple, _PointSet] = {}
+        # point_set's results per (space id, objectives, bound weights),
+        # valid while the store's state is _points_stamp (see point_set)
+        self._points: dict[tuple, PointSet] = {}
         self._points_stamp: Optional[tuple[int, int]] = None
         try:
             self.conn.execute("PRAGMA foreign_keys = ON")
             # the first statement that reads the file: one that is not a
             # database fails here, and the caller gets no store to close
-            self.conn.execute("PRAGMA journal_mode = WAL")
+            self.conn.execute("PRAGMA user_version")
             self.conn.execute("PRAGMA synchronous = NORMAL")
         except sqlite3.Error:
             self.conn.close()
@@ -452,23 +460,27 @@ class Store:
 
     def init_schema(self):
         """Bring the store to SCHEMA_DDL, with no write to a current store
-        and one _rebuild for a version-4 layout (see the module docstring);
-        idempotent. Rejects, writing nothing, a store of a newer schema
-        version and one of versions 1 to 3, whose synthesis_info is a
-        table."""
+        in write-ahead-log mode and one _rebuild for a version-4 layout (see
+        the module docstring); idempotent. Rejects, writing nothing, a store
+        of a newer schema version and one of versions 1 to 3, whose
+        synthesis_info is a table; switches a file store it accepts to
+        write-ahead-log mode."""
         (version,) = self.conn.execute("PRAGMA user_version").fetchone()
         if version > SCHEMA_VERSION:
             raise VersionMismatchError(
                 f"store version {version} is newer than supported {SCHEMA_VERSION}"
             )
         objects = set(self.conn.execute(_OBJECTS))
-        if version == SCHEMA_VERSION and objects >= _SCHEMA_OBJECTS:
-            return
         if any(kind == "table" and name == "synthesis_info" for kind, name, _ in objects):
             raise VersionMismatchError(
                 f"store version {version} has the layout of versions 1 to 3,"
                 " which is no longer read; the oldest supported is 4"
             )
+        # only once the store is accepted: switching the journal mode of a
+        # rollback-journal file rewrites its header
+        self.conn.execute("PRAGMA journal_mode = WAL")
+        if version == SCHEMA_VERSION and objects >= _SCHEMA_OBJECTS:
+            return
         if any(kind == "table" and name in TABLES for kind, name, _ in objects - _SCHEMA_OBJECTS):
             self._rebuild()
         with self.conn:
@@ -821,10 +833,20 @@ class Store:
         objectives: Iterable[str],
         area_weights: tuple[float, float, float, float] = (0.0, 1.0, 0.0, 0.0),
     ) -> list[DesignPoint]:
+        """A new list of ``point_set(...).points`` for these arguments."""
+        return list(self.point_set(space_id, objectives, area_weights).points)
+
+    def point_set(
+        self,
+        space_id: int,
+        objectives: Iterable[str],
+        area_weights: tuple[float, float, float, float] = (0.0, 1.0, 0.0, 0.0),
+    ) -> PointSet:
         """One validated objective vector per ok implementation of the
-        space, in configuration id order. A space with ok results of more
-        than one tool or part, on the same configurations or on others,
-        raises StoreError naming its (tool, version, part) tuples.
+        space, in configuration id order, with their front (see PointSet).
+        A space with ok results of more than one tool or part, on the same
+        configurations or on others, raises StoreError naming its (tool,
+        version, part) tuples.
 
         Objective names: latency (cycles), latency_ns (cycles x achieved
         period), ff/lut/bram/dsp, and area (weighted resource sum using
@@ -832,42 +854,16 @@ class Store:
         values, not all zero, else StoreError). A stored value that yields a
         negative or non-finite objective raises AnalyticsError.
 
-        The points are read once per store state: a fetch outside a
+        The points are read once per store state: a set read outside a
         transaction is kept, per space, objectives and weights, and later
-        calls get a new list of the same points while the state stamp,
+        calls return that same set, front and all, while the state stamp,
         ``(PRAGMA data_version, total_changes)``, is the one read before
-        that fetch's SELECT. Any commit of another connection moves the
-        first, and any row this connection inserts, updates or deletes,
-        rolled back or not, the second; either empties every kept fetch.
-        At most 32 fetches are kept, and the oldest goes first. Arguments
-        are checked before the stamp, and a fetch that raises is not kept.
+        its SELECT. Any commit of another connection moves the first, and
+        any row this connection inserts, updates or deletes, rolled back or
+        not, the second; either empties every kept set. At most 32 sets are
+        kept, and the oldest goes first. Arguments are checked before the
+        stamp, and a read that raises is not kept.
         """
-        return list(self._point_set(space_id, objectives, area_weights).points)
-
-    def fetch_front(
-        self,
-        space_id: int,
-        objectives: Iterable[str],
-        area_weights: tuple[float, float, float, float] = (0.0, 1.0, 0.0, 0.0),
-    ) -> list[DesignPoint]:
-        """``analytics.pareto_front`` of the points that ``fetch_points``
-        returns for the same arguments, which it checks the same way; a
-        space with no ok result raises AnalyticsError, as pareto_front does.
-
-        The front is kept with those points and goes when they go: it is
-        built once per store state, never kept for a fetch made inside a
-        transaction, and each call returns a new list.
-        """
-        kept = self._point_set(space_id, objectives, area_weights)
-        if kept.front is None:
-            kept.front = tuple(pareto_front(kept.points))
-        return list(kept.front)
-
-    def _point_set(
-        self, space_id: int, objectives: Iterable[str], area_weights: Sequence[float]
-    ) -> _PointSet:
-        """The kept fetch for these arguments, read and kept on a miss (see
-        fetch_points)."""
         objectives = tuple(objectives)
         if not objectives:
             raise StoreError("objective list is empty")
@@ -904,7 +900,7 @@ class Store:
         # so one tool also means one result per configuration
         if len({row[-1] for row in rows}) > 1:
             raise self._mixed_tools(space_id, ok=True)
-        kept = _PointSet(tuple(DesignPoint(row[:-2], row[-2]) for row in rows))
+        kept = PointSet(tuple(DesignPoint(row[:-2], row[-2]) for row in rows))
         # inside a transaction the SELECT may see rows that a rollback
         # takes back without moving the stamp
         if not self.conn.in_transaction:

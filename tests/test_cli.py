@@ -262,6 +262,15 @@ class TestRun:
         assert run(capsys, "--db", db, "run", csd, "--limit", "1")[0] == 0
         assert (len(parses), len(indexes)) == (1, 1)
 
+    def test_log_that_cannot_be_opened_writes_no_row(self, capsys, db, tmp_path):
+        code, out, err = run(
+            capsys, "--db", db, "run", str(DATA / "local_scan.csd"), "--limit", "3",
+            "--log", str(tmp_path / "missing" / "events.jsonl"),
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not os.path.exists(db)
+
 
 def count_calls(monkeypatch, func) -> list:
     """Count the calls of ``func`` through every hlsdse module that binds
@@ -385,29 +394,6 @@ class TestAnalyze:
         )
         assert code == 0 and json.loads(out)["queries"] == 5
         assert sizes.count(24) == 1
-
-    def test_commit_between_the_two_reads_is_refused(self, capsys, monkeypatch, db, toy_csd):
-        """A point that another connection commits after the points are
-        read, and that joins the front, would give a front of other points."""
-        run(capsys, "--db", db, "run", toy_csd, "--limit", "20")
-        fetch_front = Store.fetch_front
-
-        def commit_first(self, *args):
-            with Store(db) as other:
-                (cfg,) = other.add_configurations(1, [23])
-                other.conn.execute(
-                    "INSERT INTO implementation SELECT NULL, ?, tool_id, status,"
-                    " timestamp, contributor, clock_period_ns, 0, 0, 0, 0, 1,"
-                    " achieved_period_ns FROM implementation WHERE status = 'ok' LIMIT 1",
-                    (cfg.id,),
-                )
-                other.conn.commit()
-            return fetch_front(self, *args)
-
-        monkeypatch.setattr(Store, "fetch_front", commit_first)
-        code, out, err = run(capsys, "--db", db, "analyze", "1")
-        assert code == EXIT_DOMAIN and out == ""
-        assert err == "error: space 1 changed while it was read; analyze again\n"
 
     @pytest.mark.parametrize("budget", ["0", "-3"])
     def test_eval_budget_below_one(self, capsys, populated, budget):

@@ -29,6 +29,7 @@ from hlsdse.dsl import parse_csd
 from hlsdse.orchestrator import BackendSpec, Campaign, ImplementationResult, run_campaign
 from hlsdse.space import build_index, cardinality
 from hlsdse.store import (
+    SCHEMA_VERSION,
     TABLES,
     DuplicateImplementationError,
     DuplicateSpaceError,
@@ -218,6 +219,7 @@ with Store(sys.argv[1]) as st:
 class TestWal:
     def test_file_store_settings(self, tmp_path):
         with Store(str(tmp_path / "db.sqlite")) as st:
+            st.init_schema()
             assert st.conn.execute("PRAGMA journal_mode").fetchone() == ("wal",)
             assert st.conn.execute("PRAGMA synchronous").fetchone() == (1,)
 
@@ -957,65 +959,79 @@ def record_point(store, configuration_id, latency):
 
 
 class TestFetchFrontMemo:
+    """The front of ``Store.point_set``, kept with its points."""
+
     def test_hit_runs_only_the_stamp(self, file_space, front_builds):
         st, space_id, configs = file_space
         record_point(st, configs[3].id, 50)
-        first = st.fetch_front(space_id, ["latency", "lut"])
+        first = st.point_set(space_id, ["latency", "lut"]).front
         assert front_builds == [4]
         statements = []
         st.conn.set_trace_callback(statements.append)
-        again = st.fetch_front(space_id, ["latency", "lut"])
+        again = st.point_set(space_id, ["latency", "lut"]).front
         st.conn.set_trace_callback(None)
         assert statements == ["PRAGMA data_version"] and front_builds == [4]
-        assert again == first == pareto_front(st.fetch_points(space_id, ["latency", "lut"]))
+        assert again is first
+        assert again == tuple(pareto_front(st.fetch_points(space_id, ["latency", "lut"])))
         assert [p.configuration_id for p in again] == [configs[3].id, configs[0].id]
 
     def test_points_and_front_share_one_fetch(self, file_space, front_builds):
         st, space_id, _ = file_space
         st.fetch_points(space_id, ["latency"])
+        assert front_builds == []
         statements = []
         st.conn.set_trace_callback(statements.append)
-        st.fetch_front(space_id, ["latency"])
+        st.point_set(space_id, ["latency"]).front
         st.fetch_points(space_id, ["latency"])
         assert statements == ["PRAGMA data_version"] * 2 and front_builds == [3]
 
-    def test_returned_list_is_the_callers(self, file_space):
+    def test_points_and_front_are_tuples(self, file_space):
         st, space_id, _ = file_space
-        front = st.fetch_front(space_id, ["latency"])
-        expected = list(front)
-        front.clear()
-        assert st.fetch_front(space_id, ["latency"]) == expected
+        point_set = st.point_set(space_id, ["latency"])
+        assert type(point_set.points) is type(point_set.front) is tuple
+
+    def test_commit_before_the_front_is_built(self, file_space):
+        """A point that another connection commits after the points are
+        read is not in their front, and the next read sees it."""
+        st, space_id, configs = file_space
+        point_set = st.point_set(space_id, ["latency", "lut"])
+        assert len(point_set.points) == 3
+        with Store(st.path) as other:
+            record_point(other, configs[3].id, 50)
+        assert point_set.front == tuple(pareto_front(point_set.points))
+        assert [p.configuration_id for p in point_set.front] == [configs[0].id]
+        assert len(st.point_set(space_id, ["latency", "lut"]).points) == 4
 
     @pytest.mark.parametrize("write", ["other connection", "own result"])
     def test_a_new_point_is_seen(self, file_space, front_builds, write):
         st, space_id, configs = file_space
-        assert len(st.fetch_front(space_id, ["latency", "lut"])) == 1
+        assert len(st.point_set(space_id, ["latency", "lut"]).front) == 1
         if write == "own result":
             record_point(st, configs[3].id, 50)
         else:
             with Store(st.path) as other:
                 record_point(other, configs[3].id, 50)
-        front = st.fetch_front(space_id, ["latency", "lut"])
+        front = st.point_set(space_id, ["latency", "lut"]).front
         assert [p.configuration_id for p in front] == [configs[3].id, configs[0].id]
         assert front_builds == [3, 4]
 
     def test_rolled_back_write_empties_the_memo(self, file_space, front_builds):
         st, space_id, configs = file_space
-        st.fetch_front(space_id, ["latency"])
+        st.point_set(space_id, ["latency"]).front
         copy_ok_row(st, configs[3].id)
         st.conn.rollback()
-        assert len(st.fetch_front(space_id, ["latency"])) == 1
+        assert len(st.point_set(space_id, ["latency"]).front) == 1
         assert front_builds == [3, 3]
 
     def test_fetch_inside_a_transaction_is_not_kept(self, file_space, front_builds):
         st, space_id, configs = file_space
         copy_ok_row(st, configs[3].id)
-        st.fetch_front(space_id, ["latency"])
-        st.fetch_front(space_id, ["latency"])
+        st.point_set(space_id, ["latency"]).front
+        st.point_set(space_id, ["latency"]).front
         assert front_builds == [4, 4]
         st.conn.rollback()
-        st.fetch_front(space_id, ["latency"])
-        st.fetch_front(space_id, ["latency"])
+        st.point_set(space_id, ["latency"]).front
+        st.point_set(space_id, ["latency"]).front
         assert front_builds == [4, 4, 3]
 
     def test_oldest_fetch_goes_first_with_its_front(self, file_space, front_builds):
@@ -1026,11 +1042,11 @@ class TestFetchFrontMemo:
         statements = []
         st.conn.set_trace_callback(statements.append)
         for w in weights[:32]:
-            st.fetch_front(space_id, ["area"], w)
+            st.point_set(space_id, ["area"], w).front
         assert objective_selects(statements) == [] and len(front_builds) == 32
         # the 33rd fetch drops the first, points and front
-        st.fetch_front(space_id, ["area"], weights[32])
-        st.fetch_front(space_id, ["area"], weights[0])
+        st.point_set(space_id, ["area"], weights[32]).front
+        st.point_set(space_id, ["area"], weights[0]).front
         assert len(objective_selects(statements)) == 2 and len(front_builds) == 34
 
     def test_mixed_tools_refused(self, store):
@@ -1039,36 +1055,19 @@ class TestFetchFrontMemo:
             with pytest.raises(
                 StoreError, match="from tool-a 1.0 on mockpart, tool-b 1.0 on mockpart$"
             ):
-                store.fetch_front(space_id, ["latency"])
+                store.point_set(space_id, ["latency"])
 
     def test_space_without_ok_results(self, store):
         csd = parse_csd("unroll;f;l;{1,2}\nclock;{10}")
         rec = store.register_space(store.ensure_design("b", "a", "d"), csd, "t")
         with pytest.raises(AnalyticsError, match="^empty point set$"):
-            store.fetch_front(rec.id, ["latency"])
+            store.point_set(rec.id, ["latency"]).front
 
     def test_evaluate_strategy_reads_objectives_once(self, file_space):
         st, space_id, _ = file_space
         objectives = (name for name in ["latency", "lut"])
         result = evaluate_strategy(st, space_id, exhaustive_strategy, 3, objectives)
         assert result.adrs_value == 0.0 and len(result.reference_front) == 1
-
-    def test_evaluate_strategy_refuses_a_front_of_other_points(self, file_space, monkeypatch):
-        """Another connection's commit between the read of the points and
-        that of the front, of a point that joins the front."""
-        st, space_id, configs = file_space
-        fetch_front = st.fetch_front
-
-        def commit_first(*args):
-            with Store(st.path) as other:
-                record_point(other, configs[3].id, 50)
-            return fetch_front(*args)
-
-        monkeypatch.setattr(st, "fetch_front", commit_first)
-        with pytest.raises(AnalyticsError, match=f"^space {space_id} changed while it was read"):
-            evaluate_strategy(st, space_id, exhaustive_strategy, 3)
-        monkeypatch.undo()
-        assert evaluate_strategy(st, space_id, exhaustive_strategy, 4).adrs_value == 0.0
 
 
 class TestExportImport:
@@ -1732,28 +1731,32 @@ class TestSchemaV1To3:
     """Versions 1 to 3 kept results in a synthesis_info table, which is a
     view from version 4 on; a store of theirs is no longer read."""
 
-    # user_version 0: a store loaded from an SQL export, which sets none
-    @pytest.mark.parametrize("version", [0, 1, 2, 3])
+    # user_version 0: a store loaded from an SQL export, which sets none;
+    # 9: a store of a newer version, refused before its layout is read
+    @pytest.mark.parametrize("version", [0, 1, 2, 3, 9])
     def test_store_is_refused_and_not_written(self, tmp_path, capsys, version):
-        path = tmp_path / "v3.sqlite"
         lines = [line for line in campaign_lines()
                  if json.loads(line)["table"] not in ("tool", "implementation")]
-        build_store(str(path), lines, V3_DDL, version)
-        # as Store leaves a file store, so that opening one changes no byte
-        with contextlib.closing(sqlite3.connect(path)) as conn:
-            conn.execute("PRAGMA journal_mode = WAL")
-        before = dump(path), path.read_bytes()
-        with Store(str(path)) as st:
-            with pytest.raises(
-                VersionMismatchError,
-                match=f"^store version {version} has the layout of versions 1 to 3,",
-            ):
-                st.init_schema()
-        assert main(["--db", str(path), "query", "1"]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith(f"error: store version {version} ") and err.count("\n") == 1
-        assert (dump(path), path.read_bytes()) == before
+        refusal = (
+            f"^store version {version} is newer than supported" if version > SCHEMA_VERSION
+            else f"^store version {version} has the layout of versions 1 to 3,"
+        )
+        # wal as Store leaves a file store it accepts; delete as a store of
+        # another program may be, whose header a switch to wal rewrites
+        for journal in ("wal", "delete"):
+            path = tmp_path / f"v3-{journal}.sqlite"
+            build_store(str(path), lines, V3_DDL, version)
+            with contextlib.closing(sqlite3.connect(path)) as conn:
+                assert conn.execute(f"PRAGMA journal_mode = {journal}").fetchone() == (journal,)
+            before = dump(path), path.read_bytes()
+            with Store(str(path)) as st:
+                with pytest.raises(VersionMismatchError, match=refusal):
+                    st.init_schema()
+            assert main(["--db", str(path), "query", "1"]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"error: store version {version} ") and err.count("\n") == 1
+            assert (dump(path), path.read_bytes()) == before
 
 
 # The schema of version 4, frozen: its status CHECK was an IN list, and
