@@ -18,6 +18,7 @@ import math
 import os
 import shlex
 import signal
+import string
 import subprocess
 import time
 import xml.etree.ElementTree as ET
@@ -65,9 +66,16 @@ class BackendSpec:
         if self.kind == "external_tool":
             if not self.command:
                 raise ValueError("external_tool backend requires a command template")
-            for ph in ("{config_dir}", "{design_src}", "{script}"):
-                if ph not in self.command:
-                    raise ValueError(f"command template missing placeholder {ph}")
+            # split and parsed as _run_external fills it in, so an unbalanced
+            # quote or a stray brace raises ValueError here
+            fields = {
+                "{" + name + (f"!{conv}" if conv else "") + (f":{spec}" if spec else "") + "}"
+                for token in shlex.split(self.command)
+                for _, name, spec, conv in string.Formatter().parse(token) if name is not None
+            }
+            if fields != {"{config_dir}", "{design_src}", "{script}"}:
+                raise ValueError(f"command template fields {', '.join(sorted(fields))} are not"
+                                 " {config_dir}, {design_src} and {script}")
 
 
 @dataclass
@@ -164,7 +172,8 @@ def parse_report(raw: bytes, fmt: str) -> ImplementationResult:
                 raise ValueError("not a JSON object")
             found = {f: data.get(key) for f, (key, _, _) in _REPORT_FIELDS.items()}
         elif fmt == "xml":
-            root = ET.fromstring(raw.decode())
+            # the bytes, so that the parser honours a declared encoding
+            root = ET.fromstring(raw)
             found = {f: root.findtext(path) for f, (_, path, _) in _REPORT_FIELDS.items()}
         else:
             raise ValueError(f"unknown report format {fmt!r}")
@@ -281,16 +290,15 @@ def _run_external(
     # not be scored as this run's
     report_path = config_dir / f"report.{backend.report_format}"
     report_path.unlink(missing_ok=True)
-    cmd = backend.command.format(
-        config_dir=str(config_dir),
-        design_src=campaign.design_src,
-        script=str(script_path),
-    )
+    # each field is filled in within its own argument, so a path holding a
+    # space or a quote reaches the tool whole
+    fields = {"config_dir": config_dir, "design_src": campaign.design_src, "script": script_path}
+    argv = [token.format(**fields) for token in shlex.split(backend.command)]
     start = time.monotonic()
     # the tool leads its own process group, so a timeout ends every process
     # it started, not only the one it was launched as
     with subprocess.Popen(
-        shlex.split(cmd),
+        argv,
         cwd=config_dir,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -302,15 +310,11 @@ def _run_external(
             os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
             _wait_group_dead(proc.pid)
-            return ImplementationResult(
-                status="timeout", duration_s=time.monotonic() - start
-            )
+            return ImplementationResult(status="timeout", duration_s=time.monotonic() - start)
     duration = time.monotonic() - start
     if proc.returncode != 0 or not report_path.exists():
         return ImplementationResult(
-            status="synth_error",
-            duration_s=duration,
-            diagnostic=f"tool exit {proc.returncode}",
+            status="synth_error", duration_s=duration, diagnostic=f"tool exit {proc.returncode}"
         )
     result = parse_report(report_path.read_bytes(), backend.report_format)
     return replace(result, duration_s=duration, raw_report_ref=str(report_path))

@@ -11,15 +11,16 @@ configuration, tool, status, provenance and clock period and, exactly when
 the status is ok, its resource counts, latency and achieved period. The
 read-only views synthesis_info, resource_usage and performance show them
 under the table and column names of versions 1 to 3. The DDL is shipped
-verbatim in SCHEMA_DDL; the database itself rejects a configuration index
-outside [0, cardinality) (a trigger), a partial result, a count that is not
-an integer, or a period that is not a positive and finite REAL (CHECK
-constraints), and a second ok result for one configuration and tool (a
-partial unique index), whoever writes the row. The CHECKs test types with
-typeof, after column affinity has converted numeric text, because SQLite
-finds text such as 'abc' >= 0. The status CHECK is an OR of equalities:
-SQLite compiles an IN list into a temporary B-tree that it fills for every
-row inserted, which cost more than every other CHECK together.
+verbatim in SCHEMA_DDL; the tables, columns and foreign keys that export,
+import and the rebuild use are read from it (see _schema). The database
+itself rejects a configuration index outside [0, cardinality) (a trigger), a
+partial result, a count that is not an integer, or a period that is not a
+positive and finite REAL (CHECK constraints), and a second ok result for one
+configuration and tool (a partial unique index), whoever writes the row. The
+CHECKs test types with typeof, after column affinity has converted numeric
+text, because SQLite finds text such as 'abc' >= 0. The status CHECK is an
+OR of equalities: SQLite compiles an IN list into a temporary B-tree filled
+for every row inserted, which cost more than every other CHECK together.
 
 Every reader of a stored space goes through ``Store.space_index``, which
 parses the descriptor and checks that its size is the row's cardinality, so
@@ -27,16 +28,15 @@ a campaign on a space that fails the check writes nothing.
 
 Opening a store reads its sqlite_schema once. A store at this version that
 holds every SCHEMA_DDL object with its text is not written, but for a switch
-to write-ahead-log mode. One that holds
-a table of this schema whose CREATE text is not SCHEMA_DDL's is copied
-whole into SCHEMA_DDL (see ``Store._rebuild``): a version-4 store, whose
-implementation table differed only in its CHECKs, or one loaded from a
-version-4 SQL export. Versions 1 to 3 kept results in a synthesis_info
-table, which is a view from version 4 on; a store holding that table is
-refused with one VersionMismatchError and not written. Imports read exports
-of versions 4 and 5, which share one layout, through SCHEMA_DDL's
-constraints. An import refuses a NaN, an infinity or a float literal
-beyond the float range as a malformed record.
+to write-ahead-log mode. One that holds a table of this schema whose CREATE
+text is not SCHEMA_DDL's is copied whole into SCHEMA_DDL (see
+``Store._rebuild``): a version-4 store, whose implementation table differed
+only in its CHECKs, or one loaded from a version-4 SQL export. Versions 1 to
+3 kept results in a synthesis_info table, which is a view from version 4 on;
+a store holding that table is refused with one VersionMismatchError and not
+written. Imports read exports of versions 4 and 5, which share one layout,
+through SCHEMA_DDL's constraints. An import refuses a NaN, an infinity or a
+float literal beyond the float range as a malformed record.
 
 SQLite renders the lines of a JSON-lines export: its json_quote writes the
 integers, text and NULLs, while REAL values come back to Python and are
@@ -62,7 +62,7 @@ import sqlite3
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import chain, count
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -163,50 +163,40 @@ BEGIN
 END;
 """
 
-TABLES = [
-    "benchmark",
-    "algorithm",
-    "design",
-    "configuration_space",
-    "configuration",
-    "tool",
-    "implementation",
-]
-
-# a store's schema objects, as (type, name, CREATE text); main's only, so
-# sqlite_temp_schema does not count
-_OBJECTS = "SELECT type, name, sql FROM main.sqlite_master"
+# a store's schema objects, as (type, name, CREATE text), in creation order;
+# main's only, so sqlite_temp_schema does not count
+_OBJECTS = "SELECT type, name, sql FROM main.sqlite_master ORDER BY rowid"
 
 
-def _schema() -> tuple[dict[str, tuple[str, ...]], frozenset]:
-    """Each table's columns in DDL order, read from SCHEMA_DDL itself, and
-    SCHEMA_DDL's objects as _OBJECTS reads them."""
+def _schema() -> tuple[list, dict, dict, frozenset]:
+    """What SCHEMA_DDL states, read from SCHEMA_DDL itself: its table names
+    in creation order, which puts every parent before its children; each
+    table's columns in DDL order; each table's foreign keys, as {column:
+    parent table} in column order; and its objects as _OBJECTS reads them."""
     with contextlib.closing(sqlite3.connect(":memory:")) as conn:
         conn.executescript(SCHEMA_DDL)
-        return {
-            t: tuple(row[1] for row in conn.execute(f"PRAGMA table_info({t})"))
-            for t in TABLES
-        }, frozenset(conn.execute(_OBJECTS))
+        objects = conn.execute(_OBJECTS).fetchall()
+        tables = [name for kind, name, _ in objects if kind == "table"]
+        cols, parents = {}, {}
+        for t in tables:
+            cols[t] = tuple(row[1] for row in conn.execute(f"PRAGMA table_info({t})"))
+            fks = {row[3]: row[2] for row in conn.execute(f"PRAGMA foreign_key_list({t})")}
+            parents[t] = {c: fks[c] for c in cols[t] if c in fks}
+        return tables, cols, parents, frozenset(objects)
 
 
 def _insert_sql(table: str, cols: Sequence[str]) -> str:
     return f"INSERT INTO {table} ({','.join(cols)}) VALUES ({','.join('?' * len(cols))})"
 
 
-# the columns export writes and import requires, per table, and the objects
-# of a store that init_schema leaves alone
-_EXPORT_COLS, _SCHEMA_OBJECTS = _schema()
+# the tables, parents first; the columns export writes and import requires,
+# per table, id first; table -> {foreign key column: the record table whose
+# ids import remaps it by}; and the objects of a store that init_schema
+# leaves alone
+TABLES, _EXPORT_COLS, _PARENT, _SCHEMA_OBJECTS = _schema()
 # every column is listed, so an imported row's id is either chosen by the
 # import or NULL, which lets SQLite pick it
 _INSERT = {t: _insert_sql(t, cols) for t, cols in _EXPORT_COLS.items()}
-# table -> {foreign key column: the record table whose ids import remaps it by}
-_PARENT = {
-    "algorithm": {"benchmark_id": "benchmark"},
-    "design": {"algorithm_id": "algorithm"},
-    "configuration_space": {"design_id": "design"},
-    "configuration": {"space_id": "configuration_space"},
-    "implementation": {"configuration_id": "configuration", "tool_id": "tool"},
-}
 # taxonomy and tool rows are got-or-created by their UNIQUE keys, by
 # ensure_design, record_result and import alike, so that spaces of one
 # design, and results of one tool, share them
@@ -482,47 +472,47 @@ class Store:
         if version == SCHEMA_VERSION and objects >= _SCHEMA_OBJECTS:
             return
         if any(kind == "table" and name in TABLES for kind, name, _ in objects - _SCHEMA_OBJECTS):
-            self._rebuild()
+            self._rebuild(objects)
         with self.conn:
             self.conn.executescript(
                 f"BEGIN; {SCHEMA_DDL} PRAGMA user_version = {SCHEMA_VERSION}; COMMIT;"
             )
 
-    def _rebuild(self):
-        """Copy the store into SCHEMA_DDL in one transaction that keeps every
-        id, with foreign keys off: drop every view, index and trigger, as a
-        renamed table keeps its own and a view is rewritten to read it;
-        rename every table of TABLES legacy_<table>, as SQLite rewrites a
-        child's REFERENCES to a renamed parent; create SCHEMA_DDL; copy each
-        table in TABLES order through the columns it shares with SCHEMA_DDL;
-        and drop the legacy_* tables. A store holding an orphan row, or a
-        row that SCHEMA_DDL rejects, raises StoreError naming it and is left
-        as it was. No copied row is a second ok result for one configuration
-        and tool: a version-4 store holds SCHEMA_DDL's one_ok_result_per_tool
-        index."""
+    def _rebuild(self, objects: set):
+        """Copy the store, whose schema objects are ``objects`` as _OBJECTS
+        reads them, into SCHEMA_DDL in one transaction that keeps every id,
+        with foreign keys off: drop every view, index and trigger, as a
+        renamed table keeps its own and a view is rewritten to read it; rename
+        every table of TABLES legacy_<table>, as SQLite rewrites a child's
+        REFERENCES to a renamed parent; create SCHEMA_DDL; and copy each table
+        in TABLES order through the columns it shares with SCHEMA_DDL, then
+        drop its legacy_ table. A store holding an orphan row, or a row that
+        SCHEMA_DDL rejects, raises StoreError naming it and is left as it was.
+        No copied row is a second ok result for one configuration and tool: a
+        version-4 store holds SCHEMA_DDL's one_ok_result_per_tool index."""
         conn = self.conn
         problems = self.check_integrity()
         if problems:
             raise StoreError("cannot upgrade store: " + ", ".join(problems))
-        objects = conn.execute(
-            "SELECT type, name FROM main.sqlite_master WHERE name NOT LIKE 'sqlite_%'"
-        ).fetchall()
-        tables = [name for kind, name in objects if kind == "table" and name in TABLES]
+        tables = [t for t in TABLES if any(o[:2] == ("table", t) for o in objects)]
         # foreign keys can only be switched outside a transaction
         conn.commit()
         conn.execute("PRAGMA foreign_keys = OFF")
         try:
             with conn:
+                # not SQLite's sqlite_* objects, which go with their tables;
+                # sorted, so that a view's INSTEAD OF triggers go before it
                 conn.executescript(
                     "BEGIN;"
-                    + "".join(f"DROP {kind} {name};" for kind, name in objects if kind != "table")
+                    + "".join(
+                        f"DROP {kind} {name};" for kind, name, _ in sorted(objects)
+                        if kind != "table" and not name.startswith("sqlite_")
+                    )
                     + "".join(f"ALTER TABLE {t} RENAME TO legacy_{t};" for t in tables)
                     + SCHEMA_DDL
                 )
-                for t in TABLES:
-                    if t in tables:
-                        self._copy_table(t)
                 for t in tables:
+                    self._copy_table(t)
                     conn.execute(f"DROP TABLE legacy_{t}")
         finally:
             conn.execute("PRAGMA foreign_keys = ON")
@@ -656,9 +646,7 @@ class Store:
 
     def get_space(self, space_id: int) -> SpaceRecord:
         row = self.conn.execute(
-            "SELECT id, design_id, csd_text, cardinality, contributor, created_at"
-            " FROM configuration_space WHERE id=?",
-            (space_id,),
+            "SELECT * FROM configuration_space WHERE id=?", (space_id,)
         ).fetchone()
         if row is None:
             raise StoreError(f"unknown space id {space_id}")
@@ -964,19 +952,17 @@ class Store:
         be remapped before their parents are written. The export's header
         must name a version of IMPORT_VERSIONS."""
         id_maps: dict[str, dict] = defaultdict(dict)  # record table -> old id -> new id
-        next_id: dict[str, int] = {}
+        next_id: dict[str, Iterator[int]] = {}  # table -> the ids its rows take
         counts: Counter = Counter()
         last_good = -1
         run_table, run = None, []  # the pending run: (record index, values)
-        # table -> (the keys of its records, a getter of a record's
-        # values in column order, the position of its id column or None,
-        # (position, column, parent record table) per foreign key, and whether
-        # its rows go in runs); built here, from _EXPORT_COLS and _PARENT as
-        # they are when the import runs
+        # table -> (the keys of its records, a getter of a record's values in
+        # column order, id first, (position, column, parent record table) per
+        # foreign key, and whether its rows go in runs); built here, from
+        # _EXPORT_COLS and _PARENT as they are when the import runs
         plans = {
             t: (
                 frozenset((*cols, "table")), itemgetter(*cols),
-                cols.index("id") if "id" in cols else None,
                 [(cols.index(fk), fk, parent) for fk, parent in _PARENT.get(t, {}).items()],
                 t not in _TAXONOMY_KEY and t != "configuration_space",
             )
@@ -1036,12 +1022,12 @@ class Store:
                 # a table name or foreign key that is a JSON list or object
                 # cannot key a dict, which raises TypeError below
                 try:
-                    keys, get, id_pos, fks, runs = plans[table]
+                    keys, get, fks, runs = plans[table]
                 except (KeyError, TypeError):
                     raise failure(f"unknown table {table!r}") from None
                 if obj.keys() != keys:
                     raise failure(f"bad columns for table {table}")
-                old_id = obj.get("id")
+                old_id = obj["id"]
                 if isinstance(old_id, (list, dict)):  # cannot key id_maps
                     raise failure(f"malformed {table} id {old_id!r}")
                 values = list(get(obj))
@@ -1056,42 +1042,36 @@ class Store:
                     if table != run_table:
                         flush()
                         run_table = table
-                    if id_pos is not None:
-                        if table not in next_id:
-                            (top,) = self.conn.execute(
-                                f"SELECT MAX(id) FROM {table}"
-                            ).fetchone()
-                            next_id[table] = (top or 0) + 1
-                        new_id = values[id_pos] = next_id[table]
-                        next_id[table] += 1
-                        if old_id is not None:
-                            id_maps[table][old_id] = new_id
+                    if table not in next_id:
+                        (top,) = self.conn.execute(f"SELECT MAX(id) FROM {table}").fetchone()
+                        next_id[table] = count((top or 0) + 1)
+                    new_id = values[0] = next(next_id[table])
                     run.append((n, values))
-                    if len(run) == _RUN_ROWS:
-                        flush()
-                    continue
-                # the taxonomy, tool and space rows, written as ensure_design,
-                # record_result and register_space write them
-                flush()
-                values[id_pos] = None
-                try:
-                    if table in _TAXONOMY_KEY:
-                        new_id = self._get_or_create(
-                            table, dict(zip(_EXPORT_COLS[table], values))
-                        )
-                    else:
-                        new_id = self._insert_space(values)
-                        self.space_index(new_id)
-                except StoreError as e:
-                    raise failure(str(e)) from None
-                except _REJECTED as e:
-                    raise failure(_rejection(table, e)) from None
-                except (CsdError, SpaceError) as e:
-                    raise failure(f"configuration_space descriptor: {e}") from None
+                else:
+                    # the taxonomy, tool and space rows, written as
+                    # ensure_design, record_result and register_space write them
+                    flush()
+                    values[0] = None
+                    try:
+                        if table in _TAXONOMY_KEY:
+                            new_id = self._get_or_create(
+                                table, dict(zip(_EXPORT_COLS[table], values))
+                            )
+                        else:
+                            new_id = self._insert_space(values)
+                            self.space_index(new_id)
+                    except StoreError as e:
+                        raise failure(str(e)) from None
+                    except _REJECTED as e:
+                        raise failure(_rejection(table, e)) from None
+                    except (CsdError, SpaceError) as e:
+                        raise failure(f"configuration_space descriptor: {e}") from None
+                    counts[table] += 1
+                    last_good = n
                 if old_id is not None:
                     id_maps[table][old_id] = new_id
-                counts[table] += 1
-                last_good = n
+                if len(run) == _RUN_ROWS:
+                    flush()
             flush()
         return dict(counts)
 

@@ -3,6 +3,8 @@ import json
 import os
 import shlex
 import signal
+import subprocess
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from types import SimpleNamespace
@@ -163,6 +165,14 @@ class TestParseReport:
         assert (r.ff, r.lut, r.bram, r.dsp) == (1287, 2634, 14, 3)
         assert r.latency_cycles == 4161
         assert r.achieved_period_ns == 8.51
+
+    def test_xml_in_its_declared_encoding(self, sample_report_xml):
+        """A report is parsed from its bytes, in the encoding it declares."""
+        raw = sample_report_xml.replace(b'encoding="UTF-8"', b'encoding="ISO-8859-1"', 1)
+        raw = raw.replace(b"<profile>", "<profile><!-- r\u00e9sum\u00e9 -->".encode("latin-1"), 1)
+        assert b"\xe9" in raw
+        r = parse_report(raw, "xml")
+        assert (r.status, r.lut, r.latency_cycles) == ("ok", 2634, 4161)
 
     def test_missing_fields(self):
         r = parse_report(b"<profile></profile>", "xml")
@@ -535,6 +545,36 @@ class TestBackendSpec:
             command="run_hls {config_dir} {design_src} {script}",
         )
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            'awk "{print}" {config_dir} {design_src} {script}',
+            "run_hls {0} {config_dir} {design_src} {script}",
+            "run_hls {} {config_dir} {design_src} {script}",
+            "run_hls {config_dir} {config_dir.name} {design_src} {script}",
+            "run_hls {config_dir} {design_src} {script} {script!r}",
+            "run_hls {config_dir} {design_src} {script} {script:>40}",
+            "run_hls {config_dir} {design_src} {script} }",
+            "run_hls {config_dir} {design_src} {script} {",
+            "run_hls '{config_dir} {design_src} {script}",
+            'run_hls {config_dir} {design_src} "{script}',
+        ],
+        ids=["other-field", "positional", "auto-numbered", "attribute", "conversion",
+             "format-spec", "stray-close", "stray-open", "open-single-quote",
+             "open-double-quote"],
+    )
+    def test_bad_template_refused(self, command):
+        """A template that no campaign could fill in fails when the backend is
+        built, rather than as a synth_error of every point."""
+        with pytest.raises(ValueError):
+            BackendSpec(kind="external_tool", command=command)
+
+    def test_template_escapes_and_repeats_accepted(self):
+        BackendSpec(
+            kind="external_tool",
+            command="run_hls '{{x}}' {config_dir} -o {config_dir}/out {design_src} {script}",
+        )
+
     def test_timeout_positive(self):
         with pytest.raises(ValueError):
             BackendSpec(kind="mock", timeout_s=0)
@@ -600,6 +640,36 @@ class TestExternalBackend:
             "set_directive_unroll"
         )
 
+    def test_each_placeholder_is_one_argument(self, tmp_path):
+        """A work dir and a design source holding a space and a quote reach
+        the tool as one argument each, as do literal braces."""
+        from hlsdse.orchestrator import _run_external
+
+        tool = tmp_path / "args.sh"
+        tool.write_text(
+            '#!/bin/sh\nprintf "%s\\n" "$#" "$@" > "$2/argv"\n'
+            f'cp {shlex.quote(str(SAMPLE_REPORT))} "$2/report.xml"\n'
+        )
+        tool.chmod(0o755)
+        backend = BackendSpec(
+            kind="external_tool",
+            command=shlex.quote(str(tool)) + " '{{x}}' {config_dir} {design_src} {script}",
+            timeout_s=30,
+        )
+        work_dir = tmp_path / "ext test" / "it's work"
+        design_src = str(tmp_path / "my design's top.c")
+        csd = parse_csd("unroll;f;l1;{1,2}\nclock;{10}")
+        cfg = build_index(csd).decode(0)
+        campaign = Campaign(
+            space_id=1, backend=backend, design_src=design_src, work_dir=str(work_dir)
+        )
+        result = _run_external(backend, cfg, csd, campaign)
+        (config_dir,) = (work_dir / "sandboxes").iterdir()
+        assert (config_dir / "argv").read_text().splitlines() == [
+            "4", "{x}", str(config_dir), design_src, str(config_dir / "directives.tcl")
+        ]
+        assert (result.status, result.lut) == ("ok", 2634)
+
     def test_json_report_read_from_report_json(self, tmp_path):
         from hlsdse.orchestrator import _run_external
 
@@ -662,3 +732,25 @@ class TestExternalBackend:
         finally:
             for p in live(pid=child):
                 os.kill(p, signal.SIGKILL)
+
+
+@needs_proc
+def test_group_alive_until_its_process_dies():
+    """A group with a live process is alive; a killed one is dead once its
+    process is a zombie, before it is reaped, and after."""
+    from hlsdse.orchestrator import _KILL_WAIT_S, _group_alive, _wait_group_dead
+
+    proc = subprocess.Popen(["sleep", "30"], start_new_session=True)
+    try:
+        assert _group_alive(proc.pid)
+        os.killpg(proc.pid, signal.SIGKILL)
+        start = time.monotonic()
+        _wait_group_dead(proc.pid)
+        assert time.monotonic() - start < _KILL_WAIT_S / 10
+        stat = Path(f"/proc/{proc.pid}/stat").read_text()
+        assert stat[stat.rindex(")") + 2] == "Z"
+        assert not _group_alive(proc.pid)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert not _group_alive(proc.pid)

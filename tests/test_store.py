@@ -113,6 +113,33 @@ class TestSchema:
             with pytest.raises(sqlite3.OperationalError, match="because it is a view"):
                 store.conn.execute(f"INSERT INTO {view} (implementation_id) VALUES (1)")
 
+    def test_schema_facts_are_read_from_the_ddl(self):
+        """The tables, their columns and their foreign keys come from
+        SCHEMA_DDL: the tables parents first, each row keyed by its first
+        column, id, and each table's keys in its column order."""
+        assert TABLES == [
+            "benchmark", "algorithm", "design", "configuration_space", "configuration",
+            "tool", "implementation",
+        ]
+        for t in TABLES:
+            assert hlsdse.store._EXPORT_COLS[t][0] == "id"
+            assert all(TABLES.index(p) < TABLES.index(t) for p in hlsdse.store._PARENT[t].values())
+        assert hlsdse.store._PARENT["benchmark"] == hlsdse.store._PARENT["tool"] == {}
+        assert list(hlsdse.store._PARENT["implementation"].items()) == [
+            ("configuration_id", "configuration"), ("tool_id", "tool")
+        ]
+
+    def test_space_record_fields_are_the_table_columns(self):
+        """get_space builds a SpaceRecord from a row of SELECT *."""
+        assert tuple(f.name for f in dataclasses.fields(hlsdse.store.SpaceRecord)) == (
+            hlsdse.store._EXPORT_COLS["configuration_space"]
+        )
+
+    def test_every_table_is_exported(self):
+        """A table added to SCHEMA_DDL needs an export query, or every export
+        would leave it out."""
+        assert [t for t, _, _ in hlsdse.store._EXPORT_QUERIES] == TABLES
+
     def test_idempotent_init(self, store):
         before = store.table_names()
         store.init_schema()
@@ -1415,6 +1442,23 @@ class TestExportImport:
             assert exc.value.last_good == k - 1
             for t in TABLES:
                 assert other.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone() == (0,)
+
+    def test_two_unknown_keys_name_the_first_column(self, store):
+        """An implementation record whose two foreign keys are both unknown is
+        refused naming configuration_id, its first key column."""
+        rec = self._populated(store, "unroll;f;l1;{1,2,4}\nclock;{10}")
+        lines = store.export_jsonl(rec.id).decode().splitlines()
+        k = [n for n, line in enumerate(lines)
+             if json.loads(line)["table"] == "implementation"][0]
+        lines[k] = json.dumps({**json.loads(lines[k]), "configuration_id": 998, "tool_id": 999})
+        with Store(":memory:") as other:
+            other.init_schema()
+            with pytest.raises(ImportRejected) as exc:
+                other.import_jsonl(("\n".join(lines) + "\n").encode())
+            assert str(exc.value) == (
+                "implementation row references unknown configuration_id=998"
+                f" (last good record index: {k - 1})"
+            )
 
     def test_foreign_key_failure_is_referential_violation(self, store, monkeypatch):
         """Import remaps every foreign key to a row it wrote, so SQLite's own
